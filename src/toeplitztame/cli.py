@@ -204,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toeplitztame",
         description="Tameness certificates for substitution and Toeplitz shifts.")
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism bound (reserved; evaluation is sequential)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="full tameness pipeline, JSON report")
@@ -264,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        return _fail(ParseError("--jobs must be >= 1"))
     try:
         return args.func(args)
     except ToeplitzError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .errors import (NotPrimitive, ParseError, PureBaseError,
@@ -49,6 +48,8 @@ class Substitution:
                 raise ValidationError(
                     f"rule for {a!r} uses letters outside the alphabet: {sorted(bad)}")
         object.__setattr__(self, "_rule", dict(zip(self.alphabet, self.words)))
+        object.__setattr__(self, "_table", str.maketrans(self._rule))
+        object.__setattr__(self, "_languages", {})
 
     @property
     def length(self) -> int:
@@ -174,7 +175,7 @@ def first_letter_seed(theta: Substitution) -> tuple[int, str]:
 
 def expand(theta: Substitution, word: str, k: int) -> str:
     for _ in range(k):
-        word = "".join(theta.rule(a) for a in word)
+        word = word.translate(theta._table)
     return word
 
 
@@ -187,42 +188,44 @@ def fixed_point_prefix(theta: Substitution, min_len: int) -> tuple[str, int, str
     return prefix, q, seed
 
 
-@lru_cache(maxsize=None)
 def language(theta: Substitution, n: int) -> frozenset:
     """All allowed words of length n for a primitive substitution.
 
-    Short lengths are collected from fixed-point prefixes until unchanged
-    by one further application; longer ones satisfy the exact recursion
-    that every allowed n-word sits inside the image of an allowed word of
-    length ceil(n / l) + 1.
+    L_2 is the smallest set that holds the 2-factors of every theta(a) and
+    holds theta(a)[-1] theta(b)[0] for each of its words ab.  This is exact:
+    a 2-factor of theta^k(c) lies inside some theta(a) or across
+    theta(a) theta(b), where ab is a 2-factor of theta^(k-1)(c).  For n >= 3
+    every allowed n-word sits inside theta(w) for an allowed w of length
+    m = ceil((n - 1) / l) + 1 < n, so L_n is the set of n-factors of those
+    images.  Results are memoized on ``theta``.
     """
+    memo = theta._languages
+    if n not in memo:
+        memo[n] = _language(theta, n)
+    return memo[n]
+
+
+def _language(theta: Substitution, n: int) -> frozenset:
     if n == 0:
         return frozenset({""})
     if n == 1:
         return frozenset(theta.alphabet)  # primitivity
-    if n <= 3:
-        return _short_language(theta, n)
-    m = -(-n // theta.length) + 1
+    if n == 2:
+        out = {w[i:i + 2] for w in theta.words for i in range(len(w) - 1)}
+        todo = list(out)
+        while todo:
+            a, b = todo.pop()
+            ab = theta.rule(a)[-1] + theta.rule(b)[0]
+            if ab not in out:
+                out.add(ab)
+                todo.append(ab)
+        return frozenset(out)
+    m = -(-(n - 1) // theta.length) + 1
     out = set()
     for w in language(theta, m):
         img = expand(theta, w, 1)
         out.update(img[i:i + n] for i in range(len(img) - n + 1))
     return frozenset(out)
-
-
-def _short_language(theta: Substitution, n: int) -> frozenset:
-    q, seed = first_letter_seed(theta)
-    prefix = seed
-    prev = None
-    for _ in range(64):
-        prefix = expand(theta, prefix, q)
-        if len(prefix) < n:
-            continue
-        cur = frozenset(prefix[i:i + n] for i in range(len(prefix) - n + 1))
-        if cur == prev:
-            return cur
-        prev = cur
-    raise StabilizationError(f"language of length {n} did not stabilize")
 
 
 def complexity(theta: Substitution, n: int) -> int:
@@ -265,6 +268,9 @@ def height_and_pure_base(theta: Substitution):
     l = theta.length
     prefix, q, seed = fixed_point_prefix(theta, l ** 4)
     g = _returns_gcd(prefix)
+    if g == 1:
+        # theta^q(prefix) starts with prefix, so its gcd divides 1 as well.
+        return 1, theta, None
     longer = expand(theta, prefix, q)
     if _returns_gcd(longer) != g:
         raise StabilizationError("height gcd did not stabilize on the prefix")
@@ -315,9 +321,10 @@ def height_and_pure_base(theta: Substitution):
 
 def _returns_gcd(u: str) -> int:
     g = 0
-    for n in range(1, len(u)):
-        if u[n] == u[0]:
-            g = gcd(g, n)
+    n = u.find(u[0], 1)
+    while n > 0 and g != 1:
+        g = gcd(g, n)
+        n = u.find(u[0], n + 1)
     if g == 0:
         raise StabilizationError("no return of the fixed-point seed in the prefix")
     return g

@@ -21,8 +21,8 @@ from toeplitztame.semicocycle import (SCALE6, FullShift, SturmianFibonacci,
                                       check_translate_disjointness,
                                       default_zhat6, head_set,
                                       heads_and_special, realize_prefix)
-from toeplitztame.substitution import (Substitution, language,
-                                       shortest_collapsing_word, validate)
+from toeplitztame.substitution import (Substitution, shortest_collapsing_word,
+                                       validate)
 
 
 def fs(s):
@@ -30,7 +30,6 @@ def fs(s):
 
 
 def _fresh(rules):
-    language.cache_clear()
     return validate({"rules": rules})
 
 

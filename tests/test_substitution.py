@@ -1,9 +1,14 @@
 import itertools
+import random
+from collections import deque
+from math import gcd
 
 import pytest
 
-from toeplitztame.errors import ParseError, ValidationError
-from toeplitztame.substitution import (column, expand,
+from toeplitztame.errors import (ParseError, PureBaseError,
+                                 StabilizationError, ValidationError)
+from toeplitztame.substitution import (LETTER_POOL, Substitution, column,
+                                       expand, first_letter_seed,
                                        fixed_point_window, has_coincidence,
                                        height_and_pure_base, is_aperiodic,
                                        is_primitive, language, letter_in_power,
@@ -198,3 +203,181 @@ def test_substitution_power_and_letter_descent(ex22):
         word = expand(ex22, v, 3)
         for q in (0, 1, 17, 40, 63):
             assert letter_in_power(ex22, v, 3, q) == word[q]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the fixed-point prefix iteration that the L_2 closure replaced,
+# and the height code before its early exits
+
+
+ORACLE_LETTERS = 3 * 10 ** 5
+
+
+class OracleBudget(Exception):
+    """The oracle would build a word longer than ORACLE_LETTERS."""
+
+
+def expand_oracle(theta, word, k):
+    for _ in range(k):
+        if len(word) * theta.length > ORACLE_LETTERS:
+            raise OracleBudget
+        word = "".join(theta.rule(a) for a in word)
+    return word
+
+
+def language_oracle(theta, n):
+    if n == 0:
+        return frozenset({""})
+    if n == 1:
+        return frozenset(theta.alphabet)
+    if n <= 3:
+        q, seed = first_letter_seed(theta)
+        prefix = seed
+        prev = None
+        for _ in range(64):
+            prefix = expand_oracle(theta, prefix, q)
+            if len(prefix) < n:
+                continue
+            cur = frozenset(prefix[i:i + n] for i in range(len(prefix) - n + 1))
+            if cur == prev:
+                return cur
+            prev = cur
+        raise StabilizationError(f"language of length {n} did not stabilize")
+    m = -(-n // theta.length) + 1
+    out = set()
+    for w in language_oracle(theta, m):
+        img = expand_oracle(theta, w, 1)
+        out.update(img[i:i + n] for i in range(len(img) - n + 1))
+    return frozenset(out)
+
+
+def returns_gcd_oracle(u):
+    g = 0
+    for n in range(1, len(u)):
+        if u[n] == u[0]:
+            g = gcd(g, n)
+    if g == 0:
+        raise StabilizationError("no return of the fixed-point seed in the prefix")
+    return g
+
+
+def height_oracle(theta):
+    l = theta.length
+    q, seed = first_letter_seed(theta)
+    prefix = seed
+    while len(prefix) < l ** 4:
+        prefix = expand_oracle(theta, prefix, q)
+    g = returns_gcd_oracle(prefix)
+    longer = expand_oracle(theta, prefix, q)
+    if returns_gcd_oracle(longer) != g:
+        raise StabilizationError("height gcd did not stabilize on the prefix")
+    h, d = g, gcd(g, l)
+    while d > 1:
+        h //= d
+        d = gcd(h, l)
+    if h == 1:
+        return 1, theta, None
+    u = longer
+    blocks = []
+    seen = {}
+    for j in range(len(u) // h):
+        b = u[j * h:(j + 1) * h]
+        if b not in seen:
+            seen[b] = True
+            blocks.append(b)
+    allowed = language_oracle(theta, h)
+    rules = {}
+    queue = deque(blocks)
+    while queue:
+        b = queue.popleft()
+        if b in rules:
+            continue
+        image = expand_oracle(theta, b, 1)
+        chunks = [image[t * h:(t + 1) * h] for t in range(l)]
+        for c in chunks:
+            if c not in allowed:
+                raise PureBaseError(
+                    f"pure-base block {c!r} is not an allowed word")
+            if c not in rules and c not in queue and c not in seen:
+                seen[c] = True
+                blocks.append(c)
+                queue.append(c)
+        rules[b] = chunks
+    if len(blocks) > len(LETTER_POOL):
+        raise PureBaseError("pure-base alphabet exceeds the letter pool")
+    name = {b: LETTER_POOL[i] for i, b in enumerate(blocks)}
+    theta_prime = Substitution(
+        tuple(name[b] for b in blocks),
+        tuple("".join(name[c] for c in rules[b]) for b in blocks))
+    if not is_primitive(theta_prime):
+        raise PureBaseError("constructed pure base is not primitive")
+    hp, _, _ = height_oracle(theta_prime)
+    if hp != 1:
+        raise PureBaseError(f"constructed pure base has height {hp}, not 1")
+    return h, theta_prime, tuple(blocks)
+
+
+def _outcome(f, theta):
+    try:
+        return f(theta)
+    except (StabilizationError, PureBaseError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_primitive(rng, size, length, q=None, h=1):
+    """A primitive substitution.  With q, the first-letter map has one
+    cycle, of length q, and maps the other letters onto it.  With h > 1,
+    letter i lies in class i mod h and theta(a)[i] in class
+    (class(a) * l + i) mod h, so that h divides the height when it is
+    coprime to l."""
+    alphabet = "abcdef"[:size]
+    members = [alphabet[c::h] for c in range(h)]
+    while True:
+        rules = {a: "".join(rng.choice(members[(k % h * length + i) % h])
+                            for i in range(length))
+                 for k, a in enumerate(alphabet)}
+        if q is not None:
+            cycle = rng.sample(alphabet, q)
+            first = {cycle[t]: cycle[(t + 1) % q] for t in range(q)}
+            for a in alphabet:
+                first.setdefault(a, rng.choice(cycle))
+            rules = {a: first[a] + rules[a][1:] for a in alphabet}
+        theta = validate({"rules": rules})
+        if is_primitive(theta):
+            return theta
+
+
+# (|A|, l, forced first-letter cycle q, forced classes h), ten inputs
+# each: the free grid |A|, l = 2..6 (l = 2 with |A| = 6 included), forced
+# cycles up to q = 4 at small sizes, and letter classes that give heights
+# 2 and 3.
+ORACLE_STRATA = ([(size, length, None, 1) for size in range(2, 7)
+                  for length in range(2, 7)]
+                 + [(2, 2, 2, 1), (3, 2, 3, 1), (3, 3, 3, 1), (4, 2, 4, 1),
+                    (5, 2, 4, 1), (6, 2, 4, 1),
+                    (4, 3, None, 2), (6, 5, None, 2), (6, 2, None, 3),
+                    (6, 4, None, 3)])
+
+
+def test_language_and_height_match_prefix_oracles():
+    rng = random.Random(2010)
+    for size, length, q, h in ORACLE_STRATA:
+        done = 0
+        while done < 10:
+            theta = _random_primitive(rng, size, length, q, h)
+            # Inputs whose oracle prefix would pass ORACLE_LETTERS are
+            # redrawn: the oracle, not the code under test, is the limit.
+            try:
+                expected = [language_oracle(theta, 2),
+                            language_oracle(theta, 3),
+                            _outcome(height_oracle, theta)]
+            except OracleBudget:
+                continue
+            word = "".join(theta.alphabet)
+            rules = theta.rules()
+            assert language(theta, 2) == expected[0], rules
+            assert language(theta, 3) == expected[1], rules
+            assert _outcome(height_and_pure_base, theta) == expected[2], rules
+            for k in range(4):
+                assert expand(theta, word, k) == expand_oracle(theta, word, k)
+            done += 1
