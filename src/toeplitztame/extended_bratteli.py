@@ -10,6 +10,18 @@ Since column images never grow, a path eventually stays at one
 cardinality; analysing each cardinality stratum separately is therefore
 sound, and cycles in a stratum decide how many paths of that thickness
 exist (none, countably many, or uncountably many).
+
+Inside this module a subset is an int bitmask: bit t is the t-th letter of
+the sorted alphabet, so ordering masks by (popcount, ascending bits) is
+the frozenset order ``_vkey``.  A column's image of every mask comes from
+img[x] = img[x & (x - 1)] | mask of the lowest letter of x, so the whole
+subset graph costs O(2^|A| l) integer operations.  It is built once per
+morphism, with one SCC census, and memoised on the morphism.  That census
+classifies every stratum: a cycle keeps its cardinality and its vertices
+are extendable, so the SCCs of the stratum of extendable k-sets that carry
+a cycle are exactly the full graph's cyclic SCCs of cardinality k, with
+the same internal edges.  Frozensets appear only at the boundary:
+``_extendable_tail_sets``, ``extendable_vertices`` and the witnesses.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ class LevelMorphism:
         if covered != set(self.lower):
             raise ValidationError(
                 "every lower vertex must be the source of some edge")
+        object.__setattr__(self, "_tail_memo", None)
 
     @property
     def length(self) -> int:
@@ -115,6 +128,9 @@ class DiagramSpec:
     substitution: Substitution | None = None
     levels: tuple[LevelMorphism, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "_stationary", None)
+
     @staticmethod
     def stationary(theta) -> "DiagramSpec":
         theta = validate(theta)
@@ -148,15 +164,20 @@ class DiagramSpec:
     def morphism(self, n: int) -> LevelMorphism:
         """Level-n morphism, n >= 1."""
         if self.kind == "stationary":
-            return morphism_from_substitution(self.substitution)
+            return self.tail_morphism()
         if n <= len(self.levels):
             return self.levels[n - 1]
         return self.levels[-1]
 
     def tail_morphism(self) -> LevelMorphism:
-        if self.kind == "stationary":
-            return morphism_from_substitution(self.substitution)
-        return self.levels[-1]
+        """The repeated morphism; a stationary spec builds it once, so
+        every analysis of the spec shares one memoised subset graph."""
+        if self.kind != "stationary":
+            return self.levels[-1]
+        if self._stationary is None:
+            object.__setattr__(self, "_stationary",
+                               morphism_from_substitution(self.substitution))
+        return self._stationary
 
     @property
     def rank(self) -> int:
@@ -232,34 +253,69 @@ def extended_image(m: LevelMorphism, i: int, letters) -> frozenset:
 # subset arcs and extendability
 
 
-def _all_subsets(alphabet):
-    letters = sorted(alphabet)
-    subs = []
-    for r in range(1, len(letters) + 1):
-        subs.extend(frozenset(c) for c in itertools.combinations(letters, r))
-    subs.sort(key=_vkey)
-    return subs
-
-
 def subset_arcs(m: LevelMorphism):
     """Arcs (T, image, label) for every nonempty upper subset T; an arc
-    runs from the upper subset down to its image."""
-    verts = _all_subsets(m.upper)
-    arcs = [(t, m.image(i, t), i) for t in verts for i in range(m.length)]
+    runs from the upper subset down to its image.  Subsets are bitmasks:
+    bit t of T is the t-th letter of sorted(m.upper), bit t of an image the
+    t-th letter of sorted(m.lower).  Vertices come in (popcount, ascending
+    bits) order."""
+    letters = sorted(m.upper)
+    n = len(letters)
+    pos = {a: t for t, a in enumerate(sorted(m.lower))}
+    verts = [sum(1 << t for t in c) for r in range(1, n + 1)
+             for c in itertools.combinations(range(n), r)]
+    images = []
+    for col in m.columns:
+        masks = [1 << pos[col(a)] for a in letters]
+        img = [0] * (1 << n)
+        for x in range(1, 1 << n):
+            img[x] = img[x & (x - 1)] | masks[(x & -x).bit_length() - 1]
+        images.append(img)
+    arcs = [(t, img[t], i) for t in verts for i, img in enumerate(images)]
     return verts, arcs
+
+
+def _tail(m: LevelMorphism):
+    """The subset graph of a square morphism, built and censused once and
+    memoised on it: (extendable masks, {k: (extendable k-sets in vertex
+    order, their cardinality-preserving arcs, classification)})."""
+    if m._tail_memo is None:
+        verts, arcs = subset_arcs(m)
+        census = graphs.component_census(verts, arcs)
+        cls = {}
+        on_cycle = []
+        for row in census:
+            if row["n_internal_edges"]:
+                on_cycle.extend(row["vertices"])
+                k = row["vertices"][0].bit_count()
+                if row["n_internal_edges"] > row["n_vertices"]:
+                    cls[k] = "uncountable"
+                else:
+                    cls.setdefault(k, "at-most-countable")
+        ext = graphs.reachable_from(verts, arcs, on_cycle)
+        strata = {k: ([], [], cls.get(k, "none"))
+                  for k in range(1, len(m.upper) + 1)}
+        for v in verts:
+            if v in ext:
+                strata[v.bit_count()][0].append(v)
+        for t, s, i in arcs:
+            k = t.bit_count()
+            if s.bit_count() == k and t in ext:
+                strata[k][1].append((t, s, i))
+        object.__setattr__(m, "_tail_memo", (ext, strata))
+    return m._tail_memo
+
+
+def _letter_set(letters, x: int) -> frozenset:
+    return frozenset(a for t, a in enumerate(letters) if x >> t & 1)
 
 
 def _extendable_tail_sets(m: LevelMorphism) -> frozenset:
     """Subsets traversed by an infinite path in the stationary tail: those
     reachable, along arcs, from a cycle of the subset graph (cardinality
     is constant around any cycle, so cycles never truncate)."""
-    verts, arcs = subset_arcs(m)
-    on_cycle = set()
-    for row in graphs.component_census(verts, [(t, s, i) for t, s, i in arcs]):
-        if row["n_internal_edges"] >= 1:
-            on_cycle.update(row["vertices"])
-    return frozenset(graphs.reachable_from(
-        verts, [(t, s, i) for t, s, i in arcs], sorted(on_cycle, key=_vkey)))
+    letters = sorted(m.upper)
+    return frozenset(_letter_set(letters, x) for x in _tail(m)[0])
 
 
 def extendable_vertices(spec: DiagramSpec, level: int, horizon: int = 1) -> frozenset:
@@ -289,29 +345,13 @@ def extendable_vertices(spec: DiagramSpec, level: int, horizon: int = 1) -> froz
     return frozenset(ext)
 
 
-def _stratum_graph(m: LevelMorphism, k: int):
-    """Extendable cardinality-k subsets with the cardinality-preserving
-    arcs between them."""
-    ext = _extendable_tail_sets(m)
-    verts = sorted((s for s in ext if len(s) == k), key=_vkey)
-    vset = set(verts)
-    arcs = []
-    for t in verts:
-        for i in range(m.length):
-            s = m.image(i, t)
-            if len(s) == k and s in vset:
-                arcs.append((t, s, i))
-    return verts, arcs
-
-
 def essential_thickness(spec: DiagramSpec) -> int:
     """Largest k whose thickness-k path set is uncountable: the stratum of
     extendable cardinality-k subsets must carry two distinct cycles
     through a common vertex.  Defaults to 1."""
-    m = spec.tail_morphism()
-    for k in range(len(m.upper), 1, -1):
-        verts, arcs = _stratum_graph(m, k)
-        if verts and graphs.shared_cycle_vertex(verts, arcs) is not None:
+    strata = _tail(spec.tail_morphism())[1]
+    for k in range(len(strata), 1, -1):
+        if strata[k][2] == "uncountable":
             return k
     return 1
 
@@ -324,16 +364,8 @@ def thickness_census(spec: DiagramSpec, depth: int = 8) -> dict:
     at-most-countable: cycles exist but no vertex lies on two.
     uncountable: two distinct cycles share a vertex.
     """
-    m = spec.tail_morphism()
     out = {}
-    for k in range(1, len(m.upper) + 1):
-        verts, arcs = _stratum_graph(m, k)
-        if not verts or not graphs.has_any_cycle(verts, arcs):
-            cls = "none"
-        elif graphs.shared_cycle_vertex(verts, arcs) is not None:
-            cls = "uncountable"
-        else:
-            cls = "at-most-countable"
+    for k, (verts, arcs, cls) in _tail(spec.tail_morphism())[1].items():
         counts = []
         ways = {v: 1 for v in verts}
         for _ in range(depth):
@@ -400,42 +432,56 @@ def find_double_path(spec: DiagramSpec, k: int, max_power: int = 6):
     Two distinct composed columns sending A onto the same cardinality-k
     image B form a parallel edge pair; for an infinite double path the
     pair must recur, i.e. the arc A => B must lie on a cycle of the graph
-    of parallel-edge pairs.  The first witness in (power, label pair,
-    vertex) lexicographic order is returned; absence up to max_power is a
-    report, not a proof that the system is not thick.
+    of parallel-edge pairs, which holds exactly when A and B share an SCC
+    of that graph.  The first witness in (power, label pair, vertex)
+    lexicographic order is returned; absence up to max_power is a report,
+    not a proof that the system is not thick.
+
+    No composed column is built.  For each extendable k-set A the search
+    keeps, per k-set image B, the two smallest labels of power p mapping A
+    onto B; those are the only labels the witness order can pick.  Label
+    x + j l^p of power p + 1 applies the deep column j first, so the pairs
+    of power p + 1 come from following each cardinality-preserving arc
+    A -> M_j(A) in increasing j and then the labels x of M_j(A) at power
+    p in increasing order.  Memory is O(|k-sets|^2) at every power.
     """
     if k < 2:
         raise ValidationError("double paths need cardinality >= 2")
     m = spec.tail_morphism()
     if k > len(m.upper):
         return None
-    ext = _extendable_tail_sets(m)
-    kverts = sorted((s for s in ext if len(s) == k), key=_vkey)
+    kverts, karcs, _cls = _tail(m)[1][k]
     if not kverts:
         return None
+    rank = {a: r for r, a in enumerate(kverts)}
+    labels = {a: {} for a in kverts}
+    for a, b, j in karcs:
+        labs = labels[a].setdefault(b, [])
+        if len(labs) < 2:
+            labs.append(j)
+    width = m.length
     for power in range(1, max_power + 1):
         if m.length ** power > MAX_POWER_COLUMNS:
             break
-        letters, maps = power_column_maps(m, power)
-        pos = {a: t for t, a in enumerate(letters)}
-        groups = {}
-        for a_set in kverts:
-            by_image = {}
-            for c, g in enumerate(maps):
-                img = frozenset(g[pos[a]] for a in a_set)
-                if len(img) == k:
-                    by_image.setdefault(img, []).append(c)
-            groups[a_set] = {img: labs for img, labs in by_image.items()
-                             if len(labs) >= 2}
-        p_arcs = [(a, img, 0) for a, d in groups.items() for img in d]
-        candidates = []
-        for a_set, d in groups.items():
-            for img, labs in d.items():
-                for i1, i2 in itertools.combinations(labs, 2):
-                    candidates.append((i1, i2, a_set, img))
-        candidates.sort(key=lambda t: (t[0], t[1], _vkey(t[2])))
-        for i1, i2, a_set, img in candidates:
-            down = graphs.reachable_from(kverts, p_arcs, [img])
-            if a_set in down:
-                return ParallelEdgeWitness(power, a_set, img, (i1, i2), k)
+        if power > 1:
+            deeper = {a: {} for a in kverts}
+            for a, a2, j in karcs:
+                row = deeper[a]
+                for b, labs in labels[a2].items():
+                    cur = row.setdefault(b, [])
+                    if len(cur) < 2:
+                        cur.extend(x + j * width for x in labs[:2 - len(cur)])
+            labels = deeper
+            width *= m.length
+        pairs = [(a, b, 0) for a in kverts
+                 for b, labs in labels[a].items() if len(labs) == 2]
+        comp = {v: ci for ci, c in enumerate(graphs.scc_partition(kverts, pairs))
+                for v in c}
+        best = min(((*labels[a][b], rank[a], a, b) for a, b, _ in pairs
+                    if comp[a] == comp[b]), default=None)
+        if best is not None:
+            i1, i2, _r, a, b = best
+            letters = sorted(m.upper)
+            return ParallelEdgeWitness(power, _letter_set(letters, a),
+                                       _letter_set(letters, b), (i1, i2), k)
     return None

@@ -109,19 +109,6 @@ def shared_cycle_vertex(vertices, edges):
     return None
 
 
-def has_any_cycle(vertices, edges):
-    which = {}
-    for ci, comp in enumerate(scc_partition(vertices, edges)):
-        for v in comp:
-            which[v] = (ci, len(comp))
-    for s, d, _ in edges:
-        if s == d:
-            return True
-        if which[s][0] == which[d][0]:
-            return True
-    return False
-
-
 def simple_cycles(vertices, edges, cap=10_000):
     """All simple cycles, each as a tuple of edges, enumerated once with
     the canonically smallest vertex first.  Returns (cycles, truncated)."""

@@ -72,14 +72,17 @@ class ColumnMap:
     index: int
     table: tuple[tuple[str, str], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_map", dict(self.table))
+
     def __call__(self, a: str) -> str:
-        return dict(self.table)[a]
+        return self._map[a]
 
     def as_dict(self) -> dict:
-        return dict(self.table)
+        return dict(self._map)
 
     def image(self, letters) -> frozenset:
-        t = dict(self.table)
+        t = self._map
         return frozenset(t[a] for a in letters)
 
 

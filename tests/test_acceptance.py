@@ -3,10 +3,12 @@ with its measured runtime (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
 import itertools
+import json
 import random
 import time
 
 from toeplitztame import graphs
+from toeplitztame.cli import main
 from toeplitztame.extended_bratteli import (DiagramSpec, essential_thickness,
                                             find_double_path, thickness_census)
 from toeplitztame.gtheta import (NON_TAME, NOT_ALMOST_AUTOMORPHIC, TAME,
@@ -284,3 +286,22 @@ def test_criterion_9_oracle_equivalence():
     _report(9, elapsed, "SCC criterion vs cycle enumeration on 500 graphs and "
                         "coincidence BFS vs brute force on 200 substitutions, "
                         "zero disagreements")
+
+
+def test_criterion_10_thickness_runtime(capsys):
+    # A 12-letter naive-order input of length 3 whose middle column is a
+    # permutation, so every one of the 4095 subsets is extendable.
+    rng = random.Random(12)
+    alphabet = "abcdefghijkl"
+    f, g = rng.choice(alphabet), rng.choice(alphabet)
+    rules = {a: f + b + g for a, b in zip(alphabet, rng.sample(alphabet, 12))}
+    t0 = time.monotonic()
+    code = main(["thickness", json.dumps({"rules": rules})])
+    elapsed = time.monotonic() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert sorted(report["census"], key=int) == [str(k) for k in range(1, 13)]
+    assert report["essential_thickness"] == 1
+    assert elapsed < 1.0
+    _report(10, elapsed, "thickness census of a 12-letter, length-3 input "
+                         "(2^12 subsets) within 1 s")

@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from toeplitztame import graphs
 from toeplitztame.errors import ValidationError
 from toeplitztame.extended_bratteli import (DiagramSpec, LevelMorphism,
                                             compose, essential_thickness,
@@ -9,7 +13,7 @@ from toeplitztame.extended_bratteli import (DiagramSpec, LevelMorphism,
                                             morphism_from_substitution,
                                             power_column_maps,
                                             telescope, thickness_census)
-from toeplitztame.substitution import substitution_power, validate
+from toeplitztame.substitution import ColumnMap, substitution_power, validate
 
 
 def fs(s):
@@ -245,3 +249,170 @@ def test_rank_one_spec_census():
     assert list(census) == [1]
     assert census[1]["classification"] == "uncountable"
     assert essential_thickness(DiagramSpec.stationary(theta)) == 1
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the frozenset implementation that the bitmask subset graph
+# replaced, one subset graph and one Tarjan pass per stratum, and one
+# materialised column map per composed column of a power.
+
+
+def _vkey(s):
+    return (len(s), tuple(sorted(s)))
+
+
+def oracle_extendable_tail_sets(m):
+    letters = sorted(m.upper)
+    verts = sorted((frozenset(c) for r in range(1, len(letters) + 1)
+                    for c in itertools.combinations(letters, r)), key=_vkey)
+    arcs = [(t, m.image(i, t), i) for t in verts for i in range(m.length)]
+    on_cycle = set()
+    for row in graphs.component_census(verts, arcs):
+        if row["n_internal_edges"] >= 1:
+            on_cycle.update(row["vertices"])
+    return frozenset(graphs.reachable_from(
+        verts, arcs, sorted(on_cycle, key=_vkey)))
+
+
+def oracle_stratum_graph(m, ext, k):
+    verts = sorted((s for s in ext if len(s) == k), key=_vkey)
+    vset = set(verts)
+    arcs = []
+    for t in verts:
+        for i in range(m.length):
+            s = m.image(i, t)
+            if len(s) == k and s in vset:
+                arcs.append((t, s, i))
+    return verts, arcs
+
+
+def oracle_has_any_cycle(verts, arcs):
+    which = {}
+    for ci, comp in enumerate(graphs.scc_partition(verts, arcs)):
+        for v in comp:
+            which[v] = ci
+    return any(s == d or which[s] == which[d] for s, d, _ in arcs)
+
+
+def oracle_essential_thickness(m, ext):
+    for k in range(len(m.upper), 1, -1):
+        verts, arcs = oracle_stratum_graph(m, ext, k)
+        if verts and graphs.shared_cycle_vertex(verts, arcs) is not None:
+            return k
+    return 1
+
+
+def oracle_thickness_census(m, ext, depth=8):
+    out = {}
+    for k in range(1, len(m.upper) + 1):
+        verts, arcs = oracle_stratum_graph(m, ext, k)
+        if not verts or not oracle_has_any_cycle(verts, arcs):
+            cls = "none"
+        elif graphs.shared_cycle_vertex(verts, arcs) is not None:
+            cls = "uncountable"
+        else:
+            cls = "at-most-countable"
+        counts = []
+        ways = {v: 1 for v in verts}
+        for _ in range(depth):
+            nxt = {v: 0 for v in verts}
+            for t, s, _lab in arcs:
+                nxt[s] += ways[t]
+            ways = nxt
+            counts.append(sum(ways.values()))
+        out[k] = {"classification": cls, "chain_counts": tuple(counts)}
+    return out
+
+
+def oracle_find_double_path(m, ext, k, max_power):
+    """(power, upper, lower, labels) of the first witness, or None."""
+    kverts = sorted((s for s in ext if len(s) == k), key=_vkey)
+    if not kverts:
+        return None
+    for power in range(1, max_power + 1):
+        letters, maps = power_column_maps(m, power)
+        pos = {a: t for t, a in enumerate(letters)}
+        groups = {}
+        for a_set in kverts:
+            by_image = {}
+            for c, g in enumerate(maps):
+                img = frozenset(g[pos[a]] for a in a_set)
+                if len(img) == k:
+                    by_image.setdefault(img, []).append(c)
+            groups[a_set] = {img: labs for img, labs in by_image.items()
+                             if len(labs) >= 2}
+        p_arcs = [(a, img, 0) for a, d in groups.items() for img in d]
+        candidates = []
+        for a_set, d in groups.items():
+            for img, labs in d.items():
+                for i1, i2 in itertools.combinations(labs, 2):
+                    candidates.append((i1, i2, a_set, img))
+        candidates.sort(key=lambda t: (t[0], t[1], _vkey(t[2])))
+        for i1, i2, a_set, img in candidates:
+            if a_set in graphs.reachable_from(kverts, p_arcs, [img]):
+                return power, a_set, img, (i1, i2)
+    return None
+
+
+def _random_level(rng, upper, lower, length):
+    """A level morphism with uniformly drawn columns, redrawn until every
+    lower letter is some column's image."""
+    while True:
+        cols = tuple(ColumnMap(i, tuple((a, rng.choice(lower)) for a in upper))
+                     for i in range(length))
+        try:
+            return LevelMorphism(tuple(upper), tuple(lower), cols)
+        except ValidationError:
+            continue
+
+
+def _random_spec(rng, stationary):
+    if stationary:
+        # naive order: every rule starts with f and ends with g
+        n, l = rng.randint(2, 7), rng.randint(3, 5)
+        alphabet = "abcdefg"[:n]
+        while True:
+            f, g = rng.choice(alphabet), rng.choice(alphabet)
+            rules = {a: f + "".join(rng.choice(alphabet) for _ in range(l - 2))
+                     + g for a in alphabet}
+            spec = DiagramSpec.stationary(validate({"rules": rules}))
+            try:
+                spec.tail_morphism()
+            except ValidationError:  # a letter that no rule uses
+                continue
+            return spec
+    # explicit: shuffled alphabets, so column order is not sorted order
+    tail_letters = rng.sample("abcdefg", rng.randint(2, 6))
+    top_letters = rng.sample("abcdefg", rng.randint(2, 6))
+    tail = _random_level(rng, tail_letters, tail_letters, rng.randint(3, 4))
+    top = _random_level(rng, tail_letters, top_letters, rng.randint(3, 4))
+    return DiagramSpec.explicit([top, tail])
+
+
+def test_bitmask_kernel_matches_frozenset_oracles():
+    rng = random.Random(3)
+    witnesses = 0
+    for trial in range(320):
+        spec = _random_spec(rng, stationary=trial % 2 == 0)
+        m = spec.tail_morphism()
+        ext = oracle_extendable_tail_sets(m)
+        assert essential_thickness(spec) == oracle_essential_thickness(m, ext)
+        assert thickness_census(spec) == oracle_thickness_census(m, ext)
+        for k in range(2, len(m.upper) + 1):
+            want = oracle_find_double_path(m, ext, k, 4)
+            witnesses += want is not None
+            for max_power in range(1, 5):
+                got = find_double_path(spec, k, max_power=max_power)
+                if want is None or want[0] > max_power:
+                    assert got is None
+                else:
+                    assert (got.power, got.upper, got.lower, got.labels) == want
+                    assert got.cardinality == k
+        if spec.kind == "stationary":
+            want_level1 = ext
+        else:
+            top = spec.levels[0]
+            want_level1 = {top.image(i, t) for t in ext for i in range(top.length)}
+        assert extendable_vertices(spec, 1) == want_level1
+        assert extendable_vertices(spec, 2) == ext
+    assert witnesses >= 100
