@@ -49,20 +49,37 @@ def _load_substitution(source: str):
     return parse_text(text)
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"cannot parse {what} {text!r} as an integer") from None
+
+
+def _parse_digits(spec: str, what: str) -> list[int]:
+    return [_parse_int(x, f"{what} digit") for x in spec.split(",")]
+
+
 def _parse_scale(spec: str) -> Scale:
     if spec.startswith("{"):
-        return Scale.from_json(json.loads(spec))
+        obj = json.loads(spec)
+        try:
+            return Scale.from_json(obj)
+        except (AttributeError, KeyError, TypeError):
+            raise ParseError(f"cannot parse scale {spec!r}") from None
     kind, _, arg = spec.partition(":")
     if kind == "constant":
-        return Scale.constant(int(arg))
+        return Scale.constant(_parse_int(arg, "scale modulus"))
     if kind == "powers":
-        return Scale.powers(int(arg))
+        return Scale.powers(_parse_int(arg, "scale base"))
     raise ParseError(f"cannot parse scale {spec!r} (use constant:N or powers:N)")
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
-    lo, _, hi = spec.partition(":")
-    return int(lo), int(hi)
+    lo, sep, hi = spec.partition(":")
+    if not sep:
+        raise ParseError(f"cannot parse range {spec!r} (use lo:hi)")
+    return _parse_int(lo, "range bound"), _parse_int(hi, "range bound")
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +148,7 @@ def _cmd_semicocycle(args) -> int:
         stage = build_d_stage(args.stage)
         depth = args.depth or 2 ** args.stage
         if args.zhat:
-            digits = [int(x) for x in args.zhat.split(",")]
+            digits = _parse_digits(args.zhat, "zhat")
             digits += [digits[-1]] * (depth - len(digits))
             zhat = OdometerHead(Scale.powers(4), tuple(digits[:depth]))
         else:
@@ -155,7 +172,7 @@ def _cmd_semicocycle(args) -> int:
         def base_point(depth):
             if not args.zhat:
                 return default_zhat6(depth)
-            digits = [int(x) for x in args.zhat.split(",")]
+            digits = _parse_digits(args.zhat, "zhat")
             digits += [digits[-1], 1 - digits[-1]] * depth  # keep non-constant
             return OdometerHead(Scale.constant(2), tuple(digits[:depth]))
 
@@ -186,7 +203,7 @@ def _cmd_semicocycle(args) -> int:
 
 def _cmd_odometer(args) -> int:
     scale = _parse_scale(args.scale)
-    digits = tuple(int(x) for x in args.digits.split(",")) if args.digits else ()
+    digits = tuple(_parse_digits(args.digits, "odometer")) if args.digits else ()
     head = OdometerHead(scale, digits)
     out = {"schema": 1, "scale": scale.to_json(), "digits": list(head.digits),
            "head_index": head_index(head)}

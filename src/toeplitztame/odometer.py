@@ -5,13 +5,29 @@ at level ``k + 1``, an integer in ``[0, l_{k+1})``.  Carries and borrows
 propagate leftward only, so every operation on a depth-m head is exact: it
 agrees with the same operation applied to any infinite extension of the
 head.  All values are immutable and all operations are pure.
+
+Every digit loop zips the digits with ``Scale.moduli()``, which yields
+l_1, l_2, ... in O(1) each (a running product for powers scales), instead
+of recomputing ``modulus(n)`` per digit.  ``add_integer`` copies the
+remaining digits unchanged once the carry or borrow is 0, so adding a
+small integer to a deep head touches only its low levels.  A scale holds
+no memo of its moduli or level products: scales such as the module
+constants of ``semicocycle`` outlive a single command, and a table of
+level products would keep O(depth^3) bits alive.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain, count, islice, repeat
 
 from .errors import ScaleMismatch, ValidationError
+
+
+def _is_modulus(m) -> bool:
+    return type(m) is int and m >= 2
 
 
 @dataclass(frozen=True)
@@ -32,13 +48,13 @@ class Scale:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.l is None or self.l < 2:
+            if not _is_modulus(self.l):
                 raise ValidationError("constant scale needs a modulus >= 2")
         elif self.kind == "powers":
-            if self.b is None or self.b < 2:
+            if not _is_modulus(self.b):
                 raise ValidationError("powers scale needs a base >= 2")
         elif self.kind == "explicit":
-            if not self.prefix or any(m < 2 for m in self.prefix):
+            if not self.prefix or not all(map(_is_modulus, self.prefix)):
                 raise ValidationError("explicit prefix moduli must be >= 2")
             if self.tail is None or self.tail.kind == "explicit":
                 raise ValidationError("explicit tail must be constant or powers")
@@ -68,6 +84,18 @@ class Scale:
         if n <= len(self.prefix):
             return self.prefix[n - 1]
         return self.tail.modulus(n)
+
+    def moduli(self, start: int = 1):
+        """Iterator over l_start, l_{start+1}, ...; O(1) per modulus."""
+        if start < 1:
+            raise ValidationError("levels are numbered from 1")
+        if self.kind == "constant":
+            return repeat(self.l)
+        if self.kind == "powers":
+            return accumulate(repeat(self.b), operator.mul,
+                              initial=self.b ** start)
+        return chain(self.prefix[start - 1:],
+                     self.tail.moduli(max(start, len(self.prefix) + 1)))
 
     def min_modulus_beyond(self, depth: int) -> int:
         """Smallest modulus at any level n > depth (closed form)."""
@@ -108,11 +136,10 @@ class OdometerHead:
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(self.digits))
-        for k, d in enumerate(self.digits):
-            m = self.scale.modulus(k + 1)
+        for n, d, m in zip(count(1), self.digits, self.scale.moduli()):
             if not 0 <= d < m:
                 raise ValidationError(
-                    f"digit {d} at level {k + 1} out of range [0, {m})")
+                    f"digit {d} at level {n} out of range [0, {m})")
 
     @property
     def depth(self) -> int:
@@ -154,8 +181,8 @@ def integer_head(t: int, scale: Scale, depth: int) -> OdometerHead:
         raise ValidationError("depth must be >= 0")
     digits = []
     c = t
-    for n in range(1, depth + 1):
-        c, d = divmod(c, scale.modulus(n))
+    for m in islice(scale.moduli(), depth):
+        c, d = divmod(c, m)
         digits.append(d)
     return OdometerHead(scale, tuple(digits))
 
@@ -168,8 +195,10 @@ def add_integer(h: OdometerHead, t: int) -> OdometerHead:
     """
     digits = []
     c = t
-    for k, d in enumerate(h.digits):
-        c, r = divmod(d + c, h.scale.modulus(k + 1))
+    for k, (d, m) in enumerate(zip(h.digits, h.scale.moduli())):
+        if not c:
+            return OdometerHead(h.scale, tuple(digits) + h.digits[k:])
+        c, r = divmod(d + c, m)
         digits.append(r)
     return OdometerHead(h.scale, tuple(digits))
 
@@ -180,8 +209,8 @@ def add_heads(a: OdometerHead, b: OdometerHead) -> OdometerHead:
         raise ScaleMismatch("cannot add heads over different scales")
     digits = []
     c = 0
-    for k in range(min(a.depth, b.depth)):
-        c, r = divmod(a.digits[k] + b.digits[k] + c, a.scale.modulus(k + 1))
+    for x, y, m in zip(a.digits, b.digits, a.scale.moduli()):
+        c, r = divmod(x + y + c, m)
         digits.append(r)
     return OdometerHead(a.scale, tuple(digits))
 
@@ -202,18 +231,15 @@ def head_index(h: OdometerHead) -> int:
     """Sum of z_k * l^(k-1) with l^(k) the product of the first k moduli."""
     total = 0
     weight = 1
-    for k, d in enumerate(h.digits):
+    for d, m in zip(h.digits, h.scale.moduli()):
         total += d * weight
-        weight *= h.scale.modulus(k + 1)
+        weight *= m
     return total
 
 
 def level_product(scale: Scale, m: int) -> int:
     """l^(m) = l_1 * ... * l_m."""
-    w = 1
-    for n in range(1, m + 1):
-        w *= scale.modulus(n)
-    return w
+    return math.prod(islice(scale.moduli(), max(m, 0)))
 
 
 def truncate(h: OdometerHead, depth: int) -> OdometerHead:

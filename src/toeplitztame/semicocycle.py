@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
@@ -54,11 +53,18 @@ class DPoint:
             return self.head_exponents[n - 1]
         return self.tail_exponent
 
+    def exponents(self, depth: int) -> tuple[int, ...]:
+        """The exponents at levels 1..depth."""
+        head = self.head_exponents[:depth]
+        return head + (self.tail_exponent,) * (depth - len(head))
+
     def digit(self, n: int) -> int:
         return 3 ** self.exponent(n)
 
     def head_at(self, depth: int) -> OdometerHead:
-        return OdometerHead(SCALE5, tuple(self.digit(n) for n in range(1, depth + 1)))
+        head = tuple(3 ** e for e in self.head_exponents[:depth])
+        tail = (3 ** self.tail_exponent,) * (depth - len(head))
+        return OdometerHead(SCALE5, head + tail)
 
     def as_point(self) -> OdometerPoint:
         return OdometerPoint(self.head_at(len(self.head_exponents)),
@@ -73,6 +79,13 @@ class DPoint:
 class DStage:
     index: int
     points: tuple[DPoint, ...]
+
+    def __post_init__(self):
+        # per-stage memos, not dataclass fields (no part of eq or hash):
+        # depth m -> Head_m, and depth -> the sorted depth-limited head
+        # classes with their head_index values and each point's class
+        object.__setattr__(self, "_head_sets", {})
+        object.__setattr__(self, "_head_classes", {})
 
     def to_json(self):
         return {"stage": self.index, "points": [p.to_json() for p in self.points]}
@@ -91,21 +104,42 @@ def build_d_stage(i: int) -> DStage:
         fresh = []
         for l, p in enumerate(points):
             cut = m + l
-            head = tuple(p.exponent(n) for n in range(1, cut + 1))
-            fresh.append(DPoint(head, cut))
+            fresh.append(DPoint(p.exponents(cut), cut))
         points.extend(fresh)
     for p in points:
-        for n in range(1, len(p.head_exponents) + 2):
-            if p.exponent(n) > n - 1:
-                raise ValidationError("digit exponent exceeds level - 1")
+        if (p.tail_exponent > len(p.head_exponents)
+                or any(e > k for k, e in enumerate(p.head_exponents))):
+            raise ValidationError("digit exponent exceeds level - 1")
     return DStage(i, tuple(points))
 
 
-@lru_cache(maxsize=None)
 def head_set(stage: DStage, m: int) -> frozenset:
     """Head_m as digit tuples; exact once the stage has at least m points
-    (the heads of the first m points, pairwise distinct)."""
-    return frozenset(p.head_at(m).digits for p in stage.points)
+    (the heads of the first m points, pairwise distinct).
+
+    Memoised per stage in a dict the stage carries, so the sets live and
+    die with the ``DStage`` of one command and a lookup never hashes the
+    stage itself."""
+    heads = stage._head_sets.get(m)
+    if heads is None:
+        heads = stage._head_sets[m] = frozenset(
+            p.head_at(m).digits for p in stage.points)
+    return heads
+
+
+def _head_classes(stage: DStage, depth: int):
+    """(sorted Head_depth, their head_index values, class of each point),
+    memoised on the stage like ``head_set``."""
+    classes = stage._head_classes.get(depth)
+    if classes is None:
+        point_heads = [p.head_at(depth).digits for p in stage.points]
+        heads_sorted = sorted(set(point_heads))
+        class_of = {h: ci for ci, h in enumerate(heads_sorted)}
+        classes = stage._head_classes[depth] = (
+            heads_sorted,
+            [head_index(OdometerHead(SCALE5, h)) for h in heads_sorted],
+            [class_of[h] for h in point_heads])
+    return classes
 
 
 def heads_and_special(m: int, stage: DStage):
@@ -164,7 +198,7 @@ def toeplitz5_window(zhat: OdometerHead, n0: int, n1: int, stage: DStage) -> str
 def points_equal(p: DPoint, q: DPoint) -> bool:
     """Exact equality of the two eventually-constant points."""
     span = max(len(p.head_exponents), len(q.head_exponents)) + 1
-    return all(p.exponent(n) == q.exponent(n) for n in range(1, span + 1))
+    return p.exponents(span) == q.exponents(span)
 
 
 def translate_hits(z: OdometerHead, stage: DStage, t_range: int) -> list:
@@ -174,11 +208,12 @@ def translate_hits(z: OdometerHead, stage: DStage, t_range: int) -> list:
     sorted list).  Head arithmetic at a fixed depth is arithmetic modulo
     the product of the moduli, so each candidate reduces to one residue
     comparison."""
-    depth = z.depth
-    modulus = level_product(SCALE5, depth)
-    heads_sorted = sorted(head_set(stage, depth))
-    vals = [head_index(OdometerHead(SCALE5, h)) for h in heads_sorted]
-    zval = head_index(z)
+    _, vals, _ = _head_classes(stage, z.depth)
+    return _translate_hits(head_index(z), vals,
+                           level_product(SCALE5, z.depth), t_range)
+
+
+def _translate_hits(zval: int, vals: list, modulus: int, t_range: int) -> list:
     hits = set()
     for sc, sval in enumerate(vals):
         base = (sval + zval) % modulus
@@ -206,7 +241,8 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
     rng = random.Random(seed)
     modulus = level_product(SCALE5, depth)
     violations = []
-    values = [head_index(p.head_at(depth)) for p in stage.points]
+    _, head_value, point_class = _head_classes(stage, depth)
+    values = [head_value[ci] for ci in point_class]
     for a in range(len(stage.points)):
         for b in range(a + 1, len(stage.points)):
             if points_equal(stage.points[a], stage.points[b]):
@@ -218,24 +254,21 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
             if t is not None and t != 0:
                 violations.append({"kind": "integer-translate",
                                    "pair": [a, b], "t": t})
-    heads_sorted = sorted(head_set(stage, depth))
-    head_value = [head_index(OdometerHead(SCALE5, h)) for h in heads_sorted]
-    class_of = {h: ci for ci, h in enumerate(heads_sorted)}
-    small = {integer_head(t, SCALE5, depth).digits
-             for t in range(-4 * t_range, 4 * t_range + 1)}
+    # integer_head(t) has the head_index t mod the level product
+    small = {t % modulus for t in range(-4 * t_range, 4 * t_range + 1)}
     checked = 0
     for _ in range(samples):
-        ce = rng.randrange(len(heads_sorted))
+        ce = rng.randrange(len(head_value))
         di = rng.randrange(len(stage.points))
         t = rng.randint(-t_range, t_range)
         zval = (head_value[ce] - values[di] - t) % modulus
         z = integer_head(zval, SCALE5, depth)
         deep = z.digits[depth // 2:]
-        if len(set(deep)) == 1 or z.digits in small:
+        if len(set(deep)) == 1 or zval in small:
             continue  # integer-like sample, excluded (P2 covers those orbits)
         checked += 1
-        source_class = class_of[stage.points[di].head_at(depth).digits]
-        planted = translate_hits(z, stage, t_range)
+        source_class = point_class[di]
+        planted = _translate_hits(zval, head_value, modulus, t_range)
         extra = [hit for hit in planted if hit != (source_class, t)]
         if extra:
             violations.append({"kind": "double-hit", "source": source_class,
@@ -323,20 +356,26 @@ class SturmianFibonacci:
         w = "a"
         while len(w) < 4 * max_len + 16:
             w = w.replace("a", "A").replace("b", "a").replace("A", "ab")
-        longer = w.replace("a", "A").replace("b", "a").replace("A", "ab")
+        self._word = w
+        self._longer = w.replace("a", "A").replace("b", "a").replace("A", "ab")
         self._factors = {}
-        for n in range(1, max_len + 1):
-            cur = frozenset(w[i:i + n] for i in range(len(w) - n + 1))
-            nxt = frozenset(longer[i:i + n] for i in range(len(longer) - n + 1))
-            if cur != nxt:
-                raise ValidationError("Fibonacci factor set did not stabilize")
-            self._factors[n] = cur
         self.max_len = max_len
 
     def words(self, n: int) -> frozenset:
-        if n not in self._factors:
+        """The length-n factors, computed and checked on first request:
+        the factor set of the Fibonacci prefix must equal that of the
+        next, longer Fibonacci word."""
+        if not 1 <= n <= self.max_len:
             raise ValidationError(f"factors only tabulated up to {self.max_len}")
-        return self._factors[n]
+        factors = self._factors.get(n)
+        if factors is None:
+            w, longer = self._word, self._longer
+            factors = frozenset(w[i:i + n] for i in range(len(w) - n + 1))
+            if factors != frozenset(longer[i:i + n]
+                                    for i in range(len(longer) - n + 1)):
+                raise ValidationError("Fibonacci factor set did not stabilize")
+            self._factors[n] = factors
+        return factors
 
     def extensions(self, w: str) -> str:
         longer = self.words(len(w) + 1)

@@ -305,3 +305,27 @@ def test_criterion_10_thickness_runtime(capsys):
     assert elapsed < 1.0
     _report(10, elapsed, "thickness census of a 12-letter, length-3 input "
                          "(2^12 subsets) within 1 s")
+
+
+def test_criterion_11_semicocycle_runtime(capsys):
+    # A 4097-letter window at stage 7 (depth 128) and 10^4 disjointness
+    # samples at stage 5: head arithmetic, head sets and head classes.
+    t0 = time.monotonic()
+    code = main(["semicocycle", "window", "--stage", "7", "--zhat", "1,5,7",
+                 "--range=-2048:2048"])
+    window_s = time.monotonic() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(report["word"]) == 4097
+    t0 = time.monotonic()
+    code = main(["semicocycle", "disjoint", "--stage", "5", "--depth", "16",
+                 "--t-range", "8", "--samples", "10000", "--seed", "0"])
+    disjoint_s = time.monotonic() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["violations"] == [] and report["checked"] > 0
+    assert window_s < 0.5
+    assert disjoint_s < 2.0
+    _report(11, window_s + disjoint_s,
+            f"stage-7 window of 4097 letters ({window_s:.2f} s) within 0.5 s, "
+            f"10^4 stage-5 disjointness samples ({disjoint_s:.2f} s) within 2 s")

@@ -174,3 +174,22 @@ def test_golden_derived_reports(capsys, name, args):
     assert code == 0
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert report == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("semicocycle", "window", "--range", "5"),
+    ("semicocycle", "window", "--range", "a:3"),
+    ("semicocycle", "window", "--zhat", "1,,2"),
+    ("semicocycle", "realize", "--lang", "full", "--word", "ab",
+     "--zhat", "1,,0"),
+    ("odometer", "--scale", "powers:4", "--digits", "1,x"),
+    ("odometer", "--scale", "powers:x"),
+    ("odometer", "--scale", "constant:"),
+    ("odometer", "--scale", '{"kind": "constant"}'),
+    ("odometer", "--scale", '{"kind": "explicit", "prefix": 5, '
+                            '"tail": {"kind": "constant", "l": 2}}'),
+])
+def test_malformed_arguments_are_structured_errors(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["error"]["code"] == "substitution/parse"

@@ -1,3 +1,6 @@
+import random
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,7 +89,18 @@ def test_explicit_scale():
     assert Scale.from_json(P4.to_json()) == P4
 
 
-scales = st.sampled_from([Z2, Z16, P4])
+@pytest.mark.parametrize("obj", [
+    {"kind": "constant", "l": 2.5}, {"kind": "constant", "l": "4"},
+    {"kind": "constant", "l": True}, {"kind": "powers", "b": 4.0},
+    {"kind": "explicit", "prefix": [2, 3.5], "tail": {"kind": "constant", "l": 2}},
+])
+def test_scale_rejects_non_integer_moduli(obj):
+    with pytest.raises(ValidationError):
+        Scale.from_json(obj)
+
+
+scales = st.sampled_from([Z2, Z16, P4, Scale.explicit([3, 2], Z2),
+                          Scale.explicit([2, 5], P4)])
 
 
 @st.composite
@@ -130,3 +144,89 @@ def test_add_heads_matches_value_arithmetic(a, b):
     assert s.depth == depth
     assert head_index(s) == (head_index(truncate(a, depth))
                              + head_index(truncate(b, depth))) % m
+
+
+# The per-level ``modulus(n)`` arithmetic that ``Scale.moduli()`` replaced,
+# kept as an oracle.
+
+def oracle_integer_head(t, scale, depth):
+    digits = []
+    c = t
+    for n in range(1, depth + 1):
+        c, d = divmod(c, scale.modulus(n))
+        digits.append(d)
+    return tuple(digits)
+
+
+def oracle_add_integer(h, t):
+    digits = []
+    c = t
+    for k, d in enumerate(h.digits):
+        c, r = divmod(d + c, h.scale.modulus(k + 1))
+        digits.append(r)
+    return tuple(digits)
+
+
+def oracle_add_heads(a, b):
+    digits = []
+    c = 0
+    for k in range(min(a.depth, b.depth)):
+        c, r = divmod(a.digits[k] + b.digits[k] + c, a.scale.modulus(k + 1))
+        digits.append(r)
+    return tuple(digits)
+
+
+def oracle_head_index(h):
+    total = 0
+    weight = 1
+    for k, d in enumerate(h.digits):
+        total += d * weight
+        weight *= h.scale.modulus(k + 1)
+    return total
+
+
+def oracle_level_product(scale, m):
+    w = 1
+    for n in range(1, m + 1):
+        w *= scale.modulus(n)
+    return w
+
+
+ORACLE_SCALES = [
+    Z2, Z16, P4, Scale.powers(3),
+    Scale.explicit([3, 2, 5], Z4),
+    Scale.explicit([2, 7], Scale.powers(2)),      # powers tail from level 3
+    Scale.explicit([5, 2, 2, 9], Scale.powers(3)),
+]
+
+
+def test_moduli_arithmetic_matches_modulus_oracles():
+    rng = random.Random(5)
+    for scale in ORACLE_SCALES:
+        for start in (1, 2, 3, 5, 8):
+            assert list(islice(scale.moduli(start), 45)) == \
+                [scale.modulus(n) for n in range(start, start + 45)]
+        for depth in range(41):
+            P = oracle_level_product(scale, depth)
+            assert level_product(scale, depth) == P
+            ts = [0, 1, -1, P - 1, P, -P, P + 1, -P - 1,
+                  rng.randrange(P), -rng.randrange(1, 3 * P + 1),
+                  rng.randrange(P + 1, 4 * P + 2)]
+            for t in ts:
+                h = integer_head(t, scale, depth)
+                assert h.digits == oracle_integer_head(t, scale, depth)
+                assert head_index(h) == oracle_head_index(h) == t % P
+                s = rng.choice(ts) + rng.randint(-3, 3)
+                assert add_integer(h, s).digits == oracle_add_integer(h, s)
+                g = integer_head(rng.choice(ts), scale, rng.randint(0, 40))
+                assert add_heads(h, g).digits == oracle_add_heads(h, g)
+                assert add_heads(g, h).digits == oracle_add_heads(g, h)
+            if depth:
+                n = rng.randint(1, depth)
+                m = scale.modulus(n)
+                digits = list(integer_head(rng.randrange(P), scale, depth).digits)
+                digits[n - 1] = m
+                with pytest.raises(ValidationError) as err:
+                    OdometerHead(scale, tuple(digits))
+                assert str(err.value) == \
+                    f"digit {m} at level {n} out of range [0, {m})"

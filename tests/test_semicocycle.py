@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -367,3 +368,209 @@ def test_realize_depth_guard():
     fam = build_f_family(FullShift(), 4, 1024, lf)
     with pytest.raises(DepthError):
         realize_prefix("abab", fam, lf, default_zhat6(4))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-level constructions, the cache-free head sets and the
+# eager Sturmian table that the stage memos and lazy factors replaced
+
+
+def oracle_build_d_stage(i):
+    points = [DPoint((), 0)]
+    for stage in range(i):
+        m = 2 ** stage
+        points += [DPoint(tuple(p.exponent(n) for n in range(1, m + l + 1)), m + l)
+                   for l, p in enumerate(points)]
+    return points
+
+
+def oracle_head(p, depth):
+    return tuple(p.digit(n) for n in range(1, depth + 1))
+
+
+def oracle_head_set(stage, m):
+    return frozenset(oracle_head(p, m) for p in stage.points)
+
+
+class OracleHeads:
+    """``oracle_head_set`` per depth, each computed once for the test."""
+
+    def __init__(self, stage):
+        self.stage = stage
+        self.sets = {}
+
+    def __call__(self, m):
+        if m not in self.sets:
+            self.sets[m] = oracle_head_set(self.stage, m)
+        return self.sets[m]
+
+
+def oracle_integer_head(t, depth):
+    digits = []
+    for n in range(1, depth + 1):
+        t, d = divmod(t, SCALE5.modulus(n))
+        digits.append(d)
+    return tuple(digits)
+
+
+def oracle_value(digits):
+    return sum(d * level_product(SCALE5, k) for k, d in enumerate(digits))
+
+
+def oracle_f5_eval(digits, stage, heads):
+    L = 0
+    for m in range(1, len(digits) + 1):
+        if digits[:m] not in heads(m):
+            break
+        L = m
+    confident = 2 ** stage.index >= len(digits) and L < len(digits)
+    return ("a" if L % 2 else "b"), confident
+
+
+def oracle_window(digits, n0, n1, stage, heads):
+    P = level_product(SCALE5, len(digits))
+    z = oracle_value(digits)
+    evals = [oracle_f5_eval(oracle_integer_head((z + n) % P, len(digits)),
+                            stage, heads)
+             for n in range(n0, n1 + 1)]
+    failures = [n for n, (_, ok) in zip(range(n0, n1 + 1), evals) if not ok]
+    if failures:
+        return ("error", f"evaluation not certified at offsets {failures}; "
+                         "deepen the head/stage")
+    return "".join(letter for letter, _ in evals)
+
+
+def oracle_translate_hits(digits, t_range, heads):
+    depth = len(digits)
+    modulus = level_product(SCALE5, depth)
+    vals = [oracle_value(h) for h in sorted(heads(depth))]
+    zval = oracle_value(digits)
+    hits = set()
+    for sc, sval in enumerate(vals):
+        for tval in vals:
+            off = (tval - sval - zval) % modulus
+            if off <= t_range:
+                hits.add((sc, off))
+            elif modulus - off <= t_range:
+                hits.add((sc, off - modulus))
+    return sorted(hits)
+
+
+def oracle_disjointness(stage, t_range, depth, samples, seed):
+    rng = random.Random(seed)
+    heads = OracleHeads(stage)
+    modulus = level_product(SCALE5, depth)
+    violations = []
+    values = [oracle_value(oracle_head(p, depth)) for p in stage.points]
+    for a, b in itertools.combinations(range(len(stage.points)), 2):
+        pa, pb = stage.points[a], stage.points[b]
+        span = max(len(pa.head_exponents), len(pb.head_exponents)) + 1
+        if all(pa.exponent(n) == pb.exponent(n) for n in range(1, span + 1)):
+            violations.append({"kind": "duplicate-point", "pair": [a, b]})
+            continue
+        off = (values[b] - values[a]) % modulus
+        t = off if off <= t_range else (off - modulus
+                                        if modulus - off <= t_range else None)
+        if t is not None and t != 0:
+            violations.append({"kind": "integer-translate", "pair": [a, b], "t": t})
+    heads_sorted = sorted(heads(depth))
+    small = {oracle_integer_head(t, depth)
+             for t in range(-4 * t_range, 4 * t_range + 1)}
+    checked = 0
+    for _ in range(samples):
+        ce = rng.randrange(len(heads_sorted))
+        di = rng.randrange(len(stage.points))
+        t = rng.randint(-t_range, t_range)
+        z = oracle_integer_head(
+            (oracle_value(heads_sorted[ce]) - values[di] - t) % modulus, depth)
+        if len(set(z[depth // 2:])) == 1 or z in small:
+            continue
+        checked += 1
+        source = heads_sorted.index(oracle_head(stage.points[di], depth))
+        extra = [hit for hit in oracle_translate_hits(z, t_range, heads)
+                 if hit != (source, t)]
+        if extra:
+            violations.append({"kind": "double-hit", "source": source,
+                               "t": t, "z": list(z), "others": extra})
+    return {"schema": 1, "stage": stage.index, "depth": depth,
+            "t_range": t_range, "samples": samples, "checked": checked,
+            "seed": seed, "violations": violations}
+
+
+def oracle_sturmian_factors(max_len=64):
+    w = "a"
+    while len(w) < 4 * max_len + 16:
+        w = w.replace("a", "A").replace("b", "a").replace("A", "ab")
+    longer = w.replace("a", "A").replace("b", "a").replace("A", "ab")
+    factors = {}
+    for n in range(1, max_len + 1):
+        cur = frozenset(w[i:i + n] for i in range(len(w) - n + 1))
+        assert cur == frozenset(longer[i:i + n]
+                                for i in range(len(longer) - n + 1))
+        factors[n] = cur
+    return factors
+
+
+def _near_d_head(rng, stage, depth):
+    """A head that follows a stage point for a while, then leaves it."""
+    digits = list(oracle_head(rng.choice(stage.points), depth))
+    cut = rng.randint(0, depth)
+    for k in range(cut, depth):
+        digits[k] = rng.randrange(4 ** (k + 1))
+    return tuple(digits)
+
+
+def test_stage_memos_and_lazy_factors_match_oracles():
+    rng = random.Random(7)
+    for i in range(2, 8):
+        stage = build_d_stage(i)
+        heads = OracleHeads(stage)
+        assert list(stage.points) == oracle_build_d_stage(i)
+        span = max(len(p.head_exponents) for p in stage.points) + 2
+        for p in stage.points:
+            for depth in (0, 1, len(p.head_exponents), span):
+                assert p.head_at(depth).digits == oracle_head(p, depth)
+        for m in range(1, 2 ** i + 3):
+            assert head_set(stage, m) == heads(m)
+        for _ in range(40):
+            depth = rng.randint(1, 2 ** i + 2)
+            digits = _near_d_head(rng, stage, depth)
+            assert f5_eval(OdometerHead(SCALE5, digits), stage) == \
+                oracle_f5_eval(digits, stage, heads)
+        for _ in range(4):
+            depth = rng.randint(1, 2 ** i)
+            digits = _near_d_head(rng, stage, depth)
+            n0 = rng.randint(-40, 10)
+            n1 = n0 + rng.randint(0, 40)
+            try:
+                got = toeplitz5_window(OdometerHead(SCALE5, digits), n0, n1, stage)
+            except DepthError as exc:
+                got = ("error", str(exc))
+            assert got == oracle_window(digits, n0, n1, stage, heads)
+        for _ in range(6):
+            depth = rng.choice([8, 12, 16, 24])
+            modulus = level_product(SCALE5, depth)
+            e, d = rng.sample(stage.points, 2)
+            zval = (oracle_value(oracle_head(e, depth))
+                    - oracle_value(oracle_head(d, depth))
+                    - rng.randint(-8, 8)) % modulus
+            digits = oracle_integer_head(zval, depth)
+            assert translate_hits(OdometerHead(SCALE5, digits), stage, 8) == \
+                oracle_translate_hits(digits, 8, heads)
+        if i <= 5:
+            for depth, t_range in ((12, 16), (16, 8)):
+                assert check_translate_disjointness(
+                    stage, t_range, depth, 60, seed=i) == \
+                    oracle_disjointness(stage, t_range, depth, 60, i)
+    # a duplicate point and an integer translate (digits 3, 3, ... against
+    # 1, 3, 3, ...) give all three violation kinds
+    bad = DStage(3, build_d_stage(3).points + (DPoint((0,), 1), DPoint((1,), 1)))
+    assert check_translate_disjointness(bad, 16, 12, 20, seed=2) == \
+        oracle_disjointness(bad, 16, 12, 20, 2)
+    factors = oracle_sturmian_factors()
+    handle = SturmianFibonacci()
+    for n in rng.sample(range(1, 65), 64):
+        assert handle.words(n) == factors[n]
+    for n in (0, 65):
+        with pytest.raises(ValidationError, match="tabulated up to 64"):
+            handle.words(n)
