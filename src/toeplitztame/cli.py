@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import ParseError, ToeplitzError
+from .errors import ArgumentParseError, ParseError, ToeplitzError
 from .extended_bratteli import DiagramSpec, essential_thickness, \
     find_double_path, thickness_census
 from .gtheta import INCONCLUSIVE, tameness_verdict, to_dot
@@ -53,7 +53,8 @@ def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"cannot parse {what} {text!r} as an integer") from None
+        raise ArgumentParseError(
+            f"cannot parse {what} {text!r} as an integer") from None
 
 
 def _parse_digits(spec: str, what: str) -> list[int]:
@@ -62,23 +63,23 @@ def _parse_digits(spec: str, what: str) -> list[int]:
 
 def _parse_scale(spec: str) -> Scale:
     if spec.startswith("{"):
-        obj = json.loads(spec)
         try:
-            return Scale.from_json(obj)
-        except (AttributeError, KeyError, TypeError):
-            raise ParseError(f"cannot parse scale {spec!r}") from None
+            return Scale.from_json(json.loads(spec))
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
+            raise ArgumentParseError(f"cannot parse scale {spec!r}") from None
     kind, _, arg = spec.partition(":")
     if kind == "constant":
         return Scale.constant(_parse_int(arg, "scale modulus"))
     if kind == "powers":
         return Scale.powers(_parse_int(arg, "scale base"))
-    raise ParseError(f"cannot parse scale {spec!r} (use constant:N or powers:N)")
+    raise ArgumentParseError(
+        f"cannot parse scale {spec!r} (use constant:N or powers:N)")
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition(":")
     if not sep:
-        raise ParseError(f"cannot parse range {spec!r} (use lo:hi)")
+        raise ArgumentParseError(f"cannot parse range {spec!r} (use lo:hi)")
     return _parse_int(lo, "range bound"), _parse_int(hi, "range bound")
 
 
@@ -198,7 +199,7 @@ def _cmd_semicocycle(args) -> int:
                                               args.samples, seed=args.seed)
         _emit(report)
         return 0 if not report["violations"] else 1
-    raise ParseError(f"unknown semicocycle action {args.action!r}")
+    raise ArgumentParseError(f"unknown semicocycle action {args.action!r}")
 
 
 def _cmd_odometer(args) -> int:

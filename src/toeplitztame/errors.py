@@ -18,6 +18,12 @@ class ParseError(ToeplitzError):
     code = "substitution/parse"
 
 
+class ArgumentParseError(ParseError):
+    """A malformed command-line value (a range, digits, a scale), which
+    belongs to no one layer."""
+    code = "cli/parse"
+
+
 class ValidationError(ToeplitzError):
     code = "validation"
 

@@ -9,6 +9,11 @@ B = theta^m_{j0}(alphabet) of A, and an index i whose column sends the
 whole alphabet into the part of A that j1 moves outside B.  The times
 then alternate the digits j_{phi_n} and i in base L = l^m.
 
+Pattern letters are read from the fibre windows theta^{m(2N+2)}(v) by
+base-L digit descent (``letter_in_power``), one letter at a time; no
+window word is ever built, so verification costs O(depth) per letter
+however long the windows are.
+
 The times produced here are two-sided in general.  All-positive or
 all-negative variants (witnessing forward or backward non-tameness alone)
 require further telescoping until i < j0 < j1 < j2, which is not
@@ -26,7 +31,7 @@ from .extended_bratteli import (MAX_POWER_COLUMNS, _extendable_tail_sets,
                                 power_column_maps)
 from .gtheta import NON_TAME, tameness_verdict
 from .odometer import OdometerHead, Scale, head_index
-from .substitution import Substitution, expand, letter_in_power, substitution_power
+from .substitution import Substitution, letter_in_power, substitution_power
 
 
 @dataclass(frozen=True)
@@ -185,16 +190,16 @@ class IndependenceReport:
                 "complete": self.complete}
 
 
-def verify_patterns(s: IndependenceScheme, n_levels: int = 2,
-                    materialize_limit: int = 30_000_000) -> IndependenceReport:
+def verify_patterns(s: IndependenceScheme,
+                    n_levels: int = 2) -> IndependenceReport:
     """For each choice function phi in {0,1}^(N+1) build the head whose
     digits alternate j_{phi_n} and i in base L, read the fibre-window
     letter at every time t_n for every level vertex, and check it lies in
     B when phi_n = 0 and in A minus B when phi_n = 1.
 
-    The window words theta^{m(2N+2)}(v) are shared across all choice
-    functions; beyond the materialization limit single letters are read by
-    digit descent, which evaluates the same windows lazily.
+    Each letter theta^{m(2N+2)}(v)[q] is read by digit descent, which
+    walks the 2N+2 base-L digits of q through the columns of theta^m
+    without building the window word.
     """
     if not scheme_is_valid(s):
         raise PreconditionError("scheme fails its own invariants")
@@ -205,9 +210,6 @@ def verify_patterns(s: IndependenceScheme, n_levels: int = 2,
     times = independence_times(s, n_levels)
     scale = Scale.constant(L)
     window_len = L ** depth
-    words = None
-    if window_len <= materialize_limit:
-        words = {v: expand(theta_m, v, depth) for v in theta_m.alphabet}
 
     witnesses = []
     complete = True
@@ -229,8 +231,7 @@ def verify_patterns(s: IndependenceScheme, n_levels: int = 2,
             letters = []
             ok = True
             for n, q in enumerate(positions):
-                c = words[v][q] if words is not None else \
-                    letter_in_power(theta_m, v, depth, q)
+                c = letter_in_power(theta_m, v, depth, q)
                 letters.append(c)
                 if phi[n] == 0:
                     ok = ok and c in s.b_set

@@ -200,7 +200,10 @@ def language(theta: Substitution, n: int) -> frozenset:
     theta(a) theta(b), where ab is a 2-factor of theta^(k-1)(c).  For n >= 3
     every allowed n-word sits inside theta(w) for an allowed w of length
     m = ceil((n - 1) / l) + 1 < n, so L_n is the set of n-factors of those
-    images.  Results are memoized on ``theta``.
+    images.  Every word of L_m has length m, so L_m is joined into one
+    string and expanded by a single translate; the n-factors are then
+    sliced inside each l*m block of it, never across two blocks.  Results
+    are memoized on ``theta``.
     """
     memo = theta._languages
     if n not in memo:
@@ -224,11 +227,10 @@ def _language(theta: Substitution, n: int) -> frozenset:
                 todo.append(ab)
         return frozenset(out)
     m = -(-(n - 1) // theta.length) + 1
-    out = set()
-    for w in language(theta, m):
-        img = expand(theta, w, 1)
-        out.update(img[i:i + n] for i in range(len(img) - n + 1))
-    return frozenset(out)
+    block = theta.length * m
+    text = expand(theta, "".join(language(theta, m)), 1)
+    return frozenset([text[i:i + n] for start in range(0, len(text), block)
+                      for i in range(start, start + block - n + 1)])
 
 
 def complexity(theta: Substitution, n: int) -> int:
@@ -240,17 +242,27 @@ def is_aperiodic(theta: Substitution) -> tuple[bool, int]:
     n* = 2 * l * |A|^2.  Returns False as soon as p(n) <= n (an exact
     periodicity certificate); returns True when p(n) >= n + 1 holds up to
     the bound, which is recorded in the analysis report.
+
+    The scan gallops: after p = p(n) with n < p <= n* it goes straight to
+    length p.  The factor complexity of a minimal shift is non-decreasing,
+    so every skipped length k (n < k < p) has p(k) >= p > k and cannot
+    certify periodicity, and a skipped p(k) >= n* + 1 forces
+    p(p) >= n* + 1 as well.  So the flag is that of the scan over every
+    length, and the other languages built are the shorter ones that the
+    recursion of ``language`` reads.
     """
     if not is_primitive(theta):
         raise NotPrimitive("aperiodicity test requires a primitive substitution")
     bound = 2 * theta.length * len(theta.alphabet) ** 2
-    for n in range(1, bound + 1):
+    n = 1
+    while n <= bound:
         p = complexity(theta, n)
         if p <= n:
             return False, bound
         if p >= bound + 1:
             # p is non-decreasing, so p(m) >= m + 1 for every m <= bound.
             return True, bound
+        n = p
     return True, bound
 
 

@@ -4,6 +4,7 @@ with its measured runtime (run with ``pytest tests/test_acceptance.py -v -s``).
 
 import itertools
 import json
+import pathlib
 import random
 import time
 
@@ -329,3 +330,18 @@ def test_criterion_11_semicocycle_runtime(capsys):
     _report(11, window_s + disjoint_s,
             f"stage-7 window of 4097 letters ({window_s:.2f} s) within 0.5 s, "
             f"10^4 stage-5 disjointness samples ({disjoint_s:.2f} s) within 2 s")
+
+
+def test_criterion_12_independence_runtime(capsys):
+    # ex22 at N = 2 reads 24 letters of depth-6 windows of 16^6 letters
+    # each; the report must come out byte for byte as pinned.
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    t0 = time.monotonic()
+    code = main(["independence", str(fixtures / "ex22.sub"), "--n", "2"])
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (fixtures / "golden" / "ex22.independence.json").read_text()
+    assert elapsed < 0.1
+    _report(12, elapsed, "independence report of ex22 at N = 2, identical "
+                         "to the golden, within 0.1 s")

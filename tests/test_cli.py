@@ -188,8 +188,19 @@ def test_golden_derived_reports(capsys, name, args):
     ("odometer", "--scale", '{"kind": "constant"}'),
     ("odometer", "--scale", '{"kind": "explicit", "prefix": 5, '
                             '"tail": {"kind": "constant", "l": 2}}'),
+    ("odometer", "--scale", '{"kind": "constant", "l": 2'),
 ])
 def test_malformed_arguments_are_structured_errors(capsys, argv):
     code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["error"]["code"] == "cli/parse"
+
+
+@pytest.mark.parametrize("source", ['{"rules": {}}', '{"rules": ',
+                                    "a = ab"])
+def test_malformed_substitution_keeps_its_layer_code(capsys, tmp_path, source):
+    path = tmp_path / "x.sub"
+    path.write_text(source)
+    code, report = run_json(capsys, "analyze", str(path))
     assert code == 1
     assert report["error"]["code"] == "substitution/parse"

@@ -6,7 +6,8 @@ from toeplitztame.errors import PreconditionError
 from toeplitztame.independence import (IndependenceScheme, independence_times,
                                        scheme_is_valid, synthesize_scheme,
                                        verify_patterns)
-from toeplitztame.substitution import fixed_point_window, substitution_power
+from toeplitztame.substitution import (expand, fixed_point_window,
+                                       substitution_power)
 
 
 def pinned_recurrence_times(n_max):
@@ -92,11 +93,25 @@ def test_verify_patterns_n2(ex22):
 
 
 def test_lazy_and_materialized_agree(ex22):
+    # oracle: the depth-4 windows theta^(4m)(v), built whole with expand,
+    # read at head positions summed digit by digit
     s = synthesize_scheme(ex22)
-    a = verify_patterns(s, n_levels=1)
-    b = verify_patterns(s, n_levels=1, materialize_limit=0)
-    assert [(p.phi, p.vertex, p.letters) for p in a.patterns] == \
-           [(p.phi, p.vertex, p.letters) for p in b.patterns]
+    report = verify_patterns(s, n_levels=1)
+    theta_m = substitution_power(s.base, s.power)
+    words = {v: expand(theta_m, v, 4) for v in theta_m.alphabet}
+    times = independence_times(s, 1)
+    want = []
+    for phi in itertools.product((0, 1), repeat=2):
+        digits = [d for b in phi for d in ((s.j0, s.j1)[b], s.i)]
+        z = sum(d * s.working_length ** k for k, d in enumerate(digits))
+        positions = tuple(z + t for t in times)
+        for v in theta_m.alphabet:
+            letters = "".join(words[v][q] for q in positions)
+            ok = all(c in s.b_set if b == 0 else c in s.a_set - s.b_set
+                     for b, c in zip(phi, letters))
+            want.append((phi, v, letters, positions, ok))
+    assert [(p.phi, p.vertex, p.letters, p.positions, p.ok)
+            for p in report.patterns] == want
 
 
 def test_patterns_occur_in_fixed_point(ex22):
@@ -116,8 +131,8 @@ def test_patterns_occur_in_fixed_point(ex22):
 
 
 def test_verify_patterns_n3_lazy_windows(ex22):
-    # depth-8 windows (16^8 symbols) are far beyond materialization; the
-    # digit-descent path must carry the whole verification
+    # depth-8 windows (16^8 symbols) are never built; digit descent
+    # carries the whole verification
     s = synthesize_scheme(ex22)
     report = verify_patterns(s, n_levels=3)
     assert report.complete

@@ -5,8 +5,9 @@ from math import gcd
 
 import pytest
 
-from toeplitztame.errors import (ParseError, PureBaseError,
-                                 StabilizationError, ValidationError)
+from toeplitztame.errors import (NotPrimitive, ParseError, PureBaseError,
+                                 StabilizationError, ToeplitzError,
+                                 ValidationError)
 from toeplitztame.substitution import (LETTER_POOL, Substitution, column,
                                        expand, first_letter_seed,
                                        fixed_point_window, has_coincidence,
@@ -381,3 +382,126 @@ def test_language_and_height_match_prefix_oracles():
             for k in range(4):
                 assert expand(theta, word, k) == expand_oracle(theta, word, k)
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# oracles: the linear complexity scan that the galloping one replaced, on
+# the per-word language recursion that the one-translate levels replaced
+
+
+def per_word_language_oracle(theta, n, memo):
+    if n not in memo:
+        memo[n] = _per_word_language(theta, n, memo)
+    return memo[n]
+
+
+def _per_word_language(theta, n, memo):
+    if n == 0:
+        return frozenset({""})
+    if n == 1:
+        return frozenset(theta.alphabet)
+    if n == 2:
+        out = {w[i:i + 2] for w in theta.words for i in range(len(w) - 1)}
+        todo = list(out)
+        while todo:
+            a, b = todo.pop()
+            ab = theta.rule(a)[-1] + theta.rule(b)[0]
+            if ab not in out:
+                out.add(ab)
+                todo.append(ab)
+        return frozenset(out)
+    m = -(-(n - 1) // theta.length) + 1
+    out = set()
+    for w in per_word_language_oracle(theta, m, memo):
+        img = "".join(theta.rule(a) for a in w)
+        out.update(img[i:i + n] for i in range(len(img) - n + 1))
+    return frozenset(out)
+
+
+def linear_aperiodic_oracle(theta, memo):
+    if not is_primitive(theta):
+        raise NotPrimitive("aperiodicity test requires a primitive substitution")
+    bound = 2 * theta.length * len(theta.alphabet) ** 2
+    for n in range(1, bound + 1):
+        p = len(per_word_language_oracle(theta, n, memo))
+        if p <= n:
+            return False, bound
+        if p >= bound + 1:
+            return True, bound
+    return True, bound
+
+
+def _scan_outcome(f, *args):
+    try:
+        return f(*args)
+    except ToeplitzError as exc:
+        return type(exc), str(exc)
+
+
+def _periodic_inputs(rng):
+    """Primitive substitutions with periodic fixed points: a few crafted
+    ones, every letter mapped to one word, and theta(w[i]) = the length-l
+    block of w^infinity at i*l for a permutation w of the alphabet."""
+    crafted = [{"a": "aab", "b": "aab"}, {"a": "ab", "b": "ab"},
+               {"a": "aba", "b": "bab"}, {"a": "abab", "b": "abab"}]
+    out = [validate({"rules": r}) for r in crafted]
+    for size in range(2, 7):
+        alphabet = "abcdef"[:size]
+        for length in range(2, 7):
+            cycle = "".join(rng.sample(alphabet, size))
+            rules = {cycle[i]: "".join(cycle[(i * length + j) % size]
+                                       for j in range(length))
+                     for i in range(size)}
+            out.append(validate({"rules": rules}))
+            if length >= size:
+                word = list(alphabet) + [rng.choice(alphabet)
+                                         for _ in range(length - size)]
+                rng.shuffle(word)
+                out.append(validate({"rules": {a: "".join(word)
+                                               for a in alphabet}}))
+    return [theta for theta in out if is_primitive(theta)]
+
+
+def _naive_primitive(rng, size, length):
+    alphabet = "abcdef"[:size]
+    first, last = rng.choice(alphabet), rng.choice(alphabet)
+    while True:
+        theta = validate({"rules": {
+            a: first + "".join(rng.choice(alphabet)
+                               for _ in range(length - 2)) + last
+            for a in alphabet}})
+        if is_primitive(theta):
+            return theta
+
+
+def test_galloping_scan_and_languages_match_linear_oracles():
+    rng = random.Random(2011)
+    inputs = []
+    for size in range(2, 7):
+        for length in range(2, 7):
+            inputs += [_random_primitive(rng, size, length) for _ in range(32)]
+            if size >= 3 and length >= 3:
+                inputs += [_naive_primitive(rng, size, length)
+                           for _ in range(16)]
+    assert len(inputs) >= 1000
+    inputs += [validate({"rules": {"a": "aa", "b": "bb"}}),
+               validate({"rules": {"a": "ab", "b": "bb"}})]
+    periodic = _periodic_inputs(rng)
+    assert all(linear_aperiodic_oracle(theta, {})[0] is False
+               for theta in periodic)
+    inputs += periodic
+    flags = set()
+    for theta in inputs:
+        rules = theta.rules()
+        memo = {}
+        expected = _scan_outcome(linear_aperiodic_oracle, theta, memo)
+        assert _scan_outcome(is_aperiodic, theta) == expected, rules
+        flags.add(expected[0])
+        if not is_primitive(theta):
+            continue
+        # L_1..L_3 and L_40 on every input, plus four lengths between, so
+        # that each n <= 40 is compared on about a hundred inputs.
+        for n in [0, 1, 2, 3, 40] + rng.sample(range(4, 40), 4):
+            assert language(theta, n) == \
+                per_word_language_oracle(theta, n, memo), (rules, n)
+    assert flags == {True, False, NotPrimitive}
