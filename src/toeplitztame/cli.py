@@ -5,7 +5,9 @@ Reports are UTF-8 JSON on stdout (sorted keys, so identical inputs give
 byte-identical output); diagnostics go to stderr.  Exit status 0 on
 success, 1 with a structured error, 2 on inconclusive verdicts so CI can
 tell the cases apart.  Sampling commands take an explicit seed; there is
-no hidden randomness.
+no hidden randomness.  A call builds only the argparse parsers its argv
+names (see ``build_parser``), since building them all costs more than
+many of the commands themselves.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ import json
 import sys
 
 from . import __version__
-from .errors import ArgumentParseError, ParseError, ToeplitzError
+from .errors import (ArgumentParseError, DepthError, LanguageError,
+                     ParseError, ToeplitzError)
 from .extended_bratteli import DiagramSpec, essential_thickness, \
     find_double_path, thickness_census
 from .gtheta import INCONCLUSIVE, tameness_verdict, to_dot
 from .independence import synthesize_scheme, verify_patterns
 from .odometer import OdometerHead, Scale, add_integer, head_index
 from .semicocycle import (FullShift, SturmianFibonacci, build_d_stage,
-                          build_f_family, build_level_family, default_zhat5,
+                          build_f_family, build_level_family,
+                          check_translate_disjointness, default_zhat5,
                           default_zhat6, realize_prefix, toeplitz5_window)
 from .substitution import parse_text, validate
 
@@ -165,11 +169,8 @@ def _cmd_semicocycle(args) -> int:
         fam = build_f_family(handle, args.n_max, args.horizon, lf)
         n = len(args.word)
         if args.word not in handle.words(n):
-            from .errors import LanguageError
             raise LanguageError(f"{args.word!r} is not in the level-{n} language")
         # deepen the base point until the realization depth suffices
-        from .errors import DepthError
-
         def base_point(depth):
             if not args.zhat:
                 return default_zhat6(depth)
@@ -192,14 +193,11 @@ def _cmd_semicocycle(args) -> int:
                "times": [lf.time(k) for k in range(1, n + 1)],
                "family": fam.to_json()})
         return 0
-    if args.action == "disjoint":
-        from .semicocycle import check_translate_disjointness
-        stage = build_d_stage(args.stage)
-        report = check_translate_disjointness(stage, args.t_range, args.depth,
-                                              args.samples, seed=args.seed)
-        _emit(report)
-        return 0 if not report["violations"] else 1
-    raise ArgumentParseError(f"unknown semicocycle action {args.action!r}")
+    stage = build_d_stage(args.stage)  # the action is "disjoint"
+    report = check_translate_disjointness(stage, args.t_range, args.depth,
+                                          args.samples, seed=args.seed)
+    _emit(report)
+    return 0 if not report["violations"] else 1
 
 
 def _cmd_odometer(args) -> int:
@@ -217,69 +215,97 @@ def _cmd_odometer(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("analyze", "gtheta", "thickness", "independence", "semicocycle",
+            "odometer")
+ACTIONS = ("d-set", "window", "realize", "disjoint")
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subcommand and semicocycle action
+    it names, and every choice of a level where it names none (help, a typo)."""
+    def named(i, names):
+        return (argv[i],) if len(argv) > i and argv[i] in names else names
+
+    commands, actions = named(0, COMMANDS), named(1, ACTIONS)
     p = argparse.ArgumentParser(
         prog="toeplitztame",
         description="Tameness certificates for substitution and Toeplitz shifts.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("analyze", help="full tameness pipeline, JSON report")
-    sp.add_argument("input", help="substitution file, inline JSON, or - for stdin")
-    sp.set_defaults(func=_cmd_analyze)
+    if "analyze" in commands:
+        sp = sub.add_parser("analyze", help="full tameness pipeline, JSON report")
+        sp.add_argument("input",
+                        help="substitution file, inline JSON, or - for stdin")
+        sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("gtheta", help="subset graph and cycle census")
-    sp.add_argument("input")
-    sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    sp.set_defaults(func=_cmd_gtheta)
+    if "gtheta" in commands:
+        sp = sub.add_parser("gtheta", help="subset graph and cycle census")
+        sp.add_argument("input")
+        sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
+        sp.set_defaults(func=_cmd_gtheta)
 
-    sp = sub.add_parser("thickness", help="extended-diagram thickness census")
-    sp.add_argument("input")
-    sp.add_argument("--max-power", type=int, default=6)
-    sp.add_argument("--depth", type=int, default=8)
-    sp.set_defaults(func=_cmd_thickness)
+    if "thickness" in commands:
+        sp = sub.add_parser("thickness", help="extended-diagram thickness census")
+        sp.add_argument("input")
+        sp.add_argument("--max-power", type=int, default=6)
+        sp.add_argument("--depth", type=int, default=8)
+        sp.set_defaults(func=_cmd_thickness)
 
-    sp = sub.add_parser("independence",
-                        help="synthesize and verify an independence scheme")
-    sp.add_argument("input")
-    sp.add_argument("--n", type=int, default=2, help="verify t_0..t_N")
-    sp.add_argument("--max-power", type=int, default=6)
-    sp.set_defaults(func=_cmd_independence)
+    if "independence" in commands:
+        sp = sub.add_parser("independence",
+                            help="synthesize and verify an independence scheme")
+        sp.add_argument("input")
+        sp.add_argument("--n", type=int, default=2, help="verify t_0..t_N")
+        sp.add_argument("--max-power", type=int, default=6)
+        sp.set_defaults(func=_cmd_independence)
 
-    sp = sub.add_parser("semicocycle", help="the two counterexample families")
-    act = sp.add_subparsers(dest="action", required=True)
-    a = act.add_parser("d-set")
-    a.add_argument("--stage", type=int, default=3)
-    a = act.add_parser("window")
-    a.add_argument("--stage", type=int, default=5)
-    a.add_argument("--zhat", help="comma digits, last repeated (default all 2)")
-    a.add_argument("--depth", type=int)
-    a.add_argument("--range", default="0:16", help="inclusive lo:hi")
-    a = act.add_parser("realize")
-    a.add_argument("--lang", choices=["full", "sturmian"], required=True)
-    a.add_argument("--word", required=True)
-    a.add_argument("--n-max", type=int, default=6)
-    a.add_argument("--horizon", type=int, default=4096)
-    a.add_argument("--zhat", help="comma binary digits, extended alternately "
-                                  "(default alternating 0,1)")
-    a = act.add_parser("disjoint")
-    a.add_argument("--stage", type=int, default=3)
-    a.add_argument("--t-range", type=int, default=16)
-    a.add_argument("--depth", type=int, default=12)
-    a.add_argument("--samples", type=int, default=10000)
-    a.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_semicocycle)
+    if "semicocycle" in commands:
+        sp = sub.add_parser("semicocycle", help="the two counterexample families")
+        act = sp.add_subparsers(dest="action", required=True)
+        if "d-set" in actions:
+            a = act.add_parser("d-set")
+            a.add_argument("--stage", type=int, default=3)
+        if "window" in actions:
+            a = act.add_parser("window")
+            a.add_argument("--stage", type=int, default=5)
+            a.add_argument("--zhat",
+                           help="comma digits, last repeated (default all 2)")
+            a.add_argument("--depth", type=int)
+            a.add_argument("--range", default="0:16", help="inclusive lo:hi")
+        if "realize" in actions:
+            a = act.add_parser("realize")
+            a.add_argument("--lang", choices=["full", "sturmian"], required=True)
+            a.add_argument("--word", required=True)
+            a.add_argument("--n-max", type=int, default=6)
+            a.add_argument("--horizon", type=int, default=4096)
+            a.add_argument("--zhat", help="comma binary digits, extended "
+                                          "alternately (default alternating 0,1)")
+        if "disjoint" in actions:
+            a = act.add_parser("disjoint")
+            a.add_argument("--stage", type=int, default=3)
+            a.add_argument("--t-range", type=int, default=16)
+            a.add_argument("--depth", type=int, default=12)
+            a.add_argument("--samples", type=int, default=10000)
+            a.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(func=_cmd_semicocycle)
 
-    sp = sub.add_parser("odometer", help="exact head arithmetic")
-    sp.add_argument("--scale", required=True, help="constant:N, powers:N, or JSON")
-    sp.add_argument("--digits", default="", help="comma separated, level 1 first")
-    sp.add_argument("--add", type=int)
-    sp.set_defaults(func=_cmd_odometer)
+    if "odometer" in commands:
+        sp = sub.add_parser("odometer", help="exact head arithmetic")
+        sp.add_argument("--scale", required=True,
+                        help="constant:N, powers:N, or JSON")
+        sp.add_argument("--digits", default="",
+                        help="comma separated, level 1 first")
+        sp.add_argument("--add", type=int)
+        sp.set_defaults(func=_cmd_odometer)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = build_parser(argv).parse_known_args(argv)
+    if extras:  # argparse reports them under the usage that lists every subcommand
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ToeplitzError as exc:

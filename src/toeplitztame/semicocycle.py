@@ -238,6 +238,8 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
     pairs exhaustively; any second hit is a reported violation.  Finite
     depth makes this evidence, not proof.
     """
+    if t_range < 0 or samples < 0:
+        raise ValidationError("t_range and samples must be non-negative")
     rng = random.Random(seed)
     modulus = level_product(SCALE5, depth)
     violations = []

@@ -345,3 +345,17 @@ def test_criterion_12_independence_runtime(capsys):
     assert elapsed < 0.1
     _report(12, elapsed, "independence report of ex22 at N = 2, identical "
                          "to the golden, within 0.1 s")
+
+
+def test_criterion_13_cli_dispatch(capsys):
+    # Odometer arithmetic on three digits is trivial, so 300 calls time the
+    # CLI shell itself: building the parser, parsing argv and emitting JSON.
+    argv = ["odometer", "--scale", "powers:4", "--digits", "1,2,3", "--add", "5"]
+    t0 = time.monotonic()
+    codes = [main(argv) for _ in range(300)]
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr().out
+    assert codes == [0] * 300
+    assert out.count('"result_index": 206') == 300
+    assert elapsed < 0.3
+    _report(13, elapsed, "300 in-process odometer calls within 0.3 s")

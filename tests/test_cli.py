@@ -1,11 +1,20 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from toeplitztame import __version__, cli
 from toeplitztame.cli import main
+from toeplitztame.errors import ParseError, ToeplitzError
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
 
@@ -133,15 +142,22 @@ def test_missing_file_is_structured_error(capsys):
     assert report["error"]["code"] == "io"
 
 
+def run_module(*argv):
+    """``python -m toeplitztame.cli *argv`` from the repository root, with
+    the source tree importable whether or not the package is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "toeplitztame.cli", *argv],
+                          capture_output=True, cwd=ROOT, env=env)
+
+
 def test_subprocess_determinism():
-    import subprocess
-    import sys
-    cmd = [sys.executable, "-m", "toeplitztame.cli", "thickness",
-           str(FIXTURES / "ex22.sub")]
-    a = subprocess.run(cmd, capture_output=True, check=True).stdout
-    b = subprocess.run(cmd, capture_output=True, check=True).stdout
-    assert a == b
-    assert json.loads(a)["essential_thickness"] == 2
+    argv = ("thickness", str(FIXTURES / "ex22.sub"))
+    a, b = run_module(*argv), run_module(*argv)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert json.loads(a.stdout)["essential_thickness"] == 2
 
 
 def test_determinism(capsys):
@@ -204,3 +220,158 @@ def test_malformed_substitution_keeps_its_layer_code(capsys, tmp_path, source):
     code, report = run_json(capsys, "analyze", str(path))
     assert code == 1
     assert report["error"]["code"] == "substitution/parse"
+
+
+@pytest.mark.parametrize("argv", [
+    ("semicocycle", "disjoint", "--t-range", "-5"),
+    ("semicocycle", "disjoint", "--samples", "-1"),
+])
+def test_negative_disjoint_arguments_are_validation_errors(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["error"]["code"] == "validation"
+
+
+def test_module_entry_point_reads_sys_argv():
+    done = run_module("analyze", "fixtures/ex22.sub")
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "ex22.analyze.json").read_bytes()
+    done = run_module("--version")
+    assert (done.returncode, done.stdout) == (0, b"0.1.0\n")
+    done = run_module("analyze")
+    assert done.returncode == 2
+    assert b"the following arguments are required: input" in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# parser oracle: every parser built on every call, as ``cli.main`` once did
+
+
+def eager_build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="toeplitztame",
+        description="Tameness certificates for substitution and Toeplitz shifts.")
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("analyze", help="full tameness pipeline, JSON report")
+    sp.add_argument("input", help="substitution file, inline JSON, or - for stdin")
+    sp.set_defaults(func=cli._cmd_analyze)
+
+    sp = sub.add_parser("gtheta", help="subset graph and cycle census")
+    sp.add_argument("input")
+    sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
+    sp.set_defaults(func=cli._cmd_gtheta)
+
+    sp = sub.add_parser("thickness", help="extended-diagram thickness census")
+    sp.add_argument("input")
+    sp.add_argument("--max-power", type=int, default=6)
+    sp.add_argument("--depth", type=int, default=8)
+    sp.set_defaults(func=cli._cmd_thickness)
+
+    sp = sub.add_parser("independence",
+                        help="synthesize and verify an independence scheme")
+    sp.add_argument("input")
+    sp.add_argument("--n", type=int, default=2, help="verify t_0..t_N")
+    sp.add_argument("--max-power", type=int, default=6)
+    sp.set_defaults(func=cli._cmd_independence)
+
+    sp = sub.add_parser("semicocycle", help="the two counterexample families")
+    act = sp.add_subparsers(dest="action", required=True)
+    a = act.add_parser("d-set")
+    a.add_argument("--stage", type=int, default=3)
+    a = act.add_parser("window")
+    a.add_argument("--stage", type=int, default=5)
+    a.add_argument("--zhat", help="comma digits, last repeated (default all 2)")
+    a.add_argument("--depth", type=int)
+    a.add_argument("--range", default="0:16", help="inclusive lo:hi")
+    a = act.add_parser("realize")
+    a.add_argument("--lang", choices=["full", "sturmian"], required=True)
+    a.add_argument("--word", required=True)
+    a.add_argument("--n-max", type=int, default=6)
+    a.add_argument("--horizon", type=int, default=4096)
+    a.add_argument("--zhat", help="comma binary digits, extended alternately "
+                                  "(default alternating 0,1)")
+    a = act.add_parser("disjoint")
+    a.add_argument("--stage", type=int, default=3)
+    a.add_argument("--t-range", type=int, default=16)
+    a.add_argument("--depth", type=int, default=12)
+    a.add_argument("--samples", type=int, default=10000)
+    a.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(func=cli._cmd_semicocycle)
+
+    sp = sub.add_parser("odometer", help="exact head arithmetic")
+    sp.add_argument("--scale", required=True, help="constant:N, powers:N, or JSON")
+    sp.add_argument("--digits", default="", help="comma separated, level 1 first")
+    sp.add_argument("--add", type=int)
+    sp.set_defaults(func=cli._cmd_odometer)
+    return p
+
+
+def eager_main(argv):
+    args = eager_build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ToeplitzError as exc:
+        return cli._fail(exc)
+    except OSError as exc:
+        return cli._fail(ToeplitzError(str(exc), code="io"))
+    except json.JSONDecodeError as exc:
+        return cli._fail(ParseError(f"bad JSON input: {exc}"))
+
+
+def outcome(entry, argv):
+    """(exit code or SystemExit code, stdout, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+EX22, EX23 = str(FIXTURES / "ex22.sub"), str(FIXTURES / "ex23.sub")
+ORACLE_CASES = [
+    # every subcommand and semicocycle action with valid arguments
+    ("analyze", EX22),
+    ("gtheta", EX23),
+    ("gtheta", EX23, "--dot"),
+    ("thickness", EX22, "--depth", "4"),
+    ("independence", EX22, "--n", "1"),
+    ("semicocycle", "d-set", "--stage", "2"),
+    ("semicocycle", "window", "--stage", "3", "--range=-4:4"),
+    ("semicocycle", "realize", "--lang", "full", "--word", "ab"),
+    ("semicocycle", "disjoint", "--samples", "20", "--seed", "1"),
+    ("odometer", "--scale", "powers:4", "--digits", "3,3", "--add", "1"),
+    # help and version at every level, and argv naming no subcommand
+    (),
+    ("-h",),
+    ("-h", "analyze"),
+    ("--version",),
+    ("--version", "analyze", "x"),
+    ("--", "analyze", EX22),
+    ("analyze", "-h"),
+    ("semicocycle",),
+    ("semicocycle", "-h"),
+    ("semicocycle", "window", "-h"),
+    # usage errors at both levels
+    ("analyse", EX22),
+    ("semicocycle", "d-sets"),
+    ("analyze",),
+    ("odometer",),
+    ("semicocycle", "realize", "--word", "ab"),
+    ("semicocycle", "realize", "--lang", "french", "--word", "ab"),
+    ("thickness", EX22, "--depth", "x"),
+    ("analyze", EX22, "--dot"),
+    ("semicocycle", "d-set", "--bogus"),
+    ("semicocycle", "d-set", "window"),
+    ("odometer", "--scale", "powers:4", "extra"),
+]
+
+
+@pytest.mark.parametrize("argv", ORACLE_CASES, ids=lambda argv: " ".join(
+    pathlib.Path(a).name if a.startswith(str(FIXTURES)) else a for a in argv))
+def test_pruned_parser_matches_eager_oracle(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(main, argv) == outcome(eager_main, argv)
