@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .errors import (ArgumentParseError, DepthError, LanguageError,
-                     ParseError, ToeplitzError)
+                     ParseError, ToeplitzError, ValidationError)
 from .extended_bratteli import DiagramSpec, essential_thickness, \
     find_double_path, thickness_census
 from .gtheta import INCONCLUSIVE, tameness_verdict, to_dot
@@ -111,6 +111,8 @@ def _cmd_gtheta(args) -> int:
 
 
 def _cmd_thickness(args) -> int:
+    if args.depth < 1:
+        raise ValidationError(f"--depth must be >= 1, got {args.depth}")
     spec = DiagramSpec.stationary(_load_substitution(args.input))
     k = essential_thickness(spec)
     census = thickness_census(spec, depth=args.depth)
@@ -150,6 +152,9 @@ def _cmd_semicocycle(args) -> int:
         _emit({"schema": 1, **stage.to_json()})
         return 0
     if args.action == "window":
+        if args.depth is not None and args.depth < 0:
+            raise ValidationError(
+                f"--depth must be >= 0 (0 means 2^stage), got {args.depth}")
         stage = build_d_stage(args.stage)
         depth = args.depth or 2 ** args.stage
         if args.zhat:
@@ -271,7 +276,8 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
             a.add_argument("--stage", type=int, default=5)
             a.add_argument("--zhat",
                            help="comma digits, last repeated (default all 2)")
-            a.add_argument("--depth", type=int)
+            a.add_argument("--depth", type=int,
+                           help="head depth (default, or 0: 2^stage)")
             a.add_argument("--range", default="0:16", help="inclusive lo:hi")
         if "realize" in actions:
             a = act.add_parser("realize")

@@ -10,7 +10,13 @@ Every digit loop zips the digits with ``Scale.moduli()``, which yields
 l_1, l_2, ... in O(1) each (a running product for powers scales), instead
 of recomputing ``modulus(n)`` per digit.  ``add_integer`` copies the
 remaining digits unchanged once the carry or borrow is 0, so adding a
-small integer to a deep head touches only its low levels.  A scale holds
+small integer to a deep head touches only its low levels.
+
+Digits are range-checked where they come from outside: the public
+``OdometerHead`` constructor checks every digit.  The heads that
+``integer_head``, ``add_integer`` and ``add_heads`` return skip that check,
+since every digit they make is a ``divmod`` remainder by its modulus and
+every digit they copy comes from a checked head.  A scale holds
 no memo of its moduli or level products: scales such as the module
 constants of ``semicocycle`` outlive a single command, and a table of
 level products would keep O(depth^3) bits alive.
@@ -146,6 +152,15 @@ class OdometerHead:
         return len(self.digits)
 
 
+def _arithmetic_head(scale: Scale, digits: tuple) -> OdometerHead:
+    """A head whose digits are in range by construction, built without
+    the digit check of ``OdometerHead.__post_init__``."""
+    h = object.__new__(OdometerHead)
+    object.__setattr__(h, "scale", scale)
+    object.__setattr__(h, "digits", digits)
+    return h
+
+
 @dataclass(frozen=True)
 class OdometerPoint:
     """A head followed by one digit repeated at every deeper level."""
@@ -184,7 +199,7 @@ def integer_head(t: int, scale: Scale, depth: int) -> OdometerHead:
     for m in islice(scale.moduli(), depth):
         c, d = divmod(c, m)
         digits.append(d)
-    return OdometerHead(scale, tuple(digits))
+    return _arithmetic_head(scale, tuple(digits))
 
 
 def add_integer(h: OdometerHead, t: int) -> OdometerHead:
@@ -197,10 +212,10 @@ def add_integer(h: OdometerHead, t: int) -> OdometerHead:
     c = t
     for k, (d, m) in enumerate(zip(h.digits, h.scale.moduli())):
         if not c:
-            return OdometerHead(h.scale, tuple(digits) + h.digits[k:])
+            return _arithmetic_head(h.scale, tuple(digits) + h.digits[k:])
         c, r = divmod(d + c, m)
         digits.append(r)
-    return OdometerHead(h.scale, tuple(digits))
+    return _arithmetic_head(h.scale, tuple(digits))
 
 
 def add_heads(a: OdometerHead, b: OdometerHead) -> OdometerHead:
@@ -212,7 +227,7 @@ def add_heads(a: OdometerHead, b: OdometerHead) -> OdometerHead:
     for x, y, m in zip(a.digits, b.digits, a.scale.moduli()):
         c, r = divmod(x + y + c, m)
         digits.append(r)
-    return OdometerHead(a.scale, tuple(digits))
+    return _arithmetic_head(a.scale, tuple(digits))
 
 
 def common_head_length(a: OdometerHead, b: OdometerHead) -> tuple[int, bool]:

@@ -6,15 +6,22 @@ a D-point is a power of 3, level n carrying an exponent of at most n - 1.
 The semicocycle reads a when the longest head a D-point shares with z has
 odd length, b otherwise.  Evaluation at a finite head is certified by
 membership of the truncated heads in the stage's head sets: the head sets
-Head_m are stable once the stage holds at least m points.
+Head_m are stable once the stage holds at least m points.  A ``DStage``
+checks the range of every digit once, so head sets and head classes are
+built as digit tuples straight from the exponents.  Translate hits are
+found by bisecting the sorted head values, and duplicate points by one
+canonical id per point.
 
 Second family (over Z_2): a double sequence l^n_i closed under
 l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with midpoint interpolation on odd
 indices, times t_n = 2^(l^n_0), and a family f^n of interval-constant
 functions built from any right-extendable binary language so that the
-level-N interval words enumerate that language.  Realizing a prescribed
-word y along the times amounts to placing the orbit inside one interval,
-which the translation t_w below does exactly.
+level-N interval words enumerate that language.  ``LevelFamily`` keeps
+each row as a list grown in bulk from the row below; ``FFamily`` keeps,
+per level, the row below the horizon, the letter of each interval and
+each interval's word, built as its parent's word plus that letter.
+Realizing a prescribed word y along the times amounts to placing the
+orbit inside one interval, which the translation t_w below does exactly.
 
 Both constructions pick the concrete choices the output metadata records:
 f^1 alternates strictly, below-domain values are constant a, and the
@@ -24,8 +31,11 @@ default non-integer base points are all-digits-2 respectively alternating
 
 from __future__ import annotations
 
+import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, combinations, count, product, repeat
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
@@ -81,9 +91,20 @@ class DStage:
     points: tuple[DPoint, ...]
 
     def __post_init__(self):
+        # Every digit 3^e must lie in [0, 4^n) at its level n.  It is checked
+        # here once per stage, so the head sets and head classes below build
+        # digit tuples without an OdometerHead each.  The tail exponent is
+        # checked at its first level, where the bound is smallest.
+        for p in self.points:
+            exps = p.head_exponents + (p.tail_exponent,)
+            if not all(map(operator.lt, exps, count(1))) or min(exps) < 0:
+                for n, e in enumerate(exps, 1):
+                    if e < 0 or 3 ** e >= 4 ** n:
+                        raise ValidationError(
+                            f"digit 3^{e} at level {n} out of range [0, 4^{n})")
         # per-stage memos, not dataclass fields (no part of eq or hash):
         # depth m -> Head_m, and depth -> the sorted depth-limited head
-        # classes with their head_index values and each point's class
+        # classes with their head values and each point's class
         object.__setattr__(self, "_head_sets", {})
         object.__setattr__(self, "_head_classes", {})
 
@@ -95,7 +116,8 @@ def build_d_stage(i: int) -> DStage:
     """Stage i of the recursion: each point of the previous stage spawns a
     twin that repeats 3^(m_i + l) beyond a head of length m_i + l, where
     m_i = 2^i and l is the point's position; the new points are appended
-    after the old ones."""
+    after the old ones.  By construction the exponent at level n is at
+    most n - 1."""
     if not 0 <= i <= 12:
         raise ValidationError("stages up to 12 are supported (2^i points)")
     points = [DPoint((), 0)]
@@ -106,11 +128,17 @@ def build_d_stage(i: int) -> DStage:
             cut = m + l
             fresh.append(DPoint(p.exponents(cut), cut))
         points.extend(fresh)
-    for p in points:
-        if (p.tail_exponent > len(p.head_exponents)
-                or any(e > k for k, e in enumerate(p.head_exponents))):
-            raise ValidationError("digit exponent exceeds level - 1")
     return DStage(i, tuple(points))
+
+
+def _point_heads(stage: DStage, depth: int) -> list:
+    """The depth-limited digit tuple of each stage point, read straight
+    from its exponents (the stage has checked every digit)."""
+    exps = [p.exponents(depth) for p in stage.points]
+    power = [1]
+    for _ in range(max(chain.from_iterable(exps), default=0)):
+        power.append(3 * power[-1])
+    return [tuple(map(power.__getitem__, e)) for e in exps]
 
 
 def head_set(stage: DStage, m: int) -> frozenset:
@@ -122,22 +150,22 @@ def head_set(stage: DStage, m: int) -> frozenset:
     stage itself."""
     heads = stage._head_sets.get(m)
     if heads is None:
-        heads = stage._head_sets[m] = frozenset(
-            p.head_at(m).digits for p in stage.points)
+        heads = stage._head_sets[m] = frozenset(_point_heads(stage, m))
     return heads
 
 
 def _head_classes(stage: DStage, depth: int):
     """(sorted Head_depth, their head_index values, class of each point),
-    memoised on the stage like ``head_set``."""
+    memoised on the stage like ``head_set``.  On the 4^n scale the digit at
+    level k + 1 weighs l_1 ... l_k = 4^(k(k+1)/2) = 2^(k(k+1))."""
     classes = stage._head_classes.get(depth)
     if classes is None:
-        point_heads = [p.head_at(depth).digits for p in stage.points]
+        point_heads = _point_heads(stage, depth)
         heads_sorted = sorted(set(point_heads))
         class_of = {h: ci for ci, h in enumerate(heads_sorted)}
         classes = stage._head_classes[depth] = (
             heads_sorted,
-            [head_index(OdometerHead(SCALE5, h)) for h in heads_sorted],
+            [sum(d << k * (k + 1) for k, d in enumerate(h)) for h in heads_sorted],
             [class_of[h] for h in point_heads])
     return classes
 
@@ -201,6 +229,51 @@ def points_equal(p: DPoint, q: DPoint) -> bool:
     return p.exponents(span) == q.exponents(span)
 
 
+def _canonical(p: DPoint) -> tuple:
+    """One id per point: the head without its trailing tail-valued
+    exponents, then the tail; two points are equal iff their ids are."""
+    head, tail = p.head_exponents, p.tail_exponent
+    k = len(head)
+    while k and head[k - 1] == tail:
+        k -= 1
+    return head[:k], tail
+
+
+def _translate(off: int, modulus: int, t_range: int):
+    """The t with |t| <= t_range and t = off modulo modulus (0 <= off <
+    modulus), preferring t >= 0; None when there is none."""
+    if off <= t_range:
+        return off
+    if modulus - off <= t_range:
+        return off - modulus
+    return None
+
+
+def _windows(vals, bases: list, modulus: int, t_range: int) -> list:
+    """For each base, the (t, v) with v one of vals, |t| <= t_range and
+    v = base + t modulo modulus, ascending in t.
+
+    Bisects a sorted copy of vals followed by the same values plus
+    modulus, so that a window [base - t_range, base + t_range] crossing
+    0 or modulus is still one slice.  When 2 t_range + 1 >= modulus the
+    window holds every residue, and each value is taken with the
+    ``_translate`` rule."""
+    svals = sorted(vals)
+    if 2 * t_range + 1 >= modulus:
+        return [sorted((_translate((v - base) % modulus, modulus, t_range), v)
+                       for v in svals) for base in bases]
+    wrapped = svals + [v + modulus for v in svals]
+    found = []
+    for base in bases:
+        if base < t_range:
+            base += modulus
+        lo = bisect_left(wrapped, base - t_range)
+        hi = bisect_right(wrapped, base + t_range, lo)
+        found.append([(u - base, u % modulus) for u in wrapped[lo:hi]]
+                     if lo < hi else ())
+    return found
+
+
 def translate_hits(z: OdometerHead, stage: DStage, t_range: int) -> list:
     """All (source head class, t) with |t| <= t_range such that
     d + t + z agrees with some stage head at the depth of z, where d runs
@@ -214,16 +287,41 @@ def translate_hits(z: OdometerHead, stage: DStage, t_range: int) -> list:
 
 
 def _translate_hits(zval: int, vals: list, modulus: int, t_range: int) -> list:
-    hits = set()
-    for sc, sval in enumerate(vals):
-        base = (sval + zval) % modulus
-        for tval in vals:
-            off = (tval - base) % modulus
-            if off <= t_range:
-                hits.add((sc, off))
-            elif modulus - off <= t_range:
-                hits.add((sc, off - modulus))
-    return sorted(hits)
+    """The hits of ``translate_hits``, sorted: for each source class, the
+    class values within t_range of source + z, by bisection."""
+    bases = [(sval + zval) % modulus for sval in vals]
+    return [(sc, t) for sc, window in
+            enumerate(_windows(vals, bases, modulus, t_range))
+            for t, _ in window]
+
+
+def _structural_violations(stage: DStage, values: list, modulus: int,
+                           t_range: int) -> list:
+    """Duplicate points (equal canonical ids) and distinct points whose
+    head values at the working depth differ by a small nonzero t, in the
+    order of their index pairs.  Equal points have equal values, so no
+    pair is both."""
+    found = []
+    by_id = {}
+    for a, p in enumerate(stage.points):
+        by_id.setdefault(_canonical(p), []).append(a)
+    for group in by_id.values():
+        found.extend({"kind": "duplicate-point", "pair": [a, b]}
+                     for a, b in combinations(group, 2))
+    by_value = {}
+    for a, v in enumerate(values):
+        by_value.setdefault(v, []).append(a)
+    near = _windows(by_value, list(by_value), modulus, t_range)
+    for (v, group), window in zip(by_value.items(), near):
+        for _, w in window:
+            if w <= v:
+                continue  # each unordered pair of distinct values once
+            for a, b in product(group, by_value[w]):
+                a, b = min(a, b), max(a, b)
+                t = _translate((values[b] - values[a]) % modulus, modulus, t_range)
+                found.append({"kind": "integer-translate", "pair": [a, b], "t": t})
+    found.sort(key=lambda f: f["pair"])
+    return found
 
 
 def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
@@ -240,24 +338,16 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
     """
     if t_range < 0 or samples < 0:
         raise ValidationError("t_range and samples must be non-negative")
+    if depth < 0:
+        raise ValidationError("depth must be >= 0")
     rng = random.Random(seed)
     modulus = level_product(SCALE5, depth)
-    violations = []
     _, head_value, point_class = _head_classes(stage, depth)
     values = [head_value[ci] for ci in point_class]
-    for a in range(len(stage.points)):
-        for b in range(a + 1, len(stage.points)):
-            if points_equal(stage.points[a], stage.points[b]):
-                violations.append({"kind": "duplicate-point", "pair": [a, b]})
-                continue
-            off = (values[b] - values[a]) % modulus
-            t = off if off <= t_range else (off - modulus
-                                            if modulus - off <= t_range else None)
-            if t is not None and t != 0:
-                violations.append({"kind": "integer-translate",
-                                   "pair": [a, b], "t": t})
-    # integer_head(t) has the head_index t mod the level product
-    small = {t % modulus for t in range(-4 * t_range, 4 * t_range + 1)}
+    violations = _structural_violations(stage, values, modulus, t_range)
+    # integer_head(t) has the head_index t mod the level product, so z is
+    # a small integer iff zval or zval - modulus is within 4 t_range of 0
+    small = 4 * t_range
     checked = 0
     for _ in range(samples):
         ce = rng.randrange(len(head_value))
@@ -266,7 +356,7 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
         zval = (head_value[ce] - values[di] - t) % modulus
         z = integer_head(zval, SCALE5, depth)
         deep = z.digits[depth // 2:]
-        if len(set(deep)) == 1 or zval in small:
+        if len(set(deep)) == 1 or zval <= small or modulus - zval <= small:
             continue  # integer-like sample, excluded (P2 covers those orbits)
         checked += 1
         source_class = point_class[di]
@@ -285,45 +375,94 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
 
 
 class LevelFamily:
-    """Memoized evaluator for l^n_i with l^1_i given by the first row,
-    l^{n+1}_{2i} = l^n_{i + i_n} and the odd entries the midpoints; the
-    midpoint rule must stay integral, which is asserted at every use.
-    Shift offsets are i_n = 2^(n-1) and the times are t_n = 2^(l^n_0)."""
+    """The rows l^n_i: l^1_i given by the first row, l^{n+1}_{2i} =
+    l^n_{i + i_n} and the odd entries the midpoints; shift offsets are
+    i_n = 2^(n-1) and the times are t_n = 2^(l^n_0).
+
+    Each row is a list, grown in bulk from a slice of the row below.  A
+    midpoint that is not integral is kept as a gap that names the entry
+    whose rule failed; reading that entry, or any entry built from it,
+    raises the ``ValidationError`` that the pointwise recursion raises
+    there."""
 
     def __init__(self, first_row=None):
         self._first = first_row or (lambda i: 2 ** i - 1)
-        self._memo = {}
+        self._rows = []   # _rows[n-1] = [l^n_0, l^n_1, ...]
+        self._gaps = []   # _gaps[n-1] = {i: (n', i')}: l^n_i rests on l^n'_i'
 
     def offset(self, n: int) -> int:
         return 2 ** (n - 1)
 
+    def _grow(self, n: int, count: int) -> list:
+        """Row n, holding at least count entries.  Only the missing pairs
+        l^n_{2j}, l^n_{2j+1} are computed, from one slice of the row
+        below, which grows just as far as they need."""
+        while len(self._rows) < n:
+            self._rows.append([])
+            self._gaps.append({})
+        row = self._rows[n - 1]
+        if len(row) >= count:
+            return row
+        if n == 1:
+            row.extend(map(self._first, range(len(row), count)))
+            return row
+        start, half = len(row) // 2, (count + 1) // 2
+        off = self.offset(n - 1)
+        src = self._grow(n - 1, off + half + 1)[off + start:off + half + 1]
+        lo = src[:-1]
+        sums = list(map(operator.add, lo, src[1:]))
+        del row[2 * start:]
+        row.extend([None] * (2 * len(lo)))
+        row[2 * start::2] = lo
+        row[2 * start + 1::2] = [s // 2 for s in sums]
+        below, gaps = self._gaps[n - 2], self._gaps[n - 1]
+        if below or any(map(operator.mod, sums, repeat(2))):
+            for j in range(start, half):
+                cause = below.get(off + j)
+                if cause:
+                    gaps[2 * j] = cause
+                cause = (cause or below.get(off + j + 1)
+                         or (None if sums[j - start] % 2 == 0 else (n, 2 * j + 1)))
+                if cause:
+                    gaps[2 * j + 1] = cause
+        return row
+
     def l(self, n: int, i: int) -> int:
         if n < 1 or i < 0:
             raise ValidationError("need n >= 1 and i >= 0")
-        key = (n, i)
-        if key in self._memo:
-            return self._memo[key]
-        if n == 1:
-            val = self._first(i)
-        else:
-            j, odd = divmod(i, 2)
-            lo = self.l(n - 1, j + self.offset(n - 1))
-            if odd:
-                hi = self.l(n - 1, j + 1 + self.offset(n - 1))
-                if (lo + hi) % 2:
-                    raise ValidationError(
-                        f"midpoint rule not integral at l^{n}_{i}")
-                val = (lo + hi) // 2
-            else:
-                val = lo
-        self._memo[key] = val
-        return val
+        row = self._grow(n, i + 1)
+        gap = self._gaps[n - 1].get(i)
+        if gap:
+            raise ValidationError(
+                f"midpoint rule not integral at l^{gap[0]}_{gap[1]}")
+        return row[i]
 
     def time(self, n: int) -> int:
         return 2 ** self.l(n, 0)
 
     def row(self, n: int, count: int) -> list[int]:
         return [self.l(n, i) for i in range(count)]
+
+    def row_to(self, n: int, bound: int, count: int = 2) -> list[int]:
+        """The entries l^n_i <= bound, from a row that must strictly
+        increase through integers (so that there are finitely many).  The
+        row is grown to count entries first, then doubled as needed."""
+        if n < 1:
+            raise ValidationError("need n >= 1 and i >= 0")
+        while True:
+            row = self._grow(n, count)
+            gaps = self._gaps[n - 1]
+            valid = row[:min(gaps, default=len(row))]
+            if (set(map(type, valid)) - {int}
+                    or not all(map(operator.lt, valid, valid[1:]))):
+                raise ValidationError(
+                    f"row {n} does not increase strictly through integers")
+            k = bisect_right(valid, bound)
+            if k < len(valid):
+                return valid[:k]
+            if gaps:
+                self.l(n, len(valid))  # raises for the gap
+            count = 2 * len(row) + 1
 
 
 def build_level_family() -> LevelFamily:
@@ -418,23 +557,40 @@ class UserWordList:
 
 @dataclass(frozen=True)
 class FFamily:
+    """f^1..f^n_max, constant on the level intervals, below a horizon.
+
+    Index n - 1 of each tuple holds level n.  The level-n interval i is
+    [l^n_i, l^n_{i+1}); below l^n_0, f^n is the constant a.  ``value``
+    bisects a row, and ``word`` indexes the words."""
+
     handle_name: str
     n_max: int
     horizon: int
-    tables: tuple[str, ...]     # tables[n-1][x] = f^n(x) for x < horizon
+    # rows[n-1]: every l^n_i <= horizon
+    rows: tuple[tuple[int, ...], ...]
+    # letters[n-1][i]: f^n on interval i, for each interval that starts
+    # below the horizon
+    letters: tuple[str, ...]
+    # words[n-1][i]: f^1 ... f^n on interval i, for each interval that ends
+    # by the horizon
+    words: tuple[tuple[str, ...], ...]
 
     def value(self, n: int, x: int) -> str:
         if not 1 <= n <= self.n_max:
             raise ValidationError(f"f^{n} not built (n_max {self.n_max})")
         if x >= self.horizon:
             raise HorizonError(f"f^{n}({x}) beyond horizon {self.horizon}")
-        return self.tables[n - 1][x]
+        i = bisect_right(self.rows[n - 1], x) - 1
+        return self.letters[n - 1][i] if i >= 0 else "a"
 
     def word(self, n: int, i: int, lf: LevelFamily) -> str:
+        if not 1 <= n <= self.n_max:
+            raise ValidationError(f"f^{n} not built (n_max {self.n_max})")
+        words = self.words[n - 1]
+        if 0 <= i < len(words):
+            return words[i]
         lo, hi = lf.l(n, i), lf.l(n, i + 1)
-        if hi > self.horizon:
-            raise HorizonError(f"interval [{lo},{hi}) beyond horizon")
-        return "".join(self.tables[k][lo] for k in range(n))
+        raise HorizonError(f"interval [{lo},{hi}) beyond horizon")
 
     def to_json(self):
         # the choices that pin one shift among the family
@@ -448,41 +604,49 @@ def build_f_family(handle, n_max: int, horizon: int,
     """The constructive recursion: f^1 alternates a, b on consecutive
     first-row intervals; f^{N+1} splits the interval pair of a right
     special word a-then-b and otherwise copies the unique extension;
-    below its domain it is the constant a."""
+    below its domain it is the constant a.
+
+    The level-(N+1) intervals 2j and 2j+1 split the level-N interval
+    j + i_N (l^{N+1}_{2j} = l^N_{j + i_N}), so each interval word is its
+    parent's word plus one letter, and the extensions of the parent's
+    word give both letters.  The work is linear in the number of
+    intervals below the horizon, not in the horizon."""
+    if n_max < 1:
+        raise ValidationError(f"n_max must be >= 1, got {n_max}")
     lf = lf or build_level_family()
     if horizon <= lf.l(n_max, 1):
         raise HorizonError("horizon too small for the requested levels")
-    tables = []
-    f1 = ["a"] * horizon
-    i = 0
-    while lf.l(1, i) < horizon:
-        lo, hi = lf.l(1, i), min(lf.l(1, i + 1), horizon)
-        f1[lo:hi] = [("a" if i % 2 == 0 else "b")] * (hi - lo)
-        i += 1
-    tables.append("".join(f1))
-    for n in range(1, n_max):
-        nxt = ["a"] * horizon   # fixed below-domain extension
-        j = 0
-        while True:
-            a = lf.l(n + 1, 2 * j)
-            if a >= horizon:
-                break
-            mid = lf.l(n + 1, 2 * j + 1)
-            b = lf.l(n + 1, 2 * j + 2)
-            i = j + lf.offset(n)
-            w = "".join(tables[k][lf.l(n, i)] for k in range(n))
-            exts = handle.extensions(w)
-            if not exts:
-                raise LanguageError(f"{w!r} has no right extension")
-            if len(exts) == 2:
-                nxt[a:min(mid, horizon)] = "a" * (min(mid, horizon) - a)
-                if mid < horizon:
-                    nxt[mid:min(b, horizon)] = "b" * (min(b, horizon) - mid)
-            else:
-                nxt[a:min(b, horizon)] = exts[0] * (min(b, horizon) - a)
-            j += 1
-        tables.append("".join(nxt))
-    return FFamily(getattr(handle, "name", "user"), n_max, horizon, tuple(tables))
+    rows, letters, words = [], [], []
+    count = 2
+    for n in range(1, n_max + 1):
+        row = lf.row_to(n, horizon, count)
+        # l^{n+1}_{2m} = l^n_{m + i_n} is the first entry past the horizon
+        # for m = len(row) - i_n, so 2m + 1 entries of row n + 1 suffice
+        count = 2 * (len(row) - lf.offset(n)) + 1
+        started = bisect_left(row, horizon)
+        if n == 1:
+            level = ("ab" * started)[:started]
+            started_words = list(level)
+        else:
+            # one extension query per distinct parent word, in the order
+            # of the first occurrences, so a failing word fails first
+            off = lf.offset(n - 1)
+            parents = started_words[off:off + (started + 1) // 2]
+            pair = {}
+            for w in dict.fromkeys(parents):
+                exts = handle.extensions(w)
+                if not exts:
+                    raise LanguageError(f"{w!r} has no right extension")
+                pair[w] = "ab" if len(exts) == 2 else exts[0] * 2
+            level = "".join(map(pair.__getitem__, parents))[:started]
+            started_words = [None] * started
+            started_words[0::2] = [w + c for w, c in zip(parents, level[0::2])]
+            started_words[1::2] = [w + c for w, c in zip(parents, level[1::2])]
+        rows.append(tuple(row))
+        letters.append(level)
+        words.append(tuple(started_words[:len(row) - 1]))
+    return FFamily(getattr(handle, "name", "user"), n_max, horizon,
+                   tuple(rows), tuple(letters), tuple(words))
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,30 @@ def test_criterion_13_cli_dispatch(capsys):
     assert out.count('"result_index": 206') == 300
     assert elapsed < 0.3
     _report(13, elapsed, "300 in-process odometer calls within 0.3 s")
+
+
+def test_criterion_14_f_family_runtime():
+    # The f-family is built from level rows and interval words, in work
+    # linear in the intervals below the horizon, not in the horizon.
+    t0 = time.monotonic()
+    for _ in range(100):
+        fam = build_f_family(FullShift(), 6, 4096)
+    elapsed = time.monotonic() - t0
+    assert len(fam.words[5]) == 224
+    assert elapsed < 0.1
+    _report(14, elapsed, "100 full-shift f-families, n_max 6, horizon 4096, "
+                         "within 0.1 s")
+
+
+def test_criterion_15_stage10_disjoint_runtime(capsys):
+    # 1024 points: the structural pass compares one canonical id per point
+    # and bisects sorted head values instead of testing 523,776 pairs.
+    t0 = time.monotonic()
+    code = main(["semicocycle", "disjoint", "--stage", "10", "--samples", "10",
+                 "--depth", "16"])
+    elapsed = time.monotonic() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["violations"] == [] and report["stage"] == 10
+    assert elapsed < 1.0
+    _report(15, elapsed, "stage-10 disjointness report (1024 points) within 1 s")

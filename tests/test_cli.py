@@ -225,11 +225,48 @@ def test_malformed_substitution_keeps_its_layer_code(capsys, tmp_path, source):
 @pytest.mark.parametrize("argv", [
     ("semicocycle", "disjoint", "--t-range", "-5"),
     ("semicocycle", "disjoint", "--samples", "-1"),
+    ("semicocycle", "disjoint", "--depth", "-1", "--samples", "0"),
 ])
 def test_negative_disjoint_arguments_are_validation_errors(capsys, argv):
     code, report = run_json(capsys, *argv)
     assert code == 1
     assert report["error"]["code"] == "validation"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("semicocycle", "realize", "--lang", "full", "--word", "abababab",
+      "--n-max", "6"), "f^8 not built (n_max 6)"),
+    (("semicocycle", "realize", "--lang", "full", "--word", "ab",
+      "--n-max", "0"), "n_max must be >= 1, got 0"),
+    (("semicocycle", "realize", "--lang", "sturmian", "--word", "ab",
+      "--n-max", "-2"), "n_max must be >= 1, got -2"),
+])
+def test_realize_levels_beyond_the_family_are_validation_errors(capsys, argv,
+                                                                 message):
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["error"] == {"code": "validation", "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ("thickness", str(FIXTURES / "ex22.sub"), "--depth", "0"),
+    ("thickness", str(FIXTURES / "ex22.sub"), "--depth", "-1"),
+    ("semicocycle", "window", "--depth", "-3"),
+])
+def test_bad_depth_arguments_are_validation_errors(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["error"]["code"] == "validation"
+    assert "--depth" in report["error"]["message"]
+
+
+def test_window_depth_zero_means_two_to_the_stage(capsys):
+    code, report = run_json(capsys, "semicocycle", "window", "--stage", "4",
+                            "--depth", "0", "--range", "0:8")
+    assert code == 0
+    assert report["depth"] == 16
+    assert report == run_json(capsys, "semicocycle", "window", "--stage", "4",
+                              "--range", "0:8")[1]
 
 
 def test_module_entry_point_reads_sys_argv():
@@ -283,7 +320,7 @@ def eager_build_parser() -> argparse.ArgumentParser:
     a = act.add_parser("window")
     a.add_argument("--stage", type=int, default=5)
     a.add_argument("--zhat", help="comma digits, last repeated (default all 2)")
-    a.add_argument("--depth", type=int)
+    a.add_argument("--depth", type=int, help="head depth (default, or 0: 2^stage)")
     a.add_argument("--range", default="0:16", help="inclusive lo:hi")
     a = act.add_parser("realize")
     a.add_argument("--lang", choices=["full", "sturmian"], required=True)

@@ -146,6 +146,18 @@ def test_add_heads_matches_value_arithmetic(a, b):
                              + head_index(truncate(b, depth))) % m
 
 
+@given(heads(), heads(), st.integers(-10 ** 9, 10 ** 9), scales,
+       st.integers(0, 12))
+def test_arithmetic_heads_revalidate(a, b, t, scale, depth):
+    # the heads built without the digit check pass it when rebuilt
+    results = [add_integer(a, t), integer_head(t, scale, depth)]
+    if a.scale == b.scale:
+        results.append(add_heads(a, b))
+    for h in results:
+        assert type(h.digits) is tuple
+        assert OdometerHead(h.scale, h.digits) == h
+
+
 # The per-level ``modulus(n)`` arithmetic that ``Scale.moduli()`` replaced,
 # kept as an oracle.
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,8 @@ from toeplitztame.errors import (DepthError, HorizonError, LanguageError,
                                  PreconditionError, ValidationError)
 from toeplitztame.odometer import OdometerHead, head_index, level_product
 from toeplitztame.semicocycle import (SCALE5, SCALE6, DPoint, DStage,
-                                      FullShift, SturmianFibonacci,
+                                      FullShift, LevelFamily,
+                                      SturmianFibonacci,
                                       UserWordList, build_d_stage,
                                       build_f_family, build_level_family,
                                       check_translate_disjointness,
@@ -574,3 +576,269 @@ def test_stage_memos_and_lazy_factors_match_oracles():
     for n in (0, 65):
         with pytest.raises(ValidationError, match="tabulated up to 64"):
             handle.words(n)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the second family: the pointwise recursion with a dict memo
+# and the horizon-length tables that the level rows and interval words
+# replaced
+
+
+class OracleLevelFamily:
+    def __init__(self, first_row=None):
+        self._first = first_row or (lambda i: 2 ** i - 1)
+        self._memo = {}
+
+    def offset(self, n):
+        return 2 ** (n - 1)
+
+    def l(self, n, i):
+        if n < 1 or i < 0:
+            raise ValidationError("need n >= 1 and i >= 0")
+        key = (n, i)
+        if key in self._memo:
+            return self._memo[key]
+        if n == 1:
+            val = self._first(i)
+        else:
+            j, odd = divmod(i, 2)
+            lo = self.l(n - 1, j + self.offset(n - 1))
+            if odd:
+                hi = self.l(n - 1, j + 1 + self.offset(n - 1))
+                if (lo + hi) % 2:
+                    raise ValidationError(
+                        f"midpoint rule not integral at l^{n}_{i}")
+                val = (lo + hi) // 2
+            else:
+                val = lo
+        self._memo[key] = val
+        return val
+
+    def time(self, n):
+        return 2 ** self.l(n, 0)
+
+
+class OracleFFamily:
+    def __init__(self, n_max, horizon, tables):
+        self.n_max, self.horizon, self.tables = n_max, horizon, tables
+
+    def value(self, n, x):
+        if not 1 <= n <= self.n_max:
+            raise ValidationError(f"f^{n} not built (n_max {self.n_max})")
+        if x >= self.horizon:
+            raise HorizonError(f"f^{n}({x}) beyond horizon {self.horizon}")
+        return self.tables[n - 1][x]
+
+    def word(self, n, i, lf):
+        lo, hi = lf.l(n, i), lf.l(n, i + 1)
+        if hi > self.horizon:
+            raise HorizonError(f"interval [{lo},{hi}) beyond horizon")
+        return "".join(self.tables[k][lo] for k in range(n))
+
+
+def oracle_build_f_family(handle, n_max, horizon, lf):
+    if horizon <= lf.l(n_max, 1):
+        raise HorizonError("horizon too small for the requested levels")
+    tables = []
+    f1 = ["a"] * horizon
+    i = 0
+    while lf.l(1, i) < horizon:
+        lo, hi = lf.l(1, i), min(lf.l(1, i + 1), horizon)
+        f1[lo:hi] = [("a" if i % 2 == 0 else "b")] * (hi - lo)
+        i += 1
+    tables.append("".join(f1))
+    for n in range(1, n_max):
+        nxt = ["a"] * horizon
+        j = 0
+        while True:
+            a = lf.l(n + 1, 2 * j)
+            if a >= horizon:
+                break
+            mid = lf.l(n + 1, 2 * j + 1)
+            b = lf.l(n + 1, 2 * j + 2)
+            w = "".join(tables[k][lf.l(n, j + lf.offset(n))] for k in range(n))
+            exts = handle.extensions(w)
+            if not exts:
+                raise LanguageError(f"{w!r} has no right extension")
+            if len(exts) == 2:
+                nxt[a:min(mid, horizon)] = "a" * (min(mid, horizon) - a)
+                if mid < horizon:
+                    nxt[mid:min(b, horizon)] = "b" * (min(b, horizon) - mid)
+            else:
+                nxt[a:min(b, horizon)] = exts[0] * (min(b, horizon) - a)
+            j += 1
+        tables.append("".join(nxt))
+    return OracleFFamily(n_max, horizon, tables)
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def random_user_language(rng, max_len):
+    """A seeded right-extendable binary language: each word keeps one or
+    both of its right extensions."""
+    words = {1: {"a", "b"}}
+    for n in range(1, max_len):
+        words[n + 1] = {w + c for w in words[n]
+                        for c in rng.choice(["a", "b", "ab", "ab"])}
+    return UserWordList(words)
+
+
+def test_level_rows_match_recursion_oracle():
+    rng = random.Random(61)
+    first_rows = [None, lambda i: i, lambda i: i * i, lambda i: 3 * i + (i > 4),
+                  lambda i: 2 ** (i + 1) + i % 3]
+    for _ in range(4):
+        steps = [rng.choice([2, 2, 4, 3]) for _ in range(80)]
+        first_rows.append(lambda i, s=steps: sum(s[:i]))
+    for first in first_rows:
+        lf, oracle = LevelFamily(first), OracleLevelFamily(first)
+        queries = [(n, i) for n in range(-1, 8) for i in range(-1, 48)]
+        rng.shuffle(queries)
+        for n, i in queries:
+            assert outcome(lf.l, n, i) == outcome(oracle.l, n, i), (n, i)
+        fresh = LevelFamily(first)
+        for n in range(1, 8):
+            assert outcome(fresh.row, n, 40) == \
+                outcome(lambda: [oracle.l(n, i) for i in range(40)])
+            assert outcome(fresh.time, n) == outcome(oracle.time, n)
+
+
+def test_f_family_matches_table_oracle():
+    rng = random.Random(62)
+    handles = [FullShift(), SturmianFibonacci(), random_user_language(rng, 8),
+               random_user_language(rng, 4)]
+    for handle in handles:
+        for horizon in (3, 64, 100, 512, 777, 4096, 10000):
+            for n_max in range(1, 8):
+                lf, oracle_lf = build_level_family(), OracleLevelFamily()
+                fam = outcome(build_f_family, handle, n_max, horizon, lf)
+                oracle = outcome(oracle_build_f_family, handle, n_max, horizon,
+                                 oracle_lf)
+                if isinstance(oracle, tuple):
+                    assert fam == oracle
+                    continue
+                for n in range(1, n_max + 1):
+                    got = [outcome(fam.value, n, x) for x in range(horizon + 3)]
+                    assert got == [outcome(oracle.value, n, x)
+                                   for x in range(horizon + 3)]
+                for n, x in itertools.product((0, n_max + 1), (0, horizon)):
+                    assert outcome(fam.value, n, x) == outcome(oracle.value, n, x)
+                for n in range(1, n_max + 1):
+                    for i in range(-1, 10 ** 6):
+                        got = outcome(fam.word, n, i, lf)
+                        assert got == outcome(oracle.word, n, i, oracle_lf)
+                        if isinstance(got, tuple) and got[0] is HorizonError:
+                            break
+
+
+def test_f_family_rejects_levels_it_did_not_build():
+    lf = build_level_family()
+    fam = build_f_family(FullShift(), 3, 512, lf)
+    for n in (0, 4, 9):
+        with pytest.raises(ValidationError, match=rf"f\^{n} not built \(n_max 3\)"):
+            fam.word(n, 1, lf)
+        with pytest.raises(ValidationError, match=rf"f\^{n} not built"):
+            fam.value(n, 5)
+    with pytest.raises(ValidationError, match="need n >= 1 and i >= 0"):
+        fam.word(2, -1, lf)
+    for n_max in (0, -1):
+        with pytest.raises(ValidationError, match=f"n_max must be >= 1, got {n_max}"):
+            build_f_family(FullShift(), n_max, 512)
+    with pytest.raises(ValidationError, match="f\\^7 not built"):
+        realize_prefix("abababa", build_f_family(FullShift(), 6, 4096, lf), lf,
+                       default_zhat6(64))
+    with pytest.raises(ValidationError, match="strictly through integers"):
+        build_f_family(FullShift(), 2, 64, LevelFamily(lambda i: 5))
+    with pytest.raises(ValidationError, match="midpoint rule not integral"):
+        build_f_family(FullShift(), 2, 64, LevelFamily(lambda i: i))
+
+
+def oracle_pairwise_translate_hits(zval, vals, modulus, t_range):
+    hits = set()
+    for sc, sval in enumerate(vals):
+        base = (sval + zval) % modulus
+        for tval in vals:
+            off = (tval - base) % modulus
+            if off <= t_range:
+                hits.add((sc, off))
+            elif modulus - off <= t_range:
+                hits.add((sc, off - modulus))
+    return sorted(hits)
+
+
+def test_translate_hits_bisection_matches_pairwise_oracle():
+    from toeplitztame.odometer import integer_head
+    from toeplitztame.semicocycle import _translate_hits
+    rng = random.Random(63)
+    # arbitrary distinct values: windows crossing 0 and modulus, and
+    # windows of 2 t_range + 1 >= modulus that hold every residue
+    for _ in range(3000):
+        modulus = rng.choice([1, 2, 3, 4, 7, 16, 64, 1000, 4 ** 10])
+        vals = rng.sample(range(modulus), rng.randint(1, min(modulus, 12)))
+        zval = rng.choice([0, modulus - 1, rng.randrange(modulus),
+                           modulus - vals[0], modulus - vals[0] + 1])
+        t_range = rng.choice([0, 1, 2, 3, modulus // 2, modulus, rng.randint(0, 40)])
+        assert _translate_hits(zval, vals, modulus, t_range) == \
+            oracle_pairwise_translate_hits(zval, vals, modulus, t_range)
+    # through the public function, at depths whose level products are small
+    for i in (1, 2, 3, 4):
+        stage = build_d_stage(i)
+        heads = OracleHeads(stage)
+        for depth in (1, 2, 3):
+            modulus = level_product(SCALE5, depth)
+            for _ in range(60):
+                digits = oracle_integer_head(rng.randrange(modulus), depth)
+                t_range = rng.choice([0, 1, 5, 31, 32, 40, 2100])
+                assert translate_hits(OdometerHead(SCALE5, digits), stage,
+                                      t_range) == \
+                    oracle_translate_hits(digits, t_range, heads)
+
+
+def _random_stage(rng):
+    """A hand-built stage: points with small exponents, some repeated or
+    rewritten with extra trailing tail-valued exponents."""
+    points = []
+    for _ in range(rng.randint(1, 14)):
+        if points and rng.random() < 0.3:
+            p = rng.choice(points)
+            extra = rng.randint(0, 2)
+            points.append(DPoint(p.head_exponents + (p.tail_exponent,) * extra,
+                                 p.tail_exponent))
+            continue
+        head = tuple(rng.randint(0, k) for k in range(rng.randint(0, 5)))
+        points.append(DPoint(head, rng.randint(0, len(head))))
+    return DStage(rng.randint(0, 4), tuple(points))
+
+
+def test_canonical_structural_pass_matches_pairwise_oracle():
+    rng = random.Random(64)
+    kinds = set()
+    for _ in range(400):
+        stage = _random_stage(rng)
+        depth = rng.choice([1, 2, 3, 5, 8])
+        t_range = rng.choice([0, 1, 2, 6, 40, 300])
+        seed = rng.randrange(100)
+        report = check_translate_disjointness(stage, t_range, depth, 8, seed)
+        assert report == oracle_disjointness(stage, t_range, depth, 8, seed)
+        kinds.update(v["kind"] for v in report["violations"])
+    assert kinds == {"duplicate-point", "integer-translate", "double-hit"}
+
+
+def test_d_stage_checks_digit_range_once():
+    # hand-built stages go through the same check as built ones
+    DStage(0, (DPoint((1,), 1), DPoint((0, 2), 2)))   # 3 < 4, 9 < 16, 9 < 64
+    for point, message in ((DPoint((2,), 0), "digit 3^2 at level 1"),
+                           (DPoint((0,), 3), "digit 3^3 at level 2"),
+                           (DPoint((0, -1), 1), "digit 3^-1 at level 2")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            DStage(0, (DPoint((), 0), point))
+    for i in range(0, 9):
+        for p in build_d_stage(i).points:
+            assert all(e <= n for n, e in enumerate(p.head_exponents))
+            assert p.tail_exponent <= len(p.head_exponents)
