@@ -16,8 +16,9 @@ Second family (over Z_2): a double sequence l^n_i closed under
 l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with midpoint interpolation on odd
 indices, times t_n = 2^(l^n_0), and a family f^n of interval-constant
 functions built from any right-extendable binary language so that the
-level-N interval words enumerate that language.  ``LevelFamily`` keeps
-each row as a list grown in bulk from the row below; ``FFamily`` keeps,
+level-N interval words enumerate that language.  ``LevelFamily``
+evaluates single entries pointwise and grows the rows the f-family
+needs as lists, in bulk from the row below; ``FFamily`` keeps,
 per level, the row below the horizon, the letter of each interval and
 each interval's word, built as its parent's word plus that letter.
 Realizing a prescribed word y along the times amounts to placing the
@@ -35,7 +36,8 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations, count, product, repeat
+from itertools import (accumulate, chain, combinations, count, islice,
+                       product, repeat)
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
@@ -91,17 +93,29 @@ class DStage:
     points: tuple[DPoint, ...]
 
     def __post_init__(self):
-        # Every digit 3^e must lie in [0, 4^n) at its level n.  It is checked
-        # here once per stage, so the head sets and head classes below build
-        # digit tuples without an OdometerHead each.  The tail exponent is
-        # checked at its first level, where the bound is smallest.
+        # Every digit 3^e must lie in [0, l_n) at its level n of SCALE5.  It
+        # is checked here once per stage, so the head sets and head classes
+        # below build digit tuples without an OdometerHead each.  cap[n-1]
+        # is the largest exponent level n admits; a tail exponent must fit
+        # every level from its first through one past the longest head.
+        longest = max((len(p.head_exponents) for p in self.points), default=0)
+        cap, e, power = [], 0, 1
+        for m in islice(SCALE5.moduli(), longest + 1):
+            while 3 * power < m:
+                power, e = 3 * power, e + 1
+            while power >= m:
+                power, e = power // 3, e - 1
+            cap.append(e)
+        tail_cap = list(accumulate(reversed(cap), min))[::-1]
         for p in self.points:
-            exps = p.head_exponents + (p.tail_exponent,)
-            if not all(map(operator.lt, exps, count(1))) or min(exps) < 0:
-                for n, e in enumerate(exps, 1):
-                    if e < 0 or 3 ** e >= 4 ** n:
-                        raise ValidationError(
-                            f"digit 3^{e} at level {n} out of range [0, 4^{n})")
+            head, tail = p.head_exponents, p.tail_exponent
+            if (min(head, default=0) >= 0 and 0 <= tail <= tail_cap[len(head)]
+                    and all(map(operator.le, head, cap))):
+                continue
+            for n, e in enumerate(p.exponents(longest + 1), 1):
+                if not 0 <= e <= cap[n - 1]:
+                    raise ValidationError(
+                        f"digit 3^{e} at level {n} out of range [0, l_{n})")
         # per-stage memos, not dataclass fields (no part of eq or hash):
         # depth m -> Head_m, and depth -> the sorted depth-limited head
         # classes with their head values and each point's class
@@ -128,6 +142,10 @@ def build_d_stage(i: int) -> DStage:
             cut = m + l
             fresh.append(DPoint(p.exponents(cut), cut))
         points.extend(fresh)
+    for p in points:
+        if (p.tail_exponent > len(p.head_exponents)
+                or not all(map(operator.lt, p.head_exponents, count(1)))):
+            raise ValidationError("digit exponent exceeds level - 1")
     return DStage(i, tuple(points))
 
 
@@ -156,16 +174,18 @@ def head_set(stage: DStage, m: int) -> frozenset:
 
 def _head_classes(stage: DStage, depth: int):
     """(sorted Head_depth, their head_index values, class of each point),
-    memoised on the stage like ``head_set``.  On the 4^n scale the digit at
-    level k + 1 weighs l_1 ... l_k = 4^(k(k+1)/2) = 2^(k(k+1))."""
+    memoised on the stage like ``head_set``.  The digit at level k + 1
+    weighs l_1 ... l_k."""
     classes = stage._head_classes.get(depth)
     if classes is None:
         point_heads = _point_heads(stage, depth)
         heads_sorted = sorted(set(point_heads))
         class_of = {h: ci for ci, h in enumerate(heads_sorted)}
+        weights = list(accumulate(islice(SCALE5.moduli(), max(depth - 1, 0)),
+                                  operator.mul, initial=1))
         classes = stage._head_classes[depth] = (
             heads_sorted,
-            [sum(d << k * (k + 1) for k, d in enumerate(h)) for h in heads_sorted],
+            [sum(map(operator.mul, h, weights)) for h in heads_sorted],
             [class_of[h] for h in point_heads])
     return classes
 
@@ -376,30 +396,58 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
 
 class LevelFamily:
     """The rows l^n_i: l^1_i given by the first row, l^{n+1}_{2i} =
-    l^n_{i + i_n} and the odd entries the midpoints; shift offsets are
-    i_n = 2^(n-1) and the times are t_n = 2^(l^n_0).
+    l^n_{i + i_n} and the odd entries the midpoints, which must stay
+    integral; shift offsets are i_n = 2^(n-1) and the times are
+    t_n = 2^(l^n_0).
 
-    Each row is a list, grown in bulk from a slice of the row below.  A
-    midpoint that is not integral is kept as a gap that names the entry
-    whose rule failed; reading that entry, or any entry built from it,
-    raises the ``ValidationError`` that the pointwise recursion raises
-    there."""
+    ``l``, ``time`` and ``row`` evaluate the recursion pointwise with a
+    memo, in work linear in n.  ``row_to`` keeps each row as a list grown
+    in bulk from a slice of the row below, and grows only rows whose
+    entries the bound limits."""
 
     def __init__(self, first_row=None):
         self._first = first_row or (lambda i: 2 ** i - 1)
+        self._memo = {}
         self._rows = []   # _rows[n-1] = [l^n_0, l^n_1, ...]
-        self._gaps = []   # _gaps[n-1] = {i: (n', i')}: l^n_i rests on l^n'_i'
 
     def offset(self, n: int) -> int:
         return 2 ** (n - 1)
 
+    def l(self, n: int, i: int) -> int:
+        if n < 1 or i < 0:
+            raise ValidationError("need n >= 1 and i >= 0")
+        key = (n, i)
+        if key in self._memo:
+            return self._memo[key]
+        if n == 1:
+            val = self._first(i)
+        else:
+            j, odd = divmod(i, 2)
+            lo = self.l(n - 1, j + self.offset(n - 1))
+            if odd:
+                hi = self.l(n - 1, j + 1 + self.offset(n - 1))
+                if (lo + hi) % 2:
+                    raise ValidationError(
+                        f"midpoint rule not integral at l^{n}_{i}")
+                val = (lo + hi) // 2
+            else:
+                val = lo
+        self._memo[key] = val
+        return val
+
+    def time(self, n: int) -> int:
+        return 2 ** self.l(n, 0)
+
+    def row(self, n: int, count: int) -> list[int]:
+        return [self.l(n, i) for i in range(count)]
+
     def _grow(self, n: int, count: int) -> list:
         """Row n, holding at least count entries.  Only the missing pairs
         l^n_{2j}, l^n_{2j+1} are computed, from one slice of the row
-        below, which grows just as far as they need."""
+        below, which grows just as far as they need; row n - 1 reaches
+        index about 2^(n-2) + count/2."""
         while len(self._rows) < n:
             self._rows.append([])
-            self._gaps.append({})
         row = self._rows[n - 1]
         if len(row) >= count:
             return row
@@ -411,57 +459,36 @@ class LevelFamily:
         src = self._grow(n - 1, off + half + 1)[off + start:off + half + 1]
         lo = src[:-1]
         sums = list(map(operator.add, lo, src[1:]))
+        if any(map(operator.mod, sums, repeat(2))):
+            j = next(j for j, s in enumerate(sums) if s % 2)
+            raise ValidationError(
+                f"midpoint rule not integral at l^{n}_{2 * (start + j) + 1}")
         del row[2 * start:]
         row.extend([None] * (2 * len(lo)))
         row[2 * start::2] = lo
         row[2 * start + 1::2] = [s // 2 for s in sums]
-        below, gaps = self._gaps[n - 2], self._gaps[n - 1]
-        if below or any(map(operator.mod, sums, repeat(2))):
-            for j in range(start, half):
-                cause = below.get(off + j)
-                if cause:
-                    gaps[2 * j] = cause
-                cause = (cause or below.get(off + j + 1)
-                         or (None if sums[j - start] % 2 == 0 else (n, 2 * j + 1)))
-                if cause:
-                    gaps[2 * j + 1] = cause
         return row
-
-    def l(self, n: int, i: int) -> int:
-        if n < 1 or i < 0:
-            raise ValidationError("need n >= 1 and i >= 0")
-        row = self._grow(n, i + 1)
-        gap = self._gaps[n - 1].get(i)
-        if gap:
-            raise ValidationError(
-                f"midpoint rule not integral at l^{gap[0]}_{gap[1]}")
-        return row[i]
-
-    def time(self, n: int) -> int:
-        return 2 ** self.l(n, 0)
-
-    def row(self, n: int, count: int) -> list[int]:
-        return [self.l(n, i) for i in range(count)]
 
     def row_to(self, n: int, bound: int, count: int = 2) -> list[int]:
         """The entries l^n_i <= bound, from a row that must strictly
         increase through integers (so that there are finitely many).  The
-        row is grown to count entries first, then doubled as needed."""
+        row is grown to count entries first, then doubled as needed.
+
+        Such rows give l^n_0 >= l^1_0 + 2^(n-1) - 1, so once l^n_0 <= bound
+        the rows below are grown only about as far as the bound reaches."""
         if n < 1:
             raise ValidationError("need n >= 1 and i >= 0")
+        if self.l(n, 0) > bound:
+            return []
         while True:
             row = self._grow(n, count)
-            gaps = self._gaps[n - 1]
-            valid = row[:min(gaps, default=len(row))]
-            if (set(map(type, valid)) - {int}
-                    or not all(map(operator.lt, valid, valid[1:]))):
+            if (set(map(type, row)) - {int}
+                    or not all(map(operator.lt, row, row[1:]))):
                 raise ValidationError(
                     f"row {n} does not increase strictly through integers")
-            k = bisect_right(valid, bound)
-            if k < len(valid):
-                return valid[:k]
-            if gaps:
-                self.l(n, len(valid))  # raises for the gap
+            k = bisect_right(row, bound)
+            if k < len(row):
+                return row[:k]
             count = 2 * len(row) + 1
 
 
@@ -610,11 +637,18 @@ def build_f_family(handle, n_max: int, horizon: int,
     j + i_N (l^{N+1}_{2j} = l^N_{j + i_N}), so each interval word is its
     parent's word plus one letter, and the extensions of the parent's
     word give both letters.  The work is linear in the number of
-    intervals below the horizon, not in the horizon."""
+    intervals below the horizon, not in the horizon.
+
+    The first row must increase strictly through integers.  Then
+    l^n_1 >= l^1_0 + 2^(n-1), with equality for the default row, so a
+    horizon within 2^(n_max-1) of l^1_0 is refused before the recursion
+    for l^n_max_1 is walked, n_max levels deep."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     lf = lf or build_level_family()
-    if horizon <= lf.l(n_max, 1):
+    span = horizon - lf.l(1, 0)
+    if (span <= 0 or (span - 1).bit_length() <= n_max - 1
+            or horizon <= lf.l(n_max, 1)):
         raise HorizonError("horizon too small for the requested levels")
     rows, letters, words = [], [], []
     count = 2

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -246,6 +247,19 @@ def test_realize_levels_beyond_the_family_are_validation_errors(capsys, argv,
     code, report = run_json(capsys, *argv)
     assert code == 1
     assert report["error"] == {"code": "validation", "message": message}
+
+
+@pytest.mark.parametrize("n_max", ["13", "40", "5000"])
+def test_realize_levels_beyond_the_horizon_are_refused_at_once(capsys, n_max):
+    # l^n_1 = 2^(n-1) on the default row, so the default horizon 4096
+    # holds 12 levels; deeper families are refused before any row is grown
+    t0 = time.monotonic()
+    code, report = run_json(capsys, "semicocycle", "realize", "--lang", "full",
+                            "--word", "ab", "--n-max", n_max)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 1
+    assert report["error"] == {"code": "semicocycle/horizon",
+                               "message": "horizon too small for the requested levels"}
 
 
 @pytest.mark.parametrize("argv", [

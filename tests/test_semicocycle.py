@@ -671,6 +671,18 @@ def oracle_build_f_family(handle, n_max, horizon, lf):
     return OracleFFamily(n_max, horizon, tables)
 
 
+def oracle_row_to(lf, n, bound, limit=None):
+    """The entries l^n_i <= bound of a strictly increasing row (or the
+    first limit entries), pointwise."""
+    entries = []
+    while len(entries) != limit and (
+            limit is not None or not entries or entries[-1] <= bound):
+        entries.append(lf.l(n, len(entries)))
+        if len(entries) > 1 and not entries[-2] < entries[-1]:
+            raise ValidationError(f"row {n} does not increase strictly")
+    return entries if limit is not None else entries[:-1]
+
+
 def outcome(f, *args):
     """The value of f(*args), or the type and message of what it raised."""
     try:
@@ -707,6 +719,20 @@ def test_level_rows_match_recursion_oracle():
             assert outcome(fresh.row, n, 40) == \
                 outcome(lambda: [oracle.l(n, i) for i in range(40)])
             assert outcome(fresh.time, n) == outcome(oracle.time, n)
+        # the bulk rows: equal entries, and a ValidationError wherever the
+        # recursion fails below the bound; the bulk growth may also fail a
+        # little past the bound, where some row the recursion rests on fails
+        for n, bound in itertools.product(range(1, 8), (0, 5, 40, 300, 5000)):
+            got = outcome(LevelFamily(first).row_to, n, bound)
+            expected = outcome(oracle_row_to, oracle, n, bound)
+            if isinstance(got, list):
+                assert got == expected
+            else:
+                assert got[0] is ValidationError
+                assert isinstance(expected, tuple) or any(
+                    isinstance(outcome(oracle_row_to, oracle, k, None,
+                                       2 * len(expected) + 2 ** n + 4), tuple)
+                    for k in range(1, n + 1))
 
 
 def test_f_family_matches_table_oracle():
@@ -837,7 +863,9 @@ def test_d_stage_checks_digit_range_once():
                            (DPoint((0,), 3), "digit 3^3 at level 2"),
                            (DPoint((0, -1), 1), "digit 3^-1 at level 2")):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            DStage(0, (DPoint((), 0), point))
+            # a longer valid point: a tail must fit its first level, not
+            # only the deepest level the stage reaches
+            DStage(0, (DPoint((0, 1, 2), 2), point))
     for i in range(0, 9):
         for p in build_d_stage(i).points:
             assert all(e <= n for n, e in enumerate(p.head_exponents))
