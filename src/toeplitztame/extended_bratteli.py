@@ -27,6 +27,7 @@ the same internal edges.  Frozensets appear only at the boundary:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import graphs
@@ -103,18 +104,6 @@ def compose(first: LevelMorphism, second: LevelMorphism) -> LevelMorphism:
                 (a, fi[sj[a]]) for a in second.upper)))
     cols.sort(key=lambda c: c.index)
     return LevelMorphism(second.upper, first.lower, tuple(cols))
-
-
-def morphism_power(m: LevelMorphism, power: int) -> LevelMorphism:
-    if m.upper != m.lower:
-        raise ValidationError("powers need a square morphism")
-    if m.length ** power > MAX_POWER_COLUMNS:
-        raise ValidationError(
-            f"power {power} would need {m.length ** power} columns")
-    out = m
-    for _ in range(power - 1):
-        out = compose(out, m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -220,15 +209,20 @@ def telescope(spec: DiagramSpec, groups) -> DiagramSpec:
     groups = list(groups)
     if not groups or any(g < 1 for g in groups):
         raise ValidationError("groups must be positive")
-    if spec.kind == "stationary":
-        if all(g == groups[0] for g in groups):
-            if groups[0] == 1:
-                return spec
-            return DiagramSpec.stationary(
-                substitution_power(spec.substitution, groups[0]))
-        base = morphism_from_substitution(spec.substitution)
-        return DiagramSpec.explicit(
-            tuple(morphism_power(base, g) for g in groups))
+    level = 1
+    for g in groups:
+        if spec.kind == "stationary":
+            width = spec.substitution.length ** g
+        else:
+            width = math.prod(spec.morphism(level + t).length for t in range(g))
+        if width > MAX_POWER_COLUMNS:
+            raise ValidationError(f"power {g} would need {width} columns")
+        level += g
+    if spec.kind == "stationary" and all(g == groups[0] for g in groups):
+        if groups[0] == 1:
+            return spec
+        return DiagramSpec.stationary(
+            substitution_power(spec.substitution, groups[0]))
     out = []
     level = 1
     for g in groups:
@@ -318,16 +312,14 @@ def _extendable_tail_sets(m: LevelMorphism) -> frozenset:
     return frozenset(_letter_set(letters, x) for x in _tail(m)[0])
 
 
-def extendable_vertices(spec: DiagramSpec, level: int, horizon: int = 1) -> frozenset:
+def extendable_vertices(spec: DiagramSpec, level: int) -> frozenset:
     """Subsets at the given level traversed by an infinite path.
 
     Upward reachability from the top vertex is automatic (every subset has
     arbitrary finite ancestries in the extended diagram); the downward
     condition is exact because every spec here is eventually stationary,
-    so the horizon argument never truncates the answer.
+    so no horizon truncates the answer.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
     if level < 1:
         raise ValidationError("levels are numbered from 1")
     tail_start = 1 if spec.kind == "stationary" else len(spec.levels)
@@ -394,35 +386,6 @@ class ParallelEdgeWitness:
         return {"power": self.power, "upper": sorted(self.upper),
                 "lower": sorted(self.lower), "labels": list(self.labels),
                 "cardinality": self.cardinality}
-
-
-def power_column_maps(m: LevelMorphism, power: int):
-    """All composed column maps of the telescoped power, as tuples of
-    images over the upper alphabet (alphabet order); index arithmetic puts
-    the deepest level in the most significant digit."""
-    if m.upper != m.lower:
-        raise ValidationError("powers need a square morphism")
-    if m.length ** power > MAX_POWER_COLUMNS:
-        raise ValidationError(
-            f"power {power} would need {m.length ** power} columns")
-    letters = list(m.upper)
-    pos = {a: t for t, a in enumerate(letters)}
-    base = [tuple(m.columns[i].as_dict()[a] for a in letters)
-            for i in range(m.length)]
-    maps = list(base)
-    width = m.length
-    for _ in range(power - 1):
-        # index c + j * width composes the existing map c after the new,
-        # deeper column j: (M^{t+1})_{c + j l^t} = (M^t)_c o M_j
-        nxt = [None] * (len(maps) * m.length)
-        for j in range(m.length):
-            f = base[j]
-            for c, g in enumerate(maps):
-                nxt[c + j * width] = tuple(
-                    g[pos[f[t]]] for t in range(len(letters)))
-        maps = nxt
-        width *= m.length
-    return letters, maps
 
 
 def find_double_path(spec: DiagramSpec, k: int, max_power: int = 6):

@@ -1,15 +1,19 @@
 """Labelled-multigraph helpers: strongly connected components, the
-two-cycles-share-a-vertex criterion, and simple-cycle enumeration.
+two-cycles-share-a-vertex criterion, and the number of simple cycles.
 
 A graph is a list of vertices (hashable, in a fixed canonical order) and a
 list of edges ``(src, dst, label)``; parallel edges with distinct labels
 are allowed and count separately.  In a strongly connected component, the
 internal edge count exceeding the vertex count is equivalent to two
-distinct simple cycles sharing a vertex; the enumeration routine is kept
-as an independent oracle for that criterion.
+distinct simple cycles sharing a vertex, so the criterion reads the
+component census, which the caller computes once per graph and passes in.
+Simple cycles are counted, not listed: a layered count over vertex sets
+with a cap, in O(2^V V^2) work on V vertices.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 
 def scc_partition(vertices, edges):
@@ -84,85 +88,56 @@ def component_census(vertices, edges):
             for ci, comp in enumerate(comps)]
 
 
-def shared_cycle_vertex(vertices, edges):
-    """A vertex lying on two distinct cycles, or None.
+def shared_cycle_vertex(vertices, edges, census):
+    """A vertex lying on two distinct cycles, or None, read from the
+    ``component_census`` of the same graph.
 
     Exists iff some SCC has more internal edges than vertices; within such
     an SCC any vertex of internal out-degree >= 2 works, and one must exist
     by pigeonhole.  Returns the canonically first such vertex.
     """
     order = {v: i for i, v in enumerate(vertices)}
-    comps = component_census(vertices, edges)
-    which = {}
-    for ci, row in enumerate(comps):
-        for v in row["vertices"]:
-            which[v] = ci
-    for ci, row in enumerate(comps):
-        if row["n_internal_edges"] <= row["n_vertices"]:
-            continue
-        outdeg = {v: 0 for v in row["vertices"]}
-        for s, d, _ in edges:
-            if which[s] == ci and which[d] == ci:
-                outdeg[s] += 1
-        cands = [v for v in row["vertices"] if outdeg[v] >= 2]
-        return min(cands, key=order.get)
+    for row in census:
+        if row["n_internal_edges"] > row["n_vertices"]:
+            members = set(row["vertices"])
+            outdeg = Counter(s for s, d, _ in edges
+                             if s in members and d in members)
+            return min((v for v in members if outdeg[v] >= 2), key=order.get)
     return None
 
 
-def simple_cycles(vertices, edges, cap=10_000):
-    """All simple cycles, each as a tuple of edges, enumerated once with
-    the canonically smallest vertex first.  Returns (cycles, truncated)."""
-    order = {v: i for i, v in enumerate(vertices)}
-    out = {v: [] for v in vertices}
-    for e in edges:
-        out[e[0]].append(e)
-    cycles = []
-    truncated = False
+def count_simple_cycles(vertices, edges, cap):
+    """Number of simple cycles, parallel edges counted separately, as
+    (min(count, cap), count >= cap).
 
-    for start in vertices:
-        if truncated:
-            break
-        path_edges = []
-        onpath = {start}
-
-        def dfs(v):
-            nonlocal truncated
-            if truncated:
-                return
-            for e in out[v]:
-                w = e[1]
-                if w == start:
-                    cycles.append(tuple(path_edges + [e]))
-                    if len(cycles) >= cap:
-                        truncated = True
-                        return
-                elif order[w] > order[start] and w not in onpath:
-                    onpath.add(w)
-                    path_edges.append(e)
-                    dfs(w)
-                    path_edges.pop()
-                    onpath.discard(w)
-
-        dfs(start)
-    return cycles, truncated
-
-
-def shared_vertex_by_enumeration(vertices, edges, cap=10_000):
-    """Oracle for shared_cycle_vertex: first vertex on two enumerated
-    cycles.  Returns (vertex_or_None, truncated)."""
-    order = {v: i for i, v in enumerate(vertices)}
-    cycles, truncated = simple_cycles(vertices, edges, cap)
-    seen = {}
-    hits = set()
-    for cyc in cycles:
-        verts = {e[0] for e in cyc}
-        for v in verts:
-            if v in seen:
-                hits.add(v)
-            seen[v] = True
-    if hits:
-        return min(hits, key=order.get), truncated
-    return None, truncated
+    Each cycle is counted once, from its canonically first vertex s: a
+    layered count over (set of later vertices used, end vertex) of the
+    paths leaving s, multiplying edge multiplicities, closed by the edges
+    back to s.  The count stops after the layer in which it reaches the
+    cap.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    mult = [{} for _ in vertices]
+    for s, d, _ in edges:
+        row = mult[index[s]]
+        row[index[d]] = row.get(index[d], 0) + 1
+    count = 0
+    for s in range(len(vertices)):
+        count += mult[s].get(s, 0)
+        layer = {(1 << w, w): k for w, k in mult[s].items() if w > s}
+        while layer and count < cap:
+            nxt = {}
+            for (used, v), paths in layer.items():
+                for w, k in mult[v].items():
+                    if w == s:
+                        count += paths * k
+                    elif w > s and not used >> w & 1:
+                        key = (used | 1 << w, w)
+                        nxt[key] = nxt.get(key, 0) + paths * k
+            layer = nxt
+        if count >= cap:
+            return cap, True
+    return count, False
 
 
 def reachable_from(vertices, edges, sources):

@@ -25,6 +25,9 @@ NON_TAME = "non-tame"
 NOT_ALMOST_AUTOMORPHIC = "not-almost-automorphic"
 INCONCLUSIVE = "inconclusive"
 
+# simple cycles are counted up to this many; the report then says truncated
+CYCLE_COUNT_CAP = 10_000
+
 
 def _vertex_key(s):
     return (len(s), tuple(sorted(s)))
@@ -39,15 +42,21 @@ class SubsetGraph:
     vertices: tuple[frozenset, ...]
     edges: tuple[tuple[frozenset, frozenset, int], ...]
 
-    def outgoing(self, v):
-        return [e for e in self.edges if e[0] == v]
+    def __post_init__(self):
+        object.__setattr__(self, "_census_memo", None)
+
+    def census(self) -> list:
+        """The SCC census of the graph, computed once and memoised on it."""
+        if self._census_memo is None:
+            object.__setattr__(self, "_census_memo",
+                               graphs.component_census(self.vertices, self.edges))
+        return self._census_memo
 
     def extendable(self) -> frozenset:
         """Vertices traversed by an infinite path, i.e. vertices that can
         reach a cycle along the edge direction."""
         on_cycle = set()
-        census = graphs.component_census(self.vertices, self.edges)
-        for row in census:
+        for row in self.census():
             if row["n_internal_edges"] >= 1:
                 on_cycle.update(row["vertices"])
         # walk the edges backwards: v is extendable iff a cycle is reachable
@@ -71,7 +80,7 @@ class SubsetGraph:
 class CycleCensus:
     components: tuple
     shared_vertex: frozenset | None
-    cycles: tuple | None
+    n_simple_cycles: int | None
     cycles_truncated: bool
 
     @property
@@ -86,7 +95,7 @@ class CycleCensus:
                  "n_internal_edges": row["n_internal_edges"]}
                 for row in self.components],
             "shared_vertex": sorted(self.shared_vertex) if self.shared_vertex else None,
-            "n_simple_cycles": None if self.cycles is None else len(self.cycles),
+            "n_simple_cycles": self.n_simple_cycles,
             "cycles_truncated": self.cycles_truncated,
         }
 
@@ -116,32 +125,29 @@ def build_gtheta(theta_prime: Substitution) -> SubsetGraph:
     return SubsetGraph(theta_prime.alphabet, ordered, tuple(edges))
 
 
-def two_cycles_share_vertex(g: SubsetGraph, enumerate_cap: int = 10_000) -> CycleCensus:
+def two_cycles_share_vertex(g: SubsetGraph) -> CycleCensus:
     """SCC decomposition plus the multigraph criterion: some component has
     more internal edges than vertices iff two distinct cycles share a
-    vertex.  Simple cycles are enumerated as a cross-check when the graph
-    is small."""
-    census = graphs.component_census(g.vertices, g.edges)
-    shared = graphs.shared_cycle_vertex(g.vertices, g.edges)
-    cycles = None
+    vertex.  Simple cycles are counted, up to CYCLE_COUNT_CAP, when the
+    graph is small."""
+    census = g.census()
+    shared = graphs.shared_cycle_vertex(g.vertices, g.edges, census)
+    n_cycles = None
     truncated = False
     if len(g.vertices) <= 12:
-        cycles, truncated = graphs.simple_cycles(g.vertices, g.edges, enumerate_cap)
-    return CycleCensus(tuple(census), shared,
-                       None if cycles is None else tuple(cycles), truncated)
+        n_cycles, truncated = graphs.count_simple_cycles(
+            g.vertices, g.edges, CYCLE_COUNT_CAP)
+    return CycleCensus(tuple(census), shared, n_cycles, truncated)
 
 
 def cycle_count_upper_bound(g: SubsetGraph) -> int:
     """Number of simple cycles when no two share a vertex; an upper bound
     for the number of singular orbits."""
-    if graphs.shared_cycle_vertex(g.vertices, g.edges) is not None:
+    census = g.census()
+    if graphs.shared_cycle_vertex(g.vertices, g.edges, census) is not None:
         raise ValidationError("cycle count is infinite: two cycles share a vertex")
-    count = 0
-    for row in graphs.component_census(g.vertices, g.edges):
-        if row["n_internal_edges"] >= 1:
-            # no shared vertex forces n_internal_edges == n_vertices: one cycle
-            count += 1
-    return count
+    # no shared vertex forces n_internal_edges == n_vertices: one cycle each
+    return sum(1 for row in census if row["n_internal_edges"] >= 1)
 
 
 # ---------------------------------------------------------------------------

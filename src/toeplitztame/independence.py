@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DepthError, PreconditionError, ValidationError
 from .extended_bratteli import (MAX_POWER_COLUMNS, _extendable_tail_sets,
-                                _vkey, morphism_from_substitution,
-                                power_column_maps)
+                                _vkey, morphism_from_substitution)
 from .gtheta import NON_TAME, tameness_verdict
 from .odometer import OdometerHead, Scale, head_index
 from .substitution import Substitution, letter_in_power, substitution_power
@@ -94,14 +93,14 @@ def synthesize_scheme(theta, max_power: int = 6):
         raise PreconditionError(
             f"independence schemes require a non-tame verdict, got {report.verdict}")
     base = report.pure_base
-    morphism = morphism_from_substitution(base)
-    extendable = _extendable_tail_sets(morphism)
+    extendable = _extendable_tail_sets(morphism_from_substitution(base))
     n_letters = len(base.alphabet)
+    pos = {a: t for t, a in enumerate(base.alphabet)}
     for m in range(1, max_power + 1):
-        if morphism.length ** m > MAX_POWER_COLUMNS:
+        if base.length ** m > MAX_POWER_COLUMNS:
             break  # exhausted the tractable powers; report inconclusive
-        letters, maps = power_column_maps(morphism, m)
-        pos = {a: t for t, a in enumerate(letters)}
+        # column c of theta^m as its images over the alphabet, in order
+        maps = list(zip(*substitution_power(base, m).words))
         L = len(maps)
         full_images = [frozenset(g) for g in maps]
         for k in range(2, n_letters + 1):

@@ -92,10 +92,6 @@ def column(theta: Substitution, i: int) -> ColumnMap:
     return ColumnMap(i, tuple((a, theta.rule(a)[i]) for a in theta.alphabet))
 
 
-def columns(theta: Substitution) -> tuple[ColumnMap, ...]:
-    return tuple(column(theta, i) for i in range(theta.length))
-
-
 def column_image(theta: Substitution, i: int, letters) -> frozenset:
     return frozenset(theta.rule(a)[i] for a in letters)
 

@@ -8,6 +8,7 @@ import pathlib
 import random
 import time
 
+from oracles import shared_vertex_by_enumeration
 from toeplitztame import graphs
 from toeplitztame.cli import main
 from toeplitztame.extended_bratteli import (DiagramSpec, essential_thickness,
@@ -264,8 +265,9 @@ def test_criterion_9_oracle_equivalence():
         verts = list(range(n))
         m = rng.randint(0, n + 6)
         edges = [(rng.randrange(n), rng.randrange(n), k) for k in range(m)]
-        fast = graphs.shared_cycle_vertex(verts, edges)
-        slow, truncated = graphs.shared_vertex_by_enumeration(verts, edges)
+        fast = graphs.shared_cycle_vertex(
+            verts, edges, graphs.component_census(verts, edges))
+        slow, truncated = shared_vertex_by_enumeration(verts, edges)
         assert not truncated
         if (fast is None) != (slow is None):
             disagreements += 1
@@ -386,3 +388,20 @@ def test_criterion_15_stage10_disjoint_runtime(capsys):
     assert report["violations"] == [] and report["stage"] == 10
     assert elapsed < 1.0
     _report(15, elapsed, "stage-10 disjointness report (1024 points) within 1 s")
+
+
+def test_criterion_16_cycle_count_runtime(capsys):
+    # |A| = 4, l = 12, q = 4: G_theta has 11 vertices and 124 edges, and
+    # more than 10^4 simple cycles, so the report reads the capped count.
+    rules = {"a": "cdcbcdabccda", "b": "abaaaacddccd",
+             "c": "dacabbdcabba", "d": "bcbcdcadbbcb"}
+    t0 = time.monotonic()
+    code = main(["analyze", json.dumps({"rules": rules})])
+    elapsed = time.monotonic() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["cycle_census"]["n_simple_cycles"] == 10_000
+    assert report["cycle_census"]["cycles_truncated"] is True
+    assert elapsed < 0.5
+    _report(16, elapsed, "analyze on an 11-vertex, 124-edge subset graph "
+                         "with over 10^4 simple cycles within 0.5 s")

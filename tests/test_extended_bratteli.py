@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import morphism_power, power_column_maps
 from toeplitztame import graphs
 from toeplitztame.errors import ValidationError
-from toeplitztame.extended_bratteli import (DiagramSpec, LevelMorphism,
-                                            compose, essential_thickness,
+from toeplitztame.extended_bratteli import (MAX_POWER_COLUMNS, DiagramSpec,
+                                            LevelMorphism, compose,
+                                            essential_thickness,
                                             extendable_vertices,
                                             extended_image, find_double_path,
                                             morphism_from_substitution,
-                                            power_column_maps,
                                             telescope, thickness_census)
 from toeplitztame.substitution import ColumnMap, substitution_power, validate
 
@@ -73,12 +74,60 @@ def test_telescope_mixed_groups(ex22):
     assert tele.tail_morphism().length == 64
 
 
+def _columns(m):
+    return [c.as_dict() for c in m.columns]
+
+
+def test_telescope_mixed_groups_match_morphism_power():
+    rng = random.Random(1075)
+    for _ in range(40):
+        spec = _random_spec(rng, stationary=True)
+        base = morphism_from_substitution(spec.substitution)
+        l = spec.substitution.length
+        groups = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        if len(set(groups)) == 1:
+            groups.append(groups[0] % 3 + 1)
+        tele = telescope(spec, groups)
+        assert tele.kind == "explicit"
+        assert len(tele.levels) == len(groups)
+        for g, level in zip(groups, tele.levels):
+            assert level.length == l ** g
+            assert _columns(level) == _columns(morphism_power(base, g))
+
+
+def test_telescope_caps_every_branch(ex22, ex23):
+    spec = DiagramSpec.stationary(ex22)
+    for groups in ([2, 9], [9], [9, 9]):
+        with pytest.raises(ValidationError,
+                           match="power 9 would need 262144 columns"):
+            telescope(spec, groups)
+    assert telescope(spec, [8]).substitution.length == MAX_POWER_COLUMNS
+    explicit = DiagramSpec.explicit([morphism_from_substitution(ex23)])
+    with pytest.raises(ValidationError,
+                       match="power 9 would need 262144 columns"):
+        telescope(explicit, [1, 9])
+
+
 def test_power_column_maps_match_substitution_power(ex22):
     base = morphism_from_substitution(ex22)
     letters, maps = power_column_maps(base, 2)
     p2 = substitution_power(ex22, 2)
     for c, g in enumerate(maps):
         assert dict(zip(letters, g)) == {a: p2.rule(a)[c] for a in letters}
+
+
+def test_power_columns_by_zip_match_power_column_maps():
+    # synthesize_scheme reads the columns of theta^m as the transpose of
+    # the image words of substitution_power
+    rng = random.Random(86)
+    for _ in range(60):
+        spec = _random_spec(rng, stationary=True)
+        theta = spec.substitution
+        power = rng.randint(1, 3)
+        letters, maps = power_column_maps(
+            morphism_from_substitution(theta), power)
+        assert letters == list(theta.alphabet)
+        assert list(zip(*substitution_power(theta, power).words)) == maps
 
 
 def test_extended_image(ex22):
@@ -190,8 +239,6 @@ def test_extendable_vertices_explicit_levels(ex22, ex23):
     for s in level1:
         assert any(extended_image(m22, i, t) == s
                    for t in tail_ext for i in range(m22.length))
-    with pytest.raises(ValidationError):
-        extendable_vertices(spec, 1, horizon=0)
 
 
 def test_telescope_beyond_explicit_prefix(ex23):
@@ -294,10 +341,15 @@ def oracle_has_any_cycle(verts, arcs):
     return any(s == d or which[s] == which[d] for s, d, _ in arcs)
 
 
+def oracle_shared_vertex(verts, arcs):
+    return graphs.shared_cycle_vertex(
+        verts, arcs, graphs.component_census(verts, arcs))
+
+
 def oracle_essential_thickness(m, ext):
     for k in range(len(m.upper), 1, -1):
         verts, arcs = oracle_stratum_graph(m, ext, k)
-        if verts and graphs.shared_cycle_vertex(verts, arcs) is not None:
+        if verts and oracle_shared_vertex(verts, arcs) is not None:
             return k
     return 1
 
@@ -308,7 +360,7 @@ def oracle_thickness_census(m, ext, depth=8):
         verts, arcs = oracle_stratum_graph(m, ext, k)
         if not verts or not oracle_has_any_cycle(verts, arcs):
             cls = "none"
-        elif graphs.shared_cycle_vertex(verts, arcs) is not None:
+        elif oracle_shared_vertex(verts, arcs) is not None:
             cls = "uncountable"
         else:
             cls = "at-most-countable"

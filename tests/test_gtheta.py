@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import shared_vertex_by_enumeration, simple_cycles
 from toeplitztame import graphs
 from toeplitztame.errors import NotPrimitive, PeriodicSubstitution, ValidationError
-from toeplitztame.gtheta import (NON_TAME, NOT_ALMOST_AUTOMORPHIC, TAME,
-                                 build_gtheta, canonical_semicocycle_eval,
+from toeplitztame.gtheta import (CYCLE_COUNT_CAP, NON_TAME,
+                                 NOT_ALMOST_AUTOMORPHIC, TAME, build_gtheta,
+                                 canonical_semicocycle_eval,
                                  cycle_count_upper_bound,
                                  discontinuity_membership, fiber_window,
                                  tameness_verdict, to_dot,
@@ -83,16 +85,25 @@ def test_closure_soundness_random(theta):
         assert column_image(theta, lab, dst) == src
 
 
+def _shared_vertex(vertices, edges):
+    return graphs.shared_cycle_vertex(
+        vertices, edges, graphs.component_census(vertices, edges))
+
+
 def test_census_examples(ex22, ex23):
-    c22 = two_cycles_share_vertex(build_gtheta(ex22))
+    g22, g23 = build_gtheta(ex22), build_gtheta(ex23)
+    c22 = two_cycles_share_vertex(g22)
     assert c22.shared_vertex == fs("ab")
-    c23 = two_cycles_share_vertex(build_gtheta(ex23))
+    c23 = two_cycles_share_vertex(g23)
     assert c23.shared_vertex is None
     assert cycle_count_upper_bound(build_gtheta(ex23)) == 2
-    # enumerated cycles agree with the SCC criterion on both examples
-    for census in (c22, c23):
+    # enumerated cycles agree with the SCC criterion and the count on both
+    for g, census in ((g22, c22), (g23, c23)):
+        cycles, truncated = simple_cycles(g.vertices, g.edges)
+        assert (census.n_simple_cycles, census.cycles_truncated) == (
+            len(cycles), truncated)
         on_cycles = {}
-        for cyc in census.cycles:
+        for cyc in cycles:
             for v in {e[0] for e in cyc}:
                 on_cycles[v] = on_cycles.get(v, 0) + 1
         shared_by_enum = {v for v, k in on_cycles.items() if k >= 2}
@@ -100,21 +111,39 @@ def test_census_examples(ex22, ex23):
             assert not shared_by_enum
         else:
             assert census.shared_vertex in shared_by_enum
-    assert len(c23.cycles) == 2
+    assert c23.n_simple_cycles == 2
+
+
+def test_census_is_computed_once(ex22, monkeypatch):
+    g = build_gtheta(ex22)
+    calls = []
+    census = graphs.component_census
+
+    def counted(vertices, edges):
+        calls.append(1)
+        return census(vertices, edges)
+
+    monkeypatch.setattr(graphs, "component_census", counted)
+    two_cycles_share_vertex(g)
+    g.extendable()
+    to_dot(g)
+    g.to_json()
+    assert len(calls) == 1
 
 
 def test_two_self_loops_share():
     verts = [fs("ab")]
     edges = [(fs("ab"), fs("ab"), 0), (fs("ab"), fs("ab"), 1)]
-    assert graphs.shared_cycle_vertex(verts, edges) == fs("ab")
+    assert _shared_vertex(verts, edges) == fs("ab")
 
 
 def test_cycle_bound_examples(ex217a):
     g = build_gtheta(ex217a)
     assert cycle_count_upper_bound(g) == 1
-    acyclic = graphs.shared_cycle_vertex(["x"], [])
+    acyclic = _shared_vertex(["x"], [])
     assert acyclic is None
-    assert graphs.simple_cycles(["x"], [])[0] == []
+    assert simple_cycles(["x"], [])[0] == []
+    assert graphs.count_simple_cycles(["x"], [], CYCLE_COUNT_CAP) == (0, False)
     from toeplitztame.gtheta import SubsetGraph
     empty = SubsetGraph(("a", "b"), (fs("ab"),), ())
     assert cycle_count_upper_bound(empty) == 0
@@ -229,10 +258,47 @@ def test_scc_criterion_equals_enumeration_random():
         verts = list(range(n))
         m = rng.randint(0, n + 5)
         edges = [(rng.randrange(n), rng.randrange(n), k) for k in range(m)]
-        fast = graphs.shared_cycle_vertex(verts, edges)
-        slow, truncated = graphs.shared_vertex_by_enumeration(verts, edges)
+        fast = _shared_vertex(verts, edges)
+        slow, truncated = shared_vertex_by_enumeration(verts, edges)
         assert not truncated
         assert (fast is None) == (slow is None)
+
+
+def _random_multigraph(rng, n, m):
+    """n vertices, m edges drawn uniformly with replacement, so self-loops
+    and parallel edges are common; labels are the edge positions."""
+    return list(range(n)), [(rng.randrange(n), rng.randrange(n), k)
+                            for k in range(m)]
+
+
+def test_cycle_count_equals_enumeration_random():
+    rng = random.Random(20261)
+    truncations = 0
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        verts, edges = _random_multigraph(rng, n, rng.randint(0, 3 * n))
+        cap = rng.choice((1, 2, 3, 5, 10, 50, 100, 1000, 10_000))
+        cycles, truncated = simple_cycles(verts, edges, cap)
+        assert graphs.count_simple_cycles(verts, edges, cap) == (
+            min(len(cycles), cap), truncated)
+        truncations += truncated
+    assert truncations >= 50
+
+
+def test_cycle_count_stops_at_the_cap():
+    # Labels 0-9 in order.  A DFS that keeps closing back-edges to the
+    # start after the cap is hit lists 4 cycles here; the count and the
+    # enumeration both stop at 3.
+    verts = [0, 1, 2]
+    pairs = [(1, 2), (1, 0), (1, 1), (0, 1), (0, 1), (2, 1), (1, 1), (0, 0),
+             (1, 0), (0, 0)]
+    edges = [(s, d, k) for k, (s, d) in enumerate(pairs)]
+    assert graphs.count_simple_cycles(verts, edges, 3) == (3, True)
+    cycles, truncated = simple_cycles(verts, edges, 3)
+    assert (len(cycles), truncated) == (3, True)
+    # uncapped: two loops at 0, two at 1, 2 x 2 two-cycles 0 <-> 1 and one
+    # two-cycle 1 <-> 2
+    assert graphs.count_simple_cycles(verts, edges, CYCLE_COUNT_CAP) == (9, False)
 
 
 def test_dot_export(ex22):
