@@ -13,20 +13,27 @@ exist (none, countably many, or uncountably many).
 
 Inside this module a subset is an int bitmask: bit t is the t-th letter of
 the sorted alphabet, so ordering masks by (popcount, ascending bits) is
-the frozenset order ``_vkey``.  A column's image of every mask comes from
-img[x] = img[x & (x - 1)] | mask of the lowest letter of x, so the whole
-subset graph costs O(2^|A| l) integer operations.  It is built once per
-morphism, with one SCC census, and memoised on the morphism.  That census
-classifies every stratum: a cycle keeps its cardinality and its vertices
-are extendable, so the SCCs of the stratum of extendable k-sets that carry
-a cycle are exactly the full graph's cyclic SCCs of cardinality k, with
-the same internal edges.  Frozensets appear only at the boundary:
-``_extendable_tail_sets``, ``extendable_vertices`` and the witnesses.
+the frozenset order ``_vkey``.  A column's image of a mask is read from
+two 256-entry tables, one per byte of the mask, in at most 512 l steps per
+morphism.  The subset graph is never built over all 2^|A| subsets.  A
+vertex on a cycle is the image of its predecessor, so only nonempty
+submasks of the column ranges are candidates, and only arcs that keep the
+cardinality are kept; the candidates are trimmed to those reached from a
+cycle, and that graph gets one SCC census, memoised on the morphism.  The
+census classifies every stratum: a cycle keeps its cardinality and its
+vertices are extendable, so the SCCs of the stratum of extendable k-sets
+that carry a cycle are exactly the trimmed graph's cyclic SCCs of
+cardinality k, with the same internal edges.  The trimmed graph's vertices
+are also exactly the extendable sets: a set Y reached from a cyclic set C
+along any columns is the image of a transversal S of C (one preimage in C
+per letter of Y); a power of the cycle's word fixes C pointwise, so S lies
+on a cycle, and the path from S to Y keeps the cardinality.  Frozensets appear
+only at the boundary: ``_extendable_tail_sets``, ``extendable_vertices``
+and the witnesses.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -247,56 +254,92 @@ def extended_image(m: LevelMorphism, i: int, letters) -> frozenset:
 # subset arcs and extendability
 
 
-def subset_arcs(m: LevelMorphism):
-    """Arcs (T, image, label) for every nonempty upper subset T; an arc
-    runs from the upper subset down to its image.  Subsets are bitmasks:
-    bit t of T is the t-th letter of sorted(m.upper), bit t of an image the
-    t-th letter of sorted(m.lower).  Vertices come in (popcount, ascending
-    bits) order."""
+_REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mask_key(x: int):
+    """(popcount, ascending bits) order: among masks of one popcount, the
+    one holding the lowest differing bit comes first, so its 16-bit
+    reversal is larger."""
+    return x.bit_count(), -(_REV8[x & 255] << 8 | _REV8[x >> 8])
+
+
+def _image_tables(m: LevelMorphism):
+    """Per column, the pair (lo, hi) with image(x) = lo[x & 255] | hi[x >> 8]:
+    lo covers the first eight letters and hi the rest (MAX_ALPHABET is 16),
+    each built by doubling, so a column costs at most 512 steps."""
     letters = sorted(m.upper)
-    n = len(letters)
     pos = {a: t for t, a in enumerate(sorted(m.lower))}
-    verts = [sum(1 << t for t in c) for r in range(1, n + 1)
-             for c in itertools.combinations(range(n), r)]
-    images = []
+    tables = []
     for col in m.columns:
-        masks = [1 << pos[col(a)] for a in letters]
-        img = [0] * (1 << n)
-        for x in range(1, 1 << n):
-            img[x] = img[x & (x - 1)] | masks[(x & -x).bit_length() - 1]
-        images.append(img)
-    arcs = [(t, img[t], i) for t in verts for i, img in enumerate(images)]
-    return verts, arcs
+        halves = []
+        for part in (letters[:8], letters[8:]):
+            img = [0]
+            for a in part:
+                bit = 1 << pos[col(a)]
+                img += [y | bit for y in img]
+            halves.append(img)
+        tables.append(tuple(halves))
+    return tables
+
+
+def subset_arcs(m: LevelMorphism):
+    """The trimmed subset graph of a square morphism: the subsets lying on
+    a cycle or reached from one along cardinality-preserving arcs, in
+    (popcount, ascending bits) order, and those arcs (T, image, label),
+    column by column.
+
+    A vertex on a cycle is the image of its predecessor, so the candidates
+    are the nonempty submasks of the column ranges.  Images of candidates
+    stay candidates, so replacing the vertex set by its preserving images
+    shrinks it until only vertices with arbitrarily long preserving
+    ancestries remain: exactly those reached from a cycle."""
+    tables = _image_tables(m)
+    full = (1 << len(m.upper)) - 1
+    cand = set()
+    for r in {lo[full & 255] | hi[full >> 8] for lo, hi in tables}:
+        sub = r
+        while sub:
+            cand.add(sub)
+            sub = (sub - 1) & r
+    arcs = []
+    for i, (lo, hi) in enumerate(tables):
+        arcs += [(x, y, i) for x in cand
+                 if (y := lo[x & 255] | hi[x >> 8]).bit_count() == x.bit_count()]
+    verts = cand
+    while True:
+        kept = {y for _, y, _ in arcs}
+        if len(kept) == len(verts):
+            return sorted(verts, key=_mask_key), arcs
+        verts = kept
+        arcs = [a for a in arcs if a[0] in verts]
 
 
 def _tail(m: LevelMorphism):
-    """The subset graph of a square morphism, built and censused once and
-    memoised on it: (extendable masks, {k: (extendable k-sets in vertex
-    order, their cardinality-preserving arcs, classification)})."""
+    """The subset graph of a square morphism, censused once and memoised
+    on it: (extendable masks, {k: (extendable k-sets in vertex order,
+    their cardinality-preserving arcs in column order, classification)}).
+    The extendable masks are the trimmed graph's vertices."""
     if m._tail_memo is None:
         verts, arcs = subset_arcs(m)
-        census = graphs.component_census(verts, arcs)
         cls = {}
-        on_cycle = []
-        for row in census:
+        for row in graphs.component_census(verts, arcs):
             if row["n_internal_edges"]:
-                on_cycle.extend(row["vertices"])
                 k = row["vertices"][0].bit_count()
                 if row["n_internal_edges"] > row["n_vertices"]:
                     cls[k] = "uncountable"
                 else:
                     cls.setdefault(k, "at-most-countable")
-        ext = graphs.reachable_from(verts, arcs, on_cycle)
+        out = {x: [] for x in verts}
+        for arc in arcs:
+            out[arc[0]].append(arc)
         strata = {k: ([], [], cls.get(k, "none"))
                   for k in range(1, len(m.upper) + 1)}
-        for v in verts:
-            if v in ext:
-                strata[v.bit_count()][0].append(v)
-        for t, s, i in arcs:
-            k = t.bit_count()
-            if s.bit_count() == k and t in ext:
-                strata[k][1].append((t, s, i))
-        object.__setattr__(m, "_tail_memo", (ext, strata))
+        for x in verts:
+            kverts, karcs, _cls = strata[x.bit_count()]
+            kverts.append(x)
+            karcs += out[x]
+        object.__setattr__(m, "_tail_memo", (set(verts), strata))
     return m._tail_memo
 
 

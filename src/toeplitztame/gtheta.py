@@ -83,10 +83,6 @@ class CycleCensus:
     n_simple_cycles: int | None
     cycles_truncated: bool
 
-    @property
-    def uncountable(self) -> bool:
-        return self.shared_vertex is not None
-
     def to_json(self):
         return {
             "components": [

@@ -41,11 +41,15 @@ from itertools import (accumulate, chain, combinations, count, islice,
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
-from .odometer import (OdometerHead, OdometerPoint, Scale, add_integer,
-                       head_index, integer_head, level_product)
+from .odometer import (OdometerHead, Scale, add_integer, head_index,
+                       integer_head, level_product)
 
 SCALE5 = Scale.powers(4)
 SCALE6 = Scale.constant(2)
+# level entries an f-family may hold in all its rows together; the rows
+# below a horizon H roughly double with each level until 2^(n-1) nears
+# log2 H, so a large horizon and n_max can ask for 2^n_max entries
+MAX_FAMILY_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +81,6 @@ class DPoint:
         head = tuple(3 ** e for e in self.head_exponents[:depth])
         tail = (3 ** self.tail_exponent,) * (depth - len(head))
         return OdometerHead(SCALE5, head + tail)
-
-    def as_point(self) -> OdometerPoint:
-        return OdometerPoint(self.head_at(len(self.head_exponents)),
-                             3 ** self.tail_exponent)
 
     def to_json(self):
         return {"head_exponents": list(self.head_exponents),
@@ -414,26 +414,38 @@ class LevelFamily:
         return 2 ** (n - 1)
 
     def l(self, n: int, i: int) -> int:
+        """l^n_i by a depth-first descent on an explicit stack, so that n
+        is not bounded by the recursion limit.  Each level needs at most
+        two adjacent entries of the level below; they are visited, and
+        memoised, in the order of the recursion (l^{n-1}_{j + i_{n-1}}
+        first), so a non-integral midpoint fails at the same entry."""
         if n < 1 or i < 0:
             raise ValidationError("need n >= 1 and i >= 0")
-        key = (n, i)
-        if key in self._memo:
-            return self._memo[key]
-        if n == 1:
-            val = self._first(i)
-        else:
-            j, odd = divmod(i, 2)
-            lo = self.l(n - 1, j + self.offset(n - 1))
-            if odd:
-                hi = self.l(n - 1, j + 1 + self.offset(n - 1))
-                if (lo + hi) % 2:
-                    raise ValidationError(
-                        f"midpoint rule not integral at l^{n}_{i}")
-                val = (lo + hi) // 2
+        memo = self._memo
+        stack = [(n, i)]
+        while stack:
+            m, x = top = stack[-1]
+            if top in memo:
+                stack.pop()
+            elif m == 1:
+                memo[top] = self._first(x)
             else:
-                val = lo
-        self._memo[key] = val
-        return val
+                j, odd = divmod(x, 2)
+                lo_key = (m - 1, j + self.offset(m - 1))
+                hi_key = (m - 1, lo_key[1] + 1)
+                if lo_key not in memo:
+                    stack.append(lo_key)
+                elif not odd:
+                    memo[top] = memo[lo_key]
+                elif hi_key not in memo:
+                    stack.append(hi_key)
+                else:
+                    lo, hi = memo[lo_key], memo[hi_key]
+                    if (lo + hi) % 2:
+                        raise ValidationError(
+                            f"midpoint rule not integral at l^{m}_{x}")
+                    memo[top] = (lo + hi) // 2
+        return memo[n, i]
 
     def time(self, n: int) -> int:
         return 2 ** self.l(n, 0)
@@ -642,7 +654,9 @@ def build_f_family(handle, n_max: int, horizon: int,
     The first row must increase strictly through integers.  Then
     l^n_1 >= l^1_0 + 2^(n-1), with equality for the default row, so a
     horizon within 2^(n_max-1) of l^1_0 is refused before the recursion
-    for l^n_max_1 is walked, n_max levels deep."""
+    for l^n_max_1 is walked, n_max levels deep.  A family whose rows
+    would hold more than MAX_FAMILY_ENTRIES entries in all is refused
+    before the row that would pass it is grown."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     lf = lf or build_level_family()
@@ -651,9 +665,15 @@ def build_f_family(handle, n_max: int, horizon: int,
             or horizon <= lf.l(n_max, 1)):
         raise HorizonError("horizon too small for the requested levels")
     rows, letters, words = [], [], []
-    count = 2
+    count = total = 2
     for n in range(1, n_max + 1):
+        if total + count > MAX_FAMILY_ENTRIES:
+            raise HorizonError(
+                f"levels 1..{n} below the horizon need more than "
+                f"{MAX_FAMILY_ENTRIES} level entries; lower the horizon "
+                f"or n_max")
         row = lf.row_to(n, horizon, count)
+        total += len(row)
         # l^{n+1}_{2m} = l^n_{m + i_n} is the first entry past the horizon
         # for m = len(row) - i_n, so 2m + 1 entries of row n + 1 suffice
         count = 2 * (len(row) - lf.offset(n)) + 1

@@ -1,11 +1,16 @@
 """Routines the library replaced, kept as independent oracles for seeded
 cross-checks: simple-cycle enumeration (in place of the cycle count), the
 shared vertex read off the enumerated cycles (in place of the SCC
-criterion), and the column maps and morphisms of a power built by
-composing columns one level at a time (in place of ``substitution_power``
-and the ``compose`` loop of ``telescope``).
+criterion), the column maps and morphisms of a power built by composing
+columns one level at a time (in place of ``substitution_power`` and the
+``compose`` loop of ``telescope``), and the subset graph over all 2^|A|
+subsets with one census and one reachability pass (in place of the
+trimmed graph of ``extended_bratteli.subset_arcs``).
 """
 
+import itertools
+
+from toeplitztame import graphs
 from toeplitztame.errors import ValidationError
 from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, compose
 
@@ -108,3 +113,57 @@ def morphism_power(m, power):
     for _ in range(power - 1):
         out = compose(out, m)
     return out
+
+
+def full_subset_arcs(m):
+    """Arcs (T, image, label) for every nonempty upper subset T; an arc
+    runs from the upper subset down to its image.  Subsets are bitmasks:
+    bit t of T is the t-th letter of sorted(m.upper), bit t of an image the
+    t-th letter of sorted(m.lower).  Vertices come in (popcount, ascending
+    bits) order."""
+    letters = sorted(m.upper)
+    n = len(letters)
+    pos = {a: t for t, a in enumerate(sorted(m.lower))}
+    verts = [sum(1 << t for t in c) for r in range(1, n + 1)
+             for c in itertools.combinations(range(n), r)]
+    images = []
+    for col in m.columns:
+        masks = [1 << pos[col(a)] for a in letters]
+        img = [0] * (1 << n)
+        for x in range(1, 1 << n):
+            img[x] = img[x & (x - 1)] | masks[(x & -x).bit_length() - 1]
+        images.append(img)
+    arcs = [(t, img[t], i) for t in verts for i, img in enumerate(images)]
+    return verts, arcs
+
+
+def full_tail(m):
+    """The subset graph of a square morphism, built over all 2^|A| subsets
+    and censused once, memoised on the morphism like the library's
+    ``_tail``: (extendable masks, {k: (extendable k-sets in vertex order,
+    their cardinality-preserving arcs, classification)})."""
+    if m._tail_memo is None:
+        verts, arcs = full_subset_arcs(m)
+        census = graphs.component_census(verts, arcs)
+        cls = {}
+        on_cycle = []
+        for row in census:
+            if row["n_internal_edges"]:
+                on_cycle.extend(row["vertices"])
+                k = row["vertices"][0].bit_count()
+                if row["n_internal_edges"] > row["n_vertices"]:
+                    cls[k] = "uncountable"
+                else:
+                    cls.setdefault(k, "at-most-countable")
+        ext = graphs.reachable_from(verts, arcs, on_cycle)
+        strata = {k: ([], [], cls.get(k, "none"))
+                  for k in range(1, len(m.upper) + 1)}
+        for v in verts:
+            if v in ext:
+                strata[v.bit_count()][0].append(v)
+        for t, s, i in arcs:
+            k = t.bit_count()
+            if s.bit_count() == k and t in ext:
+                strata[k][1].append((t, s, i))
+        object.__setattr__(m, "_tail_memo", (ext, strata))
+    return m._tail_memo

@@ -405,3 +405,30 @@ def test_criterion_16_cycle_count_runtime(capsys):
     assert elapsed < 0.5
     _report(16, elapsed, "analyze on an 11-vertex, 124-edge subset graph "
                          "with over 10^4 simple cycles within 0.5 s")
+
+
+def test_criterion_17_thickness_frontier(capsys):
+    # Three 16-letter, length-4 naive-order primitive inputs: the strata
+    # come from the subsets of the column ranges, trimmed to those on or
+    # below a cycle, not from all 2^16 subsets.
+    from toeplitztame.substitution import is_primitive
+
+    rng = random.Random(17)
+    alphabet = "abcdefghijklmnop"
+    times = []
+    while len(times) < 3:
+        f, g = rng.choice(alphabet), rng.choice(alphabet)
+        rules = {a: f + rng.choice(alphabet) + rng.choice(alphabet) + g
+                 for a in alphabet}
+        if not is_primitive(validate({"rules": rules})):
+            continue
+        t0 = time.monotonic()
+        code = main(["thickness", json.dumps({"rules": rules})])
+        times.append(time.monotonic() - t0)
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 2)  # 2: no double path within the max power
+        assert sorted(report["census"], key=int) == [str(k) for k in range(1, 17)]
+        assert report["essential_thickness"] >= 1
+        assert times[-1] < 0.25
+    _report(17, sum(times), "thickness of three 16-letter, length-4 naive-order "
+                            "inputs within 0.25 s each")

@@ -13,6 +13,7 @@ import pytest
 from toeplitztame import __version__, cli
 from toeplitztame.cli import main
 from toeplitztame.errors import ParseError, ToeplitzError
+from toeplitztame.semicocycle import MAX_FAMILY_ENTRIES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -260,6 +261,21 @@ def test_realize_levels_beyond_the_horizon_are_refused_at_once(capsys, n_max):
     assert code == 1
     assert report["error"] == {"code": "semicocycle/horizon",
                                "message": "horizon too small for the requested levels"}
+
+
+def test_realize_past_the_family_budget_is_a_structured_error(capsys):
+    # l^1200_1 = 2^1199 lies below the horizon 2^1300, so the family is not
+    # refused at once; its rows below the horizon double with each level,
+    # and it is refused before they pass MAX_FAMILY_ENTRIES
+    t0 = time.monotonic()
+    code, report = run_json(capsys, "semicocycle", "realize", "--lang", "full",
+                            "--word", "ab", "--n-max", "1200",
+                            "--horizon", str(2 ** 1300))
+    assert time.monotonic() - t0 < 2.0
+    assert code == 1
+    assert report["error"]["code"] == "semicocycle/horizon"
+    assert f"more than {MAX_FAMILY_ENTRIES} level entries" in \
+        report["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import morphism_power, power_column_maps
+from oracles import full_tail, morphism_power, power_column_maps
 from toeplitztame import graphs
 from toeplitztame.errors import ValidationError
 from toeplitztame.extended_bratteli import (MAX_POWER_COLUMNS, DiagramSpec,
@@ -14,6 +14,7 @@ from toeplitztame.extended_bratteli import (MAX_POWER_COLUMNS, DiagramSpec,
                                             extended_image, find_double_path,
                                             morphism_from_substitution,
                                             telescope, thickness_census)
+from toeplitztame.extended_bratteli import _tail
 from toeplitztame.substitution import ColumnMap, substitution_power, validate
 
 
@@ -468,3 +469,133 @@ def test_bitmask_kernel_matches_frozenset_oracles():
         assert extendable_vertices(spec, 1) == want_level1
         assert extendable_vertices(spec, 2) == ext
     assert witnesses >= 100
+
+
+# ---------------------------------------------------------------------------
+# The trimmed subset graph against the full 2^|A| builder.
+
+KINDS = ("uniform", "naive", "permutation", "blocks")
+
+
+def _square_morphism(rng, n, l, kind):
+    """A square morphism on n shuffled letters with l columns, of one kind:
+    uniform columns; naive (constant first and last columns, when l >= 3);
+    one permutation column among uniform ones; or block-diagonal over two
+    blocks, so not primitive.  Then, in each block, one free slot per
+    letter is overwritten so that every letter is some column's image."""
+    letters = rng.sample("abcdefghijklmn", n)
+    blocks = [letters]
+    if kind == "blocks" and n >= 2:
+        cut = rng.randint(1, n - 1)
+        blocks = [letters[:cut], letters[cut:]]
+    cols = [{a: rng.choice(b) for b in blocks for a in b} for _ in range(l)]
+    free = range(l)
+    if kind == "naive" and l >= 3:
+        for i in (0, l - 1):
+            cols[i] = dict.fromkeys(letters, rng.choice(letters))
+        free = range(1, l - 1)
+    elif kind == "permutation":
+        cols[rng.randrange(l)] = dict(zip(letters, rng.sample(letters, n)))
+        free = range(0)
+    for b in blocks:
+        slots = [(i, a) for i in free for a in b]
+        for (i, a), c in zip(rng.sample(slots, len(b)) if slots else (), b):
+            cols[i][a] = c
+    return LevelMorphism(tuple(letters), tuple(letters), tuple(
+        ColumnMap(i, tuple((a, col[a]) for a in letters))
+        for i, col in enumerate(cols)))
+
+
+def _assert_trim_matches_full(m, double_paths):
+    """The full builder primes the memo of one copy of m, so the readers
+    of ``full`` see its strata and those of ``trimmed`` see the library's.
+    Returns the number of double-path witnesses found."""
+    full = DiagramSpec.explicit([m])
+    trimmed = DiagramSpec.explicit([LevelMorphism(m.upper, m.lower, m.columns)])
+    want = full_tail(full.tail_morphism())
+    got = _tail(trimmed.tail_morphism())
+    assert got[0] == want[0]
+    for k, (verts, arcs, cls) in want[1].items():
+        assert got[1][k] == (verts, arcs, cls), (m.to_json(), k)
+    assert got[1].keys() == want[1].keys()
+    assert essential_thickness(trimmed) == essential_thickness(full)
+    assert thickness_census(trimmed) == thickness_census(full)
+    witnesses = 0
+    for k in range(2, len(m.upper) + 1) if double_paths else ():
+        deepest = find_double_path(full, k, max_power=4)
+        witnesses += deepest is not None
+        for max_power in range(1, 5):
+            reach = deepest is not None and deepest.power <= max_power
+            assert find_double_path(trimmed, k, max_power=max_power) == (
+                deepest if reach else None)
+    return witnesses
+
+
+# inputs per alphabet size: 3,000 in all, thinning out where the full
+# builder's 2^|A| l arcs make each comparison slow
+SIZES = {1: 40, 2: 160, 3: 380, 4: 380, 5: 380, 6: 380, 7: 380, 8: 380,
+         9: 220, 10: 140, 11: 80, 12: 80}
+
+
+def test_trimmed_subset_graph_matches_full_builder():
+    rng = random.Random(11)
+    seen = {kind: 0 for kind in KINDS}
+    witnesses = 0
+    for n, count in SIZES.items():
+        for j in range(count):
+            kind = KINDS[j % 4]
+            m = _square_morphism(rng, n, rng.randint(1, 5), kind)
+            witnesses += _assert_trim_matches_full(m, double_paths=True)
+            seen[kind] += 1
+    assert sum(seen.values()) >= 3000 and min(seen.values()) >= 700
+    assert witnesses >= 4000
+
+
+def test_trimmed_subset_graph_matches_full_builder_13_14_letters():
+    # up to 3 columns and no double-path search: the full builder alone
+    # makes 2^14 l arcs here, and a permutation column makes every subset
+    # extendable
+    rng = random.Random(13)
+    for j in range(100):
+        m = _square_morphism(rng, 13 + j % 2, rng.randint(1, 3), KINDS[j // 2 % 4])
+        _assert_trim_matches_full(m, double_paths=False)
+
+
+def test_paper_theorem_tameness_matches_thickness_strata():
+    # A finite-rank Toeplitz shift is non-tame iff its extended diagram has
+    # uncountably many singular fibres: some stratum k >= 2 (stratum 1 is
+    # the regular fibres) is uncountable.  ``analyze`` reads the verdict
+    # from the two-cycles criterion on G_theta, ``thickness`` from the
+    # strata; inputs that analyze does not decide are skipped.
+    from toeplitztame.errors import ToeplitzError
+    from toeplitztame.gtheta import NON_TAME, TAME, tameness_verdict
+    from toeplitztame.substitution import is_primitive
+
+    rng = random.Random(4)
+    decided = {TAME: 0, NON_TAME: 0}
+    for _ in range(300):
+        n, l = rng.randint(3, 7), rng.randint(3, 5)
+        alphabet = "abcdefg"[:n]
+        rules = None
+        while rules is None or not is_primitive(validate({"rules": rules})):
+            f, g = rng.choice(alphabet), rng.choice(alphabet)
+            rules = {a: f + "".join(rng.choice(alphabet) for _ in range(l - 2))
+                     + g for a in alphabet}
+        try:
+            verdict = tameness_verdict({"rules": rules}).verdict
+            spec = DiagramSpec.stationary(validate({"rules": rules}))
+            census = thickness_census(spec)
+        except ToeplitzError:
+            continue
+        if verdict not in decided:
+            continue
+        decided[verdict] += 1
+        non_tame = verdict == NON_TAME
+        thick = any(row["classification"] == "uncountable"
+                    for k, row in census.items() if k >= 2)
+        k = essential_thickness(spec)
+        assert thick == non_tame == (k >= 2), rules
+        if any(find_double_path(spec, kk, max_power=3) is not None
+               for kk in range(2, n + 1)):
+            assert non_tame, rules
+    assert decided[TAME] >= 50 and decided[NON_TAME] >= 100

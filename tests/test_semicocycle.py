@@ -714,6 +714,8 @@ def test_level_rows_match_recursion_oracle():
         rng.shuffle(queries)
         for n, i in queries:
             assert outcome(lf.l, n, i) == outcome(oracle.l, n, i), (n, i)
+        # the same entries memoised, up to the same failing midpoints
+        assert lf._memo == oracle._memo
         fresh = LevelFamily(first)
         for n in range(1, 8):
             assert outcome(fresh.row, n, 40) == \
@@ -733,6 +735,14 @@ def test_level_rows_match_recursion_oracle():
                     isinstance(outcome(oracle_row_to, oracle, k, None,
                                        2 * len(expected) + 2 ** n + 4), tuple)
                     for k in range(1, n + 1))
+
+
+def test_level_entries_deeper_than_the_recursion_limit():
+    # the default row gives l^n_0 = 2^(n-1) - 1 and l^n_1 = 2^(n-1); the
+    # descent walks 3000 levels without recursing
+    lf = build_level_family()
+    assert lf.l(3000, 1) == 2 ** 2999
+    assert lf.l(3000, 0) == 2 ** 2999 - 1
 
 
 def test_f_family_matches_table_oracle():
