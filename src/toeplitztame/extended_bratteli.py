@@ -11,25 +11,26 @@ cardinality; analysing each cardinality stratum separately is therefore
 sound, and cycles in a stratum decide how many paths of that thickness
 exist (none, countably many, or uncountably many).
 
-Inside this module a subset is an int bitmask: bit t is the t-th letter of
-the sorted alphabet, so ordering masks by (popcount, ascending bits) is
-the frozenset order ``_vkey``.  A column's image of a mask is read from
-two 256-entry tables, one per byte of the mask, in at most 512 l steps per
-morphism.  The subset graph is never built over all 2^|A| subsets.  A
-vertex on a cycle is the image of its predecessor, so only nonempty
-submasks of the column ranges are candidates, and only arcs that keep the
-cardinality are kept; the candidates are trimmed to those reached from a
-cycle, and that graph gets one SCC census, memoised on the morphism.  The
-census classifies every stratum: a cycle keeps its cardinality and its
-vertices are extendable, so the SCCs of the stratum of extendable k-sets
-that carry a cycle are exactly the trimmed graph's cyclic SCCs of
-cardinality k, with the same internal edges.  The trimmed graph's vertices
-are also exactly the extendable sets: a set Y reached from a cyclic set C
-along any columns is the image of a transversal S of C (one preimage in C
-per letter of Y); a power of the cycle's word fixes C pointwise, so S lies
-on a cycle, and the path from S to Y keeps the cardinality.  Frozensets appear
-only at the boundary: ``_extendable_tail_sets``, ``extendable_vertices``
-and the witnesses.
+Inside this module a subset is an int bitmask in the one encoding of
+``substitution``: bit t is the t-th letter of the sorted alphabet, and
+``_mask_key`` orders masks as frozensets are ordered (size, then sorted
+letters).  A column's image of a mask is read from ``_image_tables``, one
+table per byte of the mask; the alphabet here has at most MAX_ALPHABET = 16
+letters, so that is two reads.  The subset graph is never built over all
+2^|A| subsets.  A vertex on a cycle is the image of its predecessor, so
+only nonempty submasks of the column ranges are candidates, and only arcs
+that keep the cardinality are kept; ``graphs.reached_from_cycle`` trims the
+candidates to those reached from a cycle, and that graph gets one SCC
+census, memoised on the morphism.  The census classifies every stratum: a
+cycle keeps its cardinality and its vertices are extendable, so the SCCs
+of the stratum of extendable k-sets that carry a cycle are exactly the
+trimmed graph's cyclic SCCs of cardinality k, with the same internal
+edges.  The trimmed graph's vertices are also exactly the extendable sets:
+a set Y reached from a cyclic set C along any columns is the image of a
+transversal S of C (one preimage in C per letter of Y); a power of the
+cycle's word fixes C pointwise, so S lies on a cycle, and the path from S
+to Y keeps the cardinality.  Frozensets appear only at the boundary:
+``_extendable_tail_sets``, ``extendable_vertices`` and the witnesses.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ from dataclasses import dataclass
 
 from . import graphs
 from .errors import ValidationError
-from .substitution import ColumnMap, Substitution, substitution_power, validate
+from .substitution import (ColumnMap, Substitution, _image_tables,
+                           _letter_set, _mask_key, column, substitution_power,
+                           validate)
 
 MAX_ALPHABET = 16
 MAX_POWER_COLUMNS = 65536
-
-
-def _vkey(s):
-    return (len(s), tuple(sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,7 @@ class LevelMorphism:
 
 
 def morphism_from_substitution(theta: Substitution) -> LevelMorphism:
-    cols = tuple(
-        ColumnMap(i, tuple((a, theta.rule(a)[i]) for a in theta.alphabet))
-        for i in range(theta.length))
+    cols = tuple(column(theta, i) for i in range(theta.length))
     return LevelMorphism(theta.alphabet, theta.alphabet, cols)
 
 
@@ -137,8 +134,6 @@ class DiagramSpec:
                 "naive stationary order is only proper when all rule words "
                 "share their first letter and share their last letter; "
                 "supply an explicit morphism sequence instead")
-        if len(theta.alphabet) > MAX_ALPHABET:
-            raise ValidationError("alphabet too large for subset analysis")
         return DiagramSpec("stationary", substitution=theta)
 
     @staticmethod
@@ -153,8 +148,6 @@ class DiagramSpec:
         if tail.upper != tail.lower:
             raise ValidationError(
                 "the repeated last morphism must be square (finite rank)")
-        if any(len(m.upper) > MAX_ALPHABET for m in levels):
-            raise ValidationError("alphabet too large for subset analysis")
         return DiagramSpec("explicit", levels=levels)
 
     def morphism(self, n: int) -> LevelMorphism:
@@ -254,47 +247,18 @@ def extended_image(m: LevelMorphism, i: int, letters) -> frozenset:
 # subset arcs and extendability
 
 
-_REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _mask_key(x: int):
-    """(popcount, ascending bits) order: among masks of one popcount, the
-    one holding the lowest differing bit comes first, so its 16-bit
-    reversal is larger."""
-    return x.bit_count(), -(_REV8[x & 255] << 8 | _REV8[x >> 8])
-
-
-def _image_tables(m: LevelMorphism):
-    """Per column, the pair (lo, hi) with image(x) = lo[x & 255] | hi[x >> 8]:
-    lo covers the first eight letters and hi the rest (MAX_ALPHABET is 16),
-    each built by doubling, so a column costs at most 512 steps."""
-    letters = sorted(m.upper)
-    pos = {a: t for t, a in enumerate(sorted(m.lower))}
-    tables = []
-    for col in m.columns:
-        halves = []
-        for part in (letters[:8], letters[8:]):
-            img = [0]
-            for a in part:
-                bit = 1 << pos[col(a)]
-                img += [y | bit for y in img]
-            halves.append(img)
-        tables.append(tuple(halves))
-    return tables
-
-
 def subset_arcs(m: LevelMorphism):
     """The trimmed subset graph of a square morphism: the subsets lying on
     a cycle or reached from one along cardinality-preserving arcs, in
     (popcount, ascending bits) order, and those arcs (T, image, label),
-    column by column.
+    column by column.  Needs |A| <= MAX_ALPHABET, which ``_tail`` checks,
+    so a column's image is two byte-table reads.
 
     A vertex on a cycle is the image of its predecessor, so the candidates
     are the nonempty submasks of the column ranges.  Images of candidates
-    stay candidates, so replacing the vertex set by its preserving images
-    shrinks it until only vertices with arbitrarily long preserving
-    ancestries remain: exactly those reached from a cycle."""
-    tables = _image_tables(m)
+    stay candidates, so the candidates can be trimmed to those reached
+    from a cycle."""
+    tables = _image_tables(m.columns, m.upper, m.lower)
     full = (1 << len(m.upper)) - 1
     cand = set()
     for r in {lo[full & 255] | hi[full >> 8] for lo, hi in tables}:
@@ -306,21 +270,19 @@ def subset_arcs(m: LevelMorphism):
     for i, (lo, hi) in enumerate(tables):
         arcs += [(x, y, i) for x in cand
                  if (y := lo[x & 255] | hi[x >> 8]).bit_count() == x.bit_count()]
-    verts = cand
-    while True:
-        kept = {y for _, y, _ in arcs}
-        if len(kept) == len(verts):
-            return sorted(verts, key=_mask_key), arcs
-        verts = kept
-        arcs = [a for a in arcs if a[0] in verts]
+    verts, arcs = graphs.reached_from_cycle(cand, arcs)
+    return sorted(verts, key=_mask_key), arcs
 
 
 def _tail(m: LevelMorphism):
     """The subset graph of a square morphism, censused once and memoised
     on it: (extendable masks, {k: (extendable k-sets in vertex order,
     their cardinality-preserving arcs in column order, classification)}).
-    The extendable masks are the trimmed graph's vertices."""
+    The extendable masks are the trimmed graph's vertices.  Every subset
+    graph is built here, so this is where MAX_ALPHABET is enforced."""
     if m._tail_memo is None:
+        if len(m.upper) > MAX_ALPHABET:
+            raise ValidationError("alphabet too large for subset analysis")
         verts, arcs = subset_arcs(m)
         cls = {}
         for row in graphs.component_census(verts, arcs):
@@ -341,10 +303,6 @@ def _tail(m: LevelMorphism):
             karcs += out[x]
         object.__setattr__(m, "_tail_memo", (set(verts), strata))
     return m._tail_memo
-
-
-def _letter_set(letters, x: int) -> frozenset:
-    return frozenset(a for t, a in enumerate(letters) if x >> t & 1)
 
 
 def _extendable_tail_sets(m: LevelMorphism) -> frozenset:

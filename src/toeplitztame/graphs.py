@@ -1,5 +1,6 @@
 """Labelled-multigraph helpers: strongly connected components, the
-two-cycles-share-a-vertex criterion, and the number of simple cycles.
+two-cycles-share-a-vertex criterion, the number of simple cycles, and the
+vertices reached from a cycle.
 
 A graph is a list of vertices (hashable, in a fixed canonical order) and a
 list of edges ``(src, dst, label)``; parallel edges with distinct labels
@@ -140,16 +141,16 @@ def count_simple_cycles(vertices, edges, cap):
     return count, False
 
 
-def reachable_from(vertices, edges, sources):
-    out = {v: [] for v in vertices}
-    for s, d, _ in edges:
-        out[s].append(d)
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        v = stack.pop()
-        for w in out[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def reached_from_cycle(vertices, edges):
+    """The set of vertices reached from a cycle, and the edges leaving
+    them, for edges that join members of ``vertices``: the vertex set is
+    replaced by the targets of its edges until its size stops changing.
+    Each round keeps a subset of the last, and at the fixed point every
+    vertex has a predecessor in the set, so ancestries of any length."""
+    verts = vertices
+    while True:
+        kept = {d for _, d, _ in edges}
+        if len(kept) == len(verts):
+            return kept, edges
+        verts = kept
+        edges = [e for e in edges if e[0] in verts]

@@ -16,8 +16,9 @@ from . import graphs
 from .errors import NotPrimitive, PeriodicSubstitution, PureBaseError, \
     StabilizationError, ValidationError
 from .odometer import OdometerHead, head_index
-from .substitution import (Substitution, column_image, expand,
-                           height_and_pure_base, is_aperiodic, is_primitive,
+from .substitution import (Substitution, _closure, _letter_set, _mask_key,
+                           column_image, expand, height_and_pure_base,
+                           is_aperiodic, is_primitive,
                            shortest_collapsing_word, validate)
 
 TAME = "tame"
@@ -27,10 +28,6 @@ INCONCLUSIVE = "inconclusive"
 
 # simple cycles are counted up to this many; the report then says truncated
 CYCLE_COUNT_CAP = 10_000
-
-
-def _vertex_key(s):
-    return (len(s), tuple(sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -54,25 +51,18 @@ class SubsetGraph:
 
     def extendable(self) -> frozenset:
         """Vertices traversed by an infinite path, i.e. vertices that can
-        reach a cycle along the edge direction."""
-        on_cycle = set()
-        for row in self.census():
-            if row["n_internal_edges"] >= 1:
-                on_cycle.update(row["vertices"])
-        # walk the edges backwards: v is extendable iff a cycle is reachable
-        reach = graphs.reachable_from(
-            self.vertices,
-            [(d, s, lab) for s, d, lab in self.edges],
-            sorted(on_cycle, key=_vertex_key))
-        return frozenset(reach)
+        reach a cycle along the edge direction: the vertices reached from
+        a cycle along the reversed edges."""
+        return frozenset(graphs.reached_from_cycle(
+            self.vertices, [(d, s, lab) for s, d, lab in self.edges])[0])
 
     def to_json(self):
+        ext = self.extendable()
         return {
             "alphabet": list(self.alphabet),
             "vertices": [sorted(v) for v in self.vertices],
             "edges": [[sorted(s), sorted(d), lab] for s, d, lab in self.edges],
-            "extendable": [sorted(v) for v in
-                           sorted(self.extendable(), key=_vertex_key)],
+            "extendable": [sorted(v) for v in self.vertices if v in ext],
         }
 
 
@@ -97,28 +87,18 @@ class CycleCensus:
 
 
 def build_gtheta(theta_prime: Substitution) -> SubsetGraph:
-    """Closure of {A} under single column maps, discarding singletons.
-    Expects a pure base (height 1); the full alphabet is always a vertex
-    even when nothing maps onto it."""
-    full = frozenset(theta_prime.alphabet)
-    vertices = {full}
-    stack = [full]
-    while stack:
-        s = stack.pop()
-        for i in range(theta_prime.length):
-            img = column_image(theta_prime, i, s)
-            if len(img) > 1 and img not in vertices:
-                vertices.add(img)
-                stack.append(img)
-    ordered = tuple(sorted(vertices, key=_vertex_key))
-    edges = []
-    for a in ordered:
-        for i in range(theta_prime.length):
-            b = column_image(theta_prime, i, a)
-            if len(b) > 1:
-                edges.append((b, a, i))
-    edges.sort(key=lambda e: (_vertex_key(e[0]), _vertex_key(e[1]), e[2]))
-    return SubsetGraph(theta_prime.alphabet, ordered, tuple(edges))
+    """Closure of {A} under single column maps, discarding singletons, read
+    from the memoised closure of the substitution.  Expects a pure base
+    (height 1); the full alphabet is always a vertex even when nothing maps
+    onto it."""
+    _, found, arcs = _closure(theta_prime)
+    ordered = sorted(found, key=_mask_key)
+    rank = {x: r for r, x in enumerate(ordered)}
+    letters = sorted(theta_prime.alphabet)
+    sets = [_letter_set(letters, x) for x in ordered]
+    arcs = sorted(arcs, key=lambda a: (rank[a[1]], rank[a[0]], a[2]))
+    edges = tuple((sets[rank[y]], sets[rank[x]], i) for x, y, i in arcs)
+    return SubsetGraph(theta_prime.alphabet, tuple(sets), edges)
 
 
 def two_cycles_share_vertex(g: SubsetGraph) -> CycleCensus:
@@ -235,14 +215,9 @@ def discontinuity_membership(h: OdometerHead, theta_prime: Substitution) -> bool
     """True iff the subset graph carries a path with successive labels
     z_1..z_n, i.e. all the partial images theta_{z_k}...theta_{z_n}(A)
     have more than one letter.  Necessary for any extension of the head to
-    be a discontinuity point; exact in the limit of the depth."""
-    if h.depth < 1:
-        raise ValidationError("head depth must be >= 1")
-    _check_scale(h, theta_prime)
-    images = [frozenset(theta_prime.alphabet)]
-    for z in reversed(h.digits):
-        images.append(column_image(theta_prime, z, images[-1]))
-    return all(len(s) > 1 for s in images[1:])
+    be a discontinuity point; exact in the limit of the depth.  Images
+    only shrink, so it is the full composition that decides."""
+    return canonical_semicocycle_eval(h, theta_prime) is None
 
 
 @dataclass(frozen=True)

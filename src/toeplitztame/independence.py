@@ -26,11 +26,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DepthError, PreconditionError, ValidationError
-from .extended_bratteli import (MAX_POWER_COLUMNS, _extendable_tail_sets,
-                                _vkey, morphism_from_substitution)
+from .extended_bratteli import (MAX_POWER_COLUMNS, _tail,
+                                morphism_from_substitution)
 from .gtheta import NON_TAME, tameness_verdict
 from .odometer import OdometerHead, Scale, head_index
-from .substitution import Substitution, letter_in_power, substitution_power
+from .substitution import (Substitution, _letter_set, letter_in_power,
+                           substitution_power)
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,11 @@ def synthesize_scheme(theta, max_power: int = 6):
         raise PreconditionError(
             f"independence schemes require a non-tame verdict, got {report.verdict}")
     base = report.pure_base
-    extendable = _extendable_tail_sets(morphism_from_substitution(base))
-    n_letters = len(base.alphabet)
+    letters = sorted(base.alphabet)
+    strata = _tail(morphism_from_substitution(base))[1]
+    # the extendable k-sets, k >= 2, in the subset order of the strata
+    a_sets = [_letter_set(letters, x) for k in range(2, len(letters) + 1)
+              for x in strata[k][0]]
     pos = {a: t for t, a in enumerate(base.alphabet)}
     for m in range(1, max_power + 1):
         if base.length ** m > MAX_POWER_COLUMNS:
@@ -103,18 +107,18 @@ def synthesize_scheme(theta, max_power: int = 6):
         maps = list(zip(*substitution_power(base, m).words))
         L = len(maps)
         full_images = [frozenset(g) for g in maps]
-        for k in range(2, n_letters + 1):
-            for a_set in sorted((s for s in extendable if len(s) == k), key=_vkey):
-                a_sorted = sorted(a_set)
-                restricted = {}
-                for c, g in enumerate(maps):
-                    r = tuple(g[pos[a]] for a in a_sorted)
-                    if frozenset(r) == a_set and len(set(r)) == k:
-                        restricted[c] = r
-                found = _scan_progressions(restricted, full_images, a_set, L)
-                if found is not None:
-                    j0, j1, j2, i, b = found
-                    return IndependenceScheme(base, m, L, a_set, b, j0, j1, j2, i)
+        for a_set in a_sets:
+            k = len(a_set)
+            a_sorted = sorted(a_set)
+            restricted = {}
+            for c, g in enumerate(maps):
+                r = tuple(g[pos[a]] for a in a_sorted)
+                if frozenset(r) == a_set and len(set(r)) == k:
+                    restricted[c] = r
+            found = _scan_progressions(restricted, full_images, a_set, L)
+            if found is not None:
+                j0, j1, j2, i, b = found
+                return IndependenceScheme(base, m, L, a_set, b, j0, j1, j2, i)
     return None
 
 

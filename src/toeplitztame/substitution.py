@@ -50,6 +50,7 @@ class Substitution:
         object.__setattr__(self, "_rule", dict(zip(self.alphabet, self.words)))
         object.__setattr__(self, "_table", str.maketrans(self._rule))
         object.__setattr__(self, "_languages", {})
+        object.__setattr__(self, "_closure_memo", None)
 
     @property
     def length(self) -> int:
@@ -94,6 +95,84 @@ def column(theta: Substitution, i: int) -> ColumnMap:
 
 def column_image(theta: Substitution, i: int, letters) -> frozenset:
     return frozenset(theta.rule(a)[i] for a in letters)
+
+
+# ---------------------------------------------------------------------------
+# letter subsets as bitmasks: bit t is the t-th letter of the sorted alphabet
+
+# byte b -> the complement of b with its bits reversed
+_FLIP8 = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mask_key(x: int):
+    """The frozenset order (size, then sorted letters) on masks of any
+    width: of two masks of one popcount, the one holding the lowest
+    differing bit comes first, and its bytes from the low end, each
+    flipped by ``_FLIP8``, form the smaller string (neither string can be
+    a prefix of the other)."""
+    return x.bit_count(), x.to_bytes((x.bit_length() + 7) // 8,
+                                     "little").translate(_FLIP8)
+
+
+def _image_tables(columns, upper, lower):
+    """Per column, ceil(|upper| / 8) byte tables, at least two, with the
+    image of a mask x the OR of tables[b][x >> 8b & 255]: table b covers
+    letters 8b .. 8b + 7 of sorted(upper) and is built by doubling, and
+    image bits are positions in sorted(lower)."""
+    letters = sorted(upper)
+    pos = {a: t for t, a in enumerate(sorted(lower))}
+    tables = []
+    for col in columns:
+        parts = []
+        for start in range(0, max(len(letters), 9), 8):
+            img = [0]
+            for a in letters[start:start + 8]:
+                bit = 1 << pos[col(a)]
+                img += [y | bit for y in img]
+            parts.append(img)
+        tables.append(parts)
+    return tables
+
+
+def _letter_set(letters, x: int) -> frozenset:
+    return frozenset(a for t, a in enumerate(letters) if x >> t & 1)
+
+
+def _closure(theta: Substitution):
+    """The closure of {A} under single columns, memoised on ``theta``: one
+    FIFO breadth-first search over masks, columns in increasing order.
+
+    Returns (witness, found, arcs): ``found`` maps A and every reached set
+    of more than one letter to the column word that first reached it,
+    ``arcs`` lists (X, theta_i(X), i) for every reached X and column i with
+    an image of more than one letter, and ``witness`` is the word of the
+    first singleton image, or None.  Words are met in order of length, so
+    each is a shortest one.  Only reached sets are visited."""
+    if theta._closure_memo is None:
+        n = len(theta.alphabet)
+        tables = _image_tables([column(theta, i) for i in range(theta.length)],
+                               theta.alphabet, theta.alphabet)
+        found = {(1 << n) - 1: ()}
+        queue = deque(found)
+        arcs = []
+        witness = () if n == 1 else None
+        while queue:
+            x = queue.popleft()
+            for i, parts in enumerate(tables):
+                y = 0
+                z = x
+                for t in parts:
+                    y |= t[z & 255]
+                    z >>= 8
+                if y & (y - 1):
+                    arcs.append((x, y, i))
+                    if y not in found:
+                        found[y] = found[x] + (i,)
+                        queue.append(y)
+                elif witness is None:
+                    witness = found[x] + (i,)
+        object.__setattr__(theta, "_closure_memo", (witness, found, arcs))
+    return theta._closure_memo
 
 
 # ---------------------------------------------------------------------------
@@ -355,28 +434,8 @@ def _coprime_part(g: int, l: int) -> int:
 
 def shortest_collapsing_word(theta: Substitution):
     """Shortest column-index word collapsing the alphabet to one letter,
-    or None.  Breadth-first closure of {A} under single columns; the state
-    space has at most 2^|A| sets, so the search always terminates."""
-    start = frozenset(theta.alphabet)
-    if len(start) == 1:
-        return ()
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for i in range(theta.length):
-            img = frozenset(theta.rule(a)[i] for a in s)
-            if len(img) == 1:
-                word = [i]
-                cur = s
-                while parent[cur] is not None:
-                    cur, j = parent[cur]
-                    word.append(j)
-                return tuple(reversed(word))
-            if img not in parent:
-                parent[img] = (s, i)
-                queue.append(img)
-    return None
+    or None: the witness of the memoised closure of {A}."""
+    return _closure(theta)[0]
 
 
 def has_coincidence(theta: Substitution):

@@ -3,16 +3,23 @@ cross-checks: simple-cycle enumeration (in place of the cycle count), the
 shared vertex read off the enumerated cycles (in place of the SCC
 criterion), the column maps and morphisms of a power built by composing
 columns one level at a time (in place of ``substitution_power`` and the
-``compose`` loop of ``telescope``), and the subset graph over all 2^|A|
+``compose`` loop of ``telescope``), the subset graph over all 2^|A|
 subsets with one census and one reachability pass (in place of the
-trimmed graph of ``extended_bratteli.subset_arcs``).
+trimmed graph of ``extended_bratteli.subset_arcs``), and the frozenset
+G_theta, coincidence search and extendable vertices (in place of the one
+mask closure of ``substitution._closure`` and the trim of
+``graphs.reached_from_cycle``).
 """
 
 import itertools
 
+from collections import deque
+
 from toeplitztame import graphs
 from toeplitztame.errors import ValidationError
 from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, compose
+from toeplitztame.gtheta import SubsetGraph
+from toeplitztame.substitution import column_image
 
 
 def simple_cycles(vertices, edges, cap=10_000):
@@ -155,7 +162,7 @@ def full_tail(m):
                     cls[k] = "uncountable"
                 else:
                     cls.setdefault(k, "at-most-countable")
-        ext = graphs.reachable_from(verts, arcs, on_cycle)
+        ext = reachable_from(verts, arcs, on_cycle)
         strata = {k: ([], [], cls.get(k, "none"))
                   for k in range(1, len(m.upper) + 1)}
         for v in verts:
@@ -167,3 +174,83 @@ def full_tail(m):
                 strata[k][1].append((t, s, i))
         object.__setattr__(m, "_tail_memo", (ext, strata))
     return m._tail_memo
+
+
+def reachable_from(vertices, edges, sources):
+    out = {v: [] for v in vertices}
+    for s, d, _ in edges:
+        out[s].append(d)
+    seen = set(sources)
+    stack = list(sources)
+    while stack:
+        v = stack.pop()
+        for w in out[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def vertex_key(s):
+    return (len(s), tuple(sorted(s)))
+
+
+def frozenset_gtheta(theta_prime):
+    """G_theta by a depth-first closure of {A} over frozensets, then one
+    pass over every (vertex, column) for the edges."""
+    full = frozenset(theta_prime.alphabet)
+    vertices = {full}
+    stack = [full]
+    while stack:
+        s = stack.pop()
+        for i in range(theta_prime.length):
+            img = column_image(theta_prime, i, s)
+            if len(img) > 1 and img not in vertices:
+                vertices.add(img)
+                stack.append(img)
+    ordered = tuple(sorted(vertices, key=vertex_key))
+    edges = []
+    for a in ordered:
+        for i in range(theta_prime.length):
+            b = column_image(theta_prime, i, a)
+            if len(b) > 1:
+                edges.append((b, a, i))
+    edges.sort(key=lambda e: (vertex_key(e[0]), vertex_key(e[1]), e[2]))
+    return SubsetGraph(theta_prime.alphabet, ordered, tuple(edges))
+
+
+def frozenset_collapsing_word(theta):
+    """Shortest collapsing column word by a breadth-first search over
+    frozensets that stops at the first singleton image."""
+    start = frozenset(theta.alphabet)
+    if len(start) == 1:
+        return ()
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for i in range(theta.length):
+            img = frozenset(theta.rule(a)[i] for a in s)
+            if len(img) == 1:
+                word = [i]
+                cur = s
+                while parent[cur] is not None:
+                    cur, j = parent[cur]
+                    word.append(j)
+                return tuple(reversed(word))
+            if img not in parent:
+                parent[img] = (s, i)
+                queue.append(img)
+    return None
+
+
+def census_extendable(g):
+    """Vertices of a subset graph that can reach a cycle: the cyclic SCCs
+    of its census, then a backward reachability pass."""
+    on_cycle = set()
+    for row in graphs.component_census(g.vertices, g.edges):
+        if row["n_internal_edges"] >= 1:
+            on_cycle.update(row["vertices"])
+    return frozenset(reachable_from(
+        g.vertices, [(d, s, lab) for s, d, lab in g.edges],
+        sorted(on_cycle, key=vertex_key)))

@@ -131,6 +131,24 @@ def test_independence_requires_non_tame(capsys):
     assert report["error"]["code"] == "precondition"
 
 
+@pytest.mark.parametrize("rules", [
+    '{"a":"be","b":"de","c":"ed","d":"de","e":"fa","f":"ce"}',  # 22-letter base
+    '{"a":"eb","b":"fe","c":"cf","d":"ee","e":"da","f":"dc"}',  # 31-letter base
+])
+def test_independence_on_a_wide_pure_base_is_a_validation_error(capsys, rules):
+    # the pure base is past the 16 letters of the subset graph's two byte
+    # tables, which is refused before any table is built
+    t0 = time.monotonic()
+    code = main(["independence", rules, "--n", "1", "--max-power", "3"])
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == {
+        "code": "validation",
+        "message": "alphabet too large for subset analysis"}
+    assert "Traceback" not in captured.err
+
+
 def test_odometer_command(capsys):
     code, report = run_json(capsys, "odometer", "--scale", "powers:4",
                             "--digits", "3,3", "--add", "1")

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import full_tail, morphism_power, power_column_maps
+from oracles import (full_tail, morphism_power, power_column_maps,
+                     reachable_from)
 from toeplitztame import graphs
 from toeplitztame.errors import ValidationError
 from toeplitztame.extended_bratteli import (MAX_POWER_COLUMNS, DiagramSpec,
@@ -318,7 +319,7 @@ def oracle_extendable_tail_sets(m):
     for row in graphs.component_census(verts, arcs):
         if row["n_internal_edges"] >= 1:
             on_cycle.update(row["vertices"])
-    return frozenset(graphs.reachable_from(
+    return frozenset(reachable_from(
         verts, arcs, sorted(on_cycle, key=_vkey)))
 
 
@@ -402,7 +403,7 @@ def oracle_find_double_path(m, ext, k, max_power):
                     candidates.append((i1, i2, a_set, img))
         candidates.sort(key=lambda t: (t[0], t[1], _vkey(t[2])))
         for i1, i2, a_set, img in candidates:
-            if a_set in graphs.reachable_from(kverts, p_arcs, [img]):
+            if a_set in reachable_from(kverts, p_arcs, [img]):
                 return power, a_set, img, (i1, i2)
     return None
 

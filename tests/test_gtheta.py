@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import shared_vertex_by_enumeration, simple_cycles
+from oracles import (census_extendable, frozenset_collapsing_word,
+                     frozenset_gtheta, shared_vertex_by_enumeration,
+                     simple_cycles)
 from toeplitztame import graphs
-from toeplitztame.errors import NotPrimitive, PeriodicSubstitution, ValidationError
+from toeplitztame.errors import (NotPrimitive, PeriodicSubstitution,
+                                 ToeplitzError, ValidationError)
 from toeplitztame.gtheta import (CYCLE_COUNT_CAP, NON_TAME,
                                  NOT_ALMOST_AUTOMORPHIC, TAME, build_gtheta,
                                  canonical_semicocycle_eval,
@@ -14,7 +17,9 @@ from toeplitztame.gtheta import (CYCLE_COUNT_CAP, NON_TAME,
                                  tameness_verdict, to_dot,
                                  two_cycles_share_vertex, window_letter)
 from toeplitztame.odometer import OdometerHead, Scale
-from toeplitztame.substitution import column_image
+from toeplitztame.substitution import (Substitution, column_image,
+                                       height_and_pure_base, is_primitive,
+                                       shortest_collapsing_word)
 
 Z4 = Scale.constant(4)
 
@@ -83,6 +88,73 @@ def test_closure_soundness_random(theta):
     # every edge satisfies its defining relation
     for src, dst, lab in g.edges:
         assert column_image(theta, lab, dst) == src
+
+
+# (|A|, l, forced first-letter cycle q or None) of the analyze-corpus strata
+CORPUS_SHAPES = ((3, 6, None), (4, 4, None), (4, 5, None), (5, 3, None),
+                 (5, 4, None), (6, 2, None), (6, 3, None), (6, 4, None),
+                 (3, 6, 2), (5, 4, 2), (3, 3, 3), (4, 3, 3), (5, 3, 3),
+                 (4, 2, 4))
+
+
+def _first_letter_cycle(words):
+    """Length of the shortest cycle of the first-letter map."""
+    first = {a: w[0] for a, w in words.items()}
+    best = len(words)
+    for a in words:
+        x = first[a]
+        for q in range(1, best + 1):
+            if x == a:
+                best = q
+                break
+            x = first[x]
+    return best
+
+
+def _corpus_draw(rng, n, l, q):
+    """A primitive substitution drawn as the analyze corpus draws one: with
+    q, the first letters follow one forced q-cycle; without it, they are
+    free among maps whose shortest cycle has length at most 2."""
+    alphabet = "abcdef"[:n]
+    while True:
+        first = {}
+        if q:
+            cycle = rng.sample(alphabet, q)
+            first = {cycle[t]: cycle[(t + 1) % q] for t in range(q)}
+            for a in alphabet:
+                first.setdefault(a, rng.choice(cycle))
+        words = {}
+        for a in alphabet:
+            word = [rng.choice(alphabet) for _ in range(l)]
+            if q:
+                word[0] = first[a]
+            words[a] = "".join(word)
+        theta = Substitution(tuple(alphabet), tuple(words.values()))
+        if (q or _first_letter_cycle(words) <= 2) and is_primitive(theta):
+            return theta
+
+
+def test_mask_closure_matches_frozenset_oracles():
+    rng = random.Random(12)
+    seen = set()
+    widths = []
+    while len(widths) < 1000:
+        theta = _corpus_draw(rng, *rng.choice(CORPUS_SHAPES))
+        if theta in seen:
+            continue
+        seen.add(theta)
+        try:
+            _, base, _ = height_and_pure_base(theta)
+        except ToeplitzError:
+            continue
+        g = build_gtheta(base)
+        assert g.to_json() == frozenset_gtheta(base).to_json(), theta
+        assert shortest_collapsing_word(base) == \
+            frozenset_collapsing_word(base), theta
+        assert g.extendable() == census_extendable(g), theta
+        widths.append(len(base.alphabet))
+    # pure bases of height > 1 reach past the 16 bits of two byte tables
+    assert max(widths) > 16
 
 
 def _shared_vertex(vertices, edges):
@@ -236,9 +308,9 @@ def test_canonical_semicocycle(ex22):
 
 
 def test_membership_equals_undetermined_eval(ex22, ex23, ex217a, ex217b):
-    # the partial images only shrink toward the present, so "all partial
-    # images non-singleton" is equivalent to "the full composition is
-    # non-singleton"; the two routes are implemented independently
+    # membership delegates to the evaluation, so it is checked against its
+    # definition: every partial image theta_{z_k}...theta_{z_n}(A) has more
+    # than one letter
     rng = random.Random(11)
     for theta in (ex22, ex23, ex217a, ex217b):
         scale = Scale.constant(theta.length)
@@ -246,9 +318,12 @@ def test_membership_equals_undetermined_eval(ex22, ex23, ex217a, ex217b):
             depth = rng.randint(1, 6)
             h = OdometerHead(scale, tuple(
                 rng.randrange(theta.length) for _ in range(depth)))
-            member = discontinuity_membership(h, theta)
-            undetermined = canonical_semicocycle_eval(h, theta) is None
-            assert member == undetermined
+            images = [frozenset(theta.alphabet)]
+            for z in reversed(h.digits):
+                images.append(column_image(theta, z, images[-1]))
+            member = all(len(s) > 1 for s in images[1:])
+            assert discontinuity_membership(h, theta) == member
+            assert (canonical_semicocycle_eval(h, theta) is None) == member
 
 
 def test_scc_criterion_equals_enumeration_random():
