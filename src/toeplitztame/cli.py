@@ -27,7 +27,8 @@ from .odometer import OdometerHead, Scale, add_integer, head_index
 from .semicocycle import (FullShift, SturmianFibonacci, build_d_stage,
                           build_f_family, build_level_family,
                           check_translate_disjointness, default_zhat5,
-                          default_zhat6, realize_prefix, toeplitz5_window)
+                          default_zhat6, realization_interval,
+                          realize_prefix, toeplitz5_window)
 from .substitution import parse_text, validate
 
 
@@ -175,26 +176,24 @@ def _cmd_semicocycle(args) -> int:
         n = len(args.word)
         if args.word not in handle.words(n):
             raise LanguageError(f"{args.word!r} is not in the level-{n} language")
-        # deepen the base point until the realization depth suffices
-        def base_point(depth):
-            if not args.zhat:
-                return default_zhat6(depth)
-            digits = _parse_digits(args.zhat, "zhat")
-            digits += [digits[-1], 1 - digits[-1]] * depth  # keep non-constant
-            return OdometerHead(Scale.constant(2), tuple(digits[:depth]))
+        digits = _parse_digits(args.zhat, "zhat") if args.zhat else None
 
-        probe_depth = 8
-        t_w = None
-        while t_w is None:
-            try:
-                zhat = base_point(probe_depth)
-                t_w, letters = realize_prefix(args.word, fam, lf, zhat)
-            except DepthError:
-                probe_depth *= 2
-                if probe_depth > 1 << 22:
-                    raise
+        def base_point(depth):
+            if digits is None:
+                return default_zhat6(depth)
+            tail = [digits[-1], 1 - digits[-1]] * depth  # keep non-constant
+            return OdometerHead(Scale.constant(2), tuple((digits + tail)[:depth]))
+
+        # the first 8 digits are checked before the word is looked up; the
+        # base point then gets the least depth 8 * 2^k past hi + 1
+        base_point(8)
+        hi = realization_interval(args.word, fam, lf)[1]
+        depth = 8 << ((hi + 1) // 8).bit_length()
+        if depth > 1 << 22:
+            raise DepthError(f"zhat must have depth > {hi + 1}")
+        t_w, letters = realize_prefix(args.word, fam, lf, base_point(depth))
         _emit({"schema": 1, "word": args.word, "t_w": t_w, "letters": letters,
-               "zhat": args.zhat or "alternating-01", "depth": probe_depth,
+               "zhat": args.zhat or "alternating-01", "depth": depth,
                "times": [lf.time(k) for k in range(1, n + 1)],
                "family": fam.to_json()})
         return 0

@@ -2,14 +2,20 @@
 the extended diagram on letter subsets, extendability, thickness strata,
 and double-path search.
 
-A level morphism records, for one diagram level, the ordered edge data as
-column maps from the upper alphabet to the lower one.  The extended
-diagram has every nonempty subset as a vertex, with an edge from subset A
-below to subset B above, labelled i, iff the i-th column maps B onto A.
-Since column images never grow, a path eventually stays at one
-cardinality; analysing each cardinality stratum separately is therefore
-sound, and cycles in a stratum decide how many paths of that thickness
-exist (none, countably many, or uncountably many).
+A level morphism is stored the way a ``Substitution`` is: the upper and
+lower alphabets of single-character letters, and one image word over the
+lower alphabet per upper letter, so column i sends a to the i-th letter of
+a's word.  Composition is one ``str.translate`` of the deeper level's
+words by the upper level's table, which is also how powers and
+telescoping are built.  A diagram spec is a finite list of levels whose
+last level repeats forever; a stationary spec is the one-level list of a
+substitution, which it keeps for ``to_json``.  The extended diagram has
+every nonempty subset as a vertex, with an edge from subset A below to
+subset B above, labelled i, iff the i-th column maps B onto A.  Since
+column images never grow, a path eventually stays at one cardinality;
+analysing each cardinality stratum separately is therefore sound, and
+cycles in a stratum decide how many paths of that thickness exist (none,
+countably many, or uncountably many).
 
 Inside this module a subset is an int bitmask in the one encoding of
 ``substitution``: bit t is the t-th letter of the sorted alphabet, and
@@ -30,19 +36,19 @@ a set Y reached from a cyclic set C along any columns is the image of a
 transversal S of C (one preimage in C per letter of Y); a power of the
 cycle's word fixes C pointwise, so S lies on a cycle, and the path from S
 to Y keeps the cardinality.  Frozensets appear only at the boundary:
-``_extendable_tail_sets``, ``extendable_vertices`` and the witnesses.
+``extendable_vertices`` and the witnesses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from . import graphs
 from .errors import ValidationError
-from .substitution import (ColumnMap, Substitution, _image_tables,
-                           _letter_set, _mask_key, column, substitution_power,
-                           validate)
+from .substitution import (Substitution, _image_tables, _letter_set,
+                           _mask_key, has_naive_order, validate)
 
 MAX_ALPHABET = 16
 MAX_POWER_COLUMNS = 65536
@@ -50,91 +56,86 @@ MAX_POWER_COLUMNS = 65536
 
 @dataclass(frozen=True)
 class LevelMorphism:
-    """The ordered edge data of one level: columns[i] maps the upper
-    alphabet into the lower one; there are exactly ``length`` edges with
-    range v for every upper vertex v."""
+    """The ordered edge data of one level: words[k] is the image over the
+    lower alphabet of upper[k], so column i maps a to the i-th letter of
+    its word; there are exactly ``length`` edges with range v for every
+    upper vertex v."""
 
     upper: tuple[str, ...]
     lower: tuple[str, ...]
-    columns: tuple[ColumnMap, ...]
+    words: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.columns:
+        if any(len(a) != 1 for a in self.upper + self.lower):
+            raise ValidationError("letters must be single characters")
+        if len(self.words) != len(self.upper):
+            raise ValidationError("one image word per upper letter required")
+        if not self.words or not self.words[0]:
             raise ValidationError("a level needs at least one column")
-        for col in self.columns:
-            t = col.as_dict()
-            if set(t) != set(self.upper):
-                raise ValidationError("column not total on the upper alphabet")
-            if not set(t.values()) <= set(self.lower):
-                raise ValidationError("column image leaves the lower alphabet")
-        covered = set()
-        for col in self.columns:
-            covered.update(col.as_dict().values())
+        if any(len(w) != len(self.words[0]) for w in self.words):
+            raise ValidationError("image words must share one length")
+        covered = set().union(*self.words)
+        if not covered <= set(self.lower):
+            raise ValidationError("column image leaves the lower alphabet")
         if covered != set(self.lower):
             raise ValidationError(
                 "every lower vertex must be the source of some edge")
+        rule = dict(zip(self.upper, self.words))
+        object.__setattr__(self, "_rule", rule)
+        object.__setattr__(self, "_table", str.maketrans(rule))
         object.__setattr__(self, "_tail_memo", None)
 
     @property
     def length(self) -> int:
-        return len(self.columns)
+        return len(self.words[0])
 
     def image(self, i: int, letters) -> frozenset:
-        return self.columns[i].image(letters)
+        return frozenset(self._rule[a][i] for a in letters)
 
     def to_json(self):
-        rules = {v: "".join(col(v) for col in self.columns) for v in self.upper}
         return {"upper": list(self.upper), "lower": list(self.lower),
-                "l": self.length, "rules": rules}
+                "l": self.length, "rules": dict(self._rule)}
 
 
 def morphism_from_substitution(theta: Substitution) -> LevelMorphism:
-    cols = tuple(column(theta, i) for i in range(theta.length))
-    return LevelMorphism(theta.alphabet, theta.alphabet, cols)
+    return LevelMorphism(theta.alphabet, theta.alphabet, theta.words)
 
 
 def compose(first: LevelMorphism, second: LevelMorphism) -> LevelMorphism:
     """Telescope two consecutive levels (``first`` nearer the top): the
-    composed column i + j * len(first) applies the deeper column j first."""
+    composed column i + j * len(first) applies the deeper column j first,
+    so each composed word is the deeper word with every letter replaced
+    by its word one level up."""
     if first.upper != second.lower:
         raise ValidationError("levels do not chain")
-    cols = []
-    for j in range(second.length):
-        sj = second.columns[j].as_dict()
-        for i in range(first.length):
-            fi = first.columns[i].as_dict()
-            idx = i + j * first.length
-            cols.append(ColumnMap(idx, tuple(
-                (a, fi[sj[a]]) for a in second.upper)))
-    cols.sort(key=lambda c: c.index)
-    return LevelMorphism(second.upper, first.lower, tuple(cols))
+    return LevelMorphism(second.upper, first.lower,
+                         tuple(w.translate(first._table) for w in second.words))
 
 
 @dataclass(frozen=True)
 class DiagramSpec:
-    """Stationary (one substitution repeated) or explicit (a finite list of
-    level morphisms whose last entry repeats forever).  Every spec is thus
-    eventually stationary, which keeps extendability and the stratum
-    analysis exact rather than horizon-truncated."""
+    """A finite list of level morphisms whose last entry repeats forever.
+    Every spec is thus eventually stationary, which keeps extendability
+    and the stratum analysis exact rather than horizon-truncated.  A
+    stationary spec is the one level of a substitution, kept in
+    ``substitution``."""
 
-    kind: str
+    levels: tuple[LevelMorphism, ...]
     substitution: Substitution | None = None
-    levels: tuple[LevelMorphism, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_stationary", None)
+    @property
+    def kind(self) -> str:
+        return "explicit" if self.substitution is None else "stationary"
 
     @staticmethod
     def stationary(theta) -> "DiagramSpec":
         theta = validate(theta)
-        firsts = {theta.rule(a)[0] for a in theta.alphabet}
-        lasts = {theta.rule(a)[-1] for a in theta.alphabet}
-        if len(firsts) > 1 or len(lasts) > 1:
+        if not has_naive_order(theta):
             raise ValidationError(
                 "naive stationary order is only proper when all rule words "
                 "share their first letter and share their last letter; "
                 "supply an explicit morphism sequence instead")
-        return DiagramSpec("stationary", substitution=theta)
+        return DiagramSpec((morphism_from_substitution(theta),), theta)
 
     @staticmethod
     def explicit(levels) -> "DiagramSpec":
@@ -148,30 +149,19 @@ class DiagramSpec:
         if tail.upper != tail.lower:
             raise ValidationError(
                 "the repeated last morphism must be square (finite rank)")
-        return DiagramSpec("explicit", levels=levels)
+        return DiagramSpec(levels)
 
     def morphism(self, n: int) -> LevelMorphism:
         """Level-n morphism, n >= 1."""
-        if self.kind == "stationary":
-            return self.tail_morphism()
-        if n <= len(self.levels):
-            return self.levels[n - 1]
-        return self.levels[-1]
+        return self.levels[min(n, len(self.levels)) - 1]
 
     def tail_morphism(self) -> LevelMorphism:
-        """The repeated morphism; a stationary spec builds it once, so
-        every analysis of the spec shares one memoised subset graph."""
-        if self.kind != "stationary":
-            return self.levels[-1]
-        if self._stationary is None:
-            object.__setattr__(self, "_stationary",
-                               morphism_from_substitution(self.substitution))
-        return self._stationary
+        """The repeated morphism, which carries the memoised subset graph
+        every analysis of the spec shares."""
+        return self.levels[-1]
 
     @property
     def rank(self) -> int:
-        if self.kind == "stationary":
-            return len(self.substitution.alphabet)
         return max(len(m.upper) for m in self.levels)
 
     def to_json(self):
@@ -188,50 +178,34 @@ class DiagramSpec:
             if "rules" in entry:
                 rules = entry["rules"]
                 upper = tuple(entry.get("upper", sorted(rules)))
-                lower = tuple(entry.get("lower", upper))
-                cols = tuple(
-                    ColumnMap(i, tuple((a, rules[a][i]) for a in upper))
-                    for i in range(len(next(iter(rules.values())))))
+                words = tuple(rules[a] for a in upper)
             else:
                 tables = entry["columns"]
                 upper = tuple(entry.get("upper", sorted(tables[0])))
-                lower = tuple(entry.get("lower", upper))
-                cols = tuple(
-                    ColumnMap(i, tuple((a, table[a]) for a in upper))
-                    for i, table in enumerate(tables))
-            levels.append(LevelMorphism(upper, lower, cols))
+                words = tuple("".join(t[a] for t in tables) for a in upper)
+            levels.append(LevelMorphism(
+                upper, tuple(entry.get("lower", upper)), words))
         return DiagramSpec.explicit(levels)
 
 
 def telescope(spec: DiagramSpec, groups) -> DiagramSpec:
     """Compose consecutive levels in blocks; the final group repeats.
-    Uniform groups on a stationary spec yield the substitution power."""
+    Uniform groups on a stationary spec yield the stationary spec of the
+    substitution power."""
     groups = list(groups)
     if not groups or any(g < 1 for g in groups):
         raise ValidationError("groups must be positive")
-    level = 1
+    blocks, level = [], 1
     for g in groups:
-        if spec.kind == "stationary":
-            width = spec.substitution.length ** g
-        else:
-            width = math.prod(spec.morphism(level + t).length for t in range(g))
+        blocks.append([spec.morphism(level + t) for t in range(g)])
+        width = math.prod(m.length for m in blocks[-1])
         if width > MAX_POWER_COLUMNS:
             raise ValidationError(f"power {g} would need {width} columns")
         level += g
-    if spec.kind == "stationary" and all(g == groups[0] for g in groups):
-        if groups[0] == 1:
-            return spec
-        return DiagramSpec.stationary(
-            substitution_power(spec.substitution, groups[0]))
-    out = []
-    level = 1
-    for g in groups:
-        m = spec.morphism(level)
-        for t in range(1, g):
-            m = compose(m, spec.morphism(level + t))
-        out.append(m)
-        level += g
-    return DiagramSpec.explicit(tuple(out))
+    if spec.kind == "stationary" and len(set(groups)) == 1:
+        m = reduce(compose, blocks[0])
+        return DiagramSpec.stationary(Substitution(m.upper, m.words))
+    return DiagramSpec.explicit(reduce(compose, b) for b in blocks)
 
 
 def extended_image(m: LevelMorphism, i: int, letters) -> frozenset:
@@ -258,7 +232,7 @@ def subset_arcs(m: LevelMorphism):
     are the nonempty submasks of the column ranges.  Images of candidates
     stay candidates, so the candidates can be trimmed to those reached
     from a cycle."""
-    tables = _image_tables(m.columns, m.upper, m.lower)
+    tables = _image_tables(m.upper, m.words, m.lower)
     full = (1 << len(m.upper)) - 1
     cand = set()
     for r in {lo[full & 255] | hi[full >> 8] for lo, hi in tables}:
@@ -305,36 +279,25 @@ def _tail(m: LevelMorphism):
     return m._tail_memo
 
 
-def _extendable_tail_sets(m: LevelMorphism) -> frozenset:
-    """Subsets traversed by an infinite path in the stationary tail: those
-    reachable, along arcs, from a cycle of the subset graph (cardinality
-    is constant around any cycle, so cycles never truncate)."""
-    letters = sorted(m.upper)
-    return frozenset(_letter_set(letters, x) for x in _tail(m)[0])
-
-
 def extendable_vertices(spec: DiagramSpec, level: int) -> frozenset:
     """Subsets at the given level traversed by an infinite path.
 
     Upward reachability from the top vertex is automatic (every subset has
     arbitrary finite ancestries in the extended diagram); the downward
     condition is exact because every spec here is eventually stationary,
-    so no horizon truncates the answer.
+    so no horizon truncates the answer.  At and below the last listed
+    level the extendable sets are those of the repeated morphism's
+    trimmed subset graph; above it, the single-column images of the
+    extendable sets one level down.
     """
     if level < 1:
         raise ValidationError("levels are numbered from 1")
-    tail_start = 1 if spec.kind == "stationary" else len(spec.levels)
-    tail_ext = _extendable_tail_sets(spec.tail_morphism())
-    if level >= tail_start:
-        return tail_ext
-    ext = set(tail_ext)
-    for n in range(tail_start - 1, level - 1, -1):
+    tail = spec.tail_morphism()
+    letters = sorted(tail.upper)
+    ext = {_letter_set(letters, x) for x in _tail(tail)[0]}
+    for n in range(len(spec.levels) - 1, level - 1, -1):
         m = spec.morphism(n)
-        lower_ext = set()
-        for t in ext:
-            for i in range(m.length):
-                lower_ext.add(m.image(i, t))
-        ext = lower_ext
+        ext = {m.image(i, t) for t in ext for i in range(m.length)}
     return frozenset(ext)
 
 

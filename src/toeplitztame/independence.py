@@ -30,8 +30,8 @@ from .extended_bratteli import (MAX_POWER_COLUMNS, _tail,
                                 morphism_from_substitution)
 from .gtheta import NON_TAME, tameness_verdict
 from .odometer import OdometerHead, Scale, head_index
-from .substitution import (Substitution, _letter_set, letter_in_power,
-                           substitution_power)
+from .substitution import (Substitution, _letter_set, has_naive_order,
+                           letter_in_power, substitution_power)
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,10 @@ def verify_patterns(s: IndependenceScheme,
     """
     if not scheme_is_valid(s):
         raise PreconditionError("scheme fails its own invariants")
-    _require_naive_order(s.base)
+    if not has_naive_order(s.base):
+        raise PreconditionError(
+            "fibre-window verification needs the naive stationary order "
+            "(common first and last letters)")
     theta_m = substitution_power(s.base, s.power)
     L = s.working_length
     depth = 2 * n_levels + 2
@@ -244,12 +247,3 @@ def verify_patterns(s: IndependenceScheme,
             witnesses.append(PatternWitness(phi, v, "".join(letters),
                                             tuple(positions), ok))
     return IndependenceReport(s, tuple(times), tuple(witnesses), complete)
-
-
-def _require_naive_order(theta: Substitution):
-    firsts = {theta.rule(a)[0] for a in theta.alphabet}
-    lasts = {theta.rule(a)[-1] for a in theta.alphabet}
-    if len(firsts) > 1 or len(lasts) > 1:
-        raise PreconditionError(
-            "fibre-window verification needs the naive stationary order "
-            "(common first and last letters)")

@@ -6,11 +6,12 @@ a D-point is a power of 3, level n carrying an exponent of at most n - 1.
 The semicocycle reads a when the longest head a D-point shares with z has
 odd length, b otherwise.  Evaluation at a finite head is certified by
 membership of the truncated heads in the stage's head sets: the head sets
-Head_m are stable once the stage holds at least m points.  A ``DStage``
-checks the range of every digit once, so head sets and head classes are
-built as digit tuples straight from the exponents.  Translate hits are
-found by bisecting the sorted head values, and duplicate points by one
-canonical id per point.
+Head_m are stable once the stage holds at least m points.  The longest
+truncated head in its head set is read from a prefix trie of the stage's
+points, grown as heads walk down it.  A ``DStage`` checks the range of
+every digit once, so head sets and head classes are built as digit tuples
+straight from the exponents.  Translate hits are found by bisecting the
+sorted head values, and duplicate points by one canonical id per point.
 
 Second family (over Z_2): a double sequence l^n_i closed under
 l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with midpoint interpolation on odd
@@ -117,10 +118,12 @@ class DStage:
                     raise ValidationError(
                         f"digit 3^{e} at level {n} out of range [0, l_{n})")
         # per-stage memos, not dataclass fields (no part of eq or hash):
-        # depth m -> Head_m, and depth -> the sorted depth-limited head
-        # classes with their head values and each point's class
+        # depth m -> Head_m, depth -> the sorted depth-limited head
+        # classes with their head values and each point's class, and the
+        # root [points, children] of the prefix trie of ``_longest_head``
         object.__setattr__(self, "_head_sets", {})
         object.__setattr__(self, "_head_classes", {})
+        object.__setattr__(self, "_trie", [self.points, None])
 
     def to_json(self):
         return {"stage": self.index, "points": [p.to_json() for p in self.points]}
@@ -217,14 +220,28 @@ def f5_eval(h: OdometerHead, stage: DStage):
     if h.scale != SCALE5:
         raise ValidationError("first-family heads live over the 4^n scale")
     certified = 2 ** stage.index >= h.depth
-    L = 0
-    for m in range(1, h.depth + 1):
-        if h.digits[:m] in head_set(stage, m):
-            L = m
-        else:
-            break
+    L = _longest_head(stage, h.digits)
     confident = certified and L < h.depth
     return ("a" if L % 2 == 1 else "b"), confident
+
+
+def _longest_head(stage: DStage, digits) -> int:
+    """The largest m <= len(digits) with digits[:m] in Head_m: the depth
+    of the last node on the path of ``digits`` through the stage's prefix
+    trie.  A depth-m node is [the points whose first m digits agree with
+    its path, children]; its children, keyed by the level-(m + 1) digit,
+    are built on the first visit and kept on the stage."""
+    node = stage._trie
+    for m, d in enumerate(digits):
+        if node[1] is None:
+            kids = {}
+            for p in node[0]:
+                kids.setdefault(3 ** p.exponent(m + 1), []).append(p)
+            node[1] = {k: [pts, None] for k, pts in kids.items()}
+        node = node[1].get(d)
+        if node is None:
+            return m
+    return len(digits)
 
 
 def toeplitz5_window(zhat: OdometerHead, n0: int, n1: int, stage: DStage) -> str:
@@ -733,16 +750,12 @@ def f6_eval(z: OdometerHead, fam: FFamily, lf: LevelFamily) -> str:
     return fam.value(n, L)
 
 
-def realize_prefix(y: str, fam: FFamily, lf: LevelFamily,
-                   zhat: OdometerHead, handle=None):
-    """(t_w, letters): a translation t_w such that the shifted base orbit
-    reads y along the times t_1..t_N, checked by direct evaluation.
-
-    The interval index i >= 1 with word y is taken from the family table
-    (i = 0 would collide with the 1-bit of t_N); t_w is the smallest
-    positive integer making the first l^N_i digits of t_w + zhat zero with
-    the next digit nonzero.
-    """
+def realization_interval(y: str, fam: FFamily, lf: LevelFamily,
+                         handle=None) -> tuple[int, int]:
+    """(lo, hi): the first level-n interval [l^n_i, l^n_{i+1}), i >= 1,
+    whose word is y, n = len(y), taken from the family table (i = 0 would
+    collide with the 1-bit of t_n).  A base point realizing y needs
+    depth > hi + 1."""
     n = len(y)
     if n < 1:
         raise ValidationError("need a non-empty word")
@@ -751,23 +764,27 @@ def realize_prefix(y: str, fam: FFamily, lf: LevelFamily,
     if handle is not None and y not in handle.words(n):
         raise LanguageError(f"{y!r} is not in the level-{n} language")
     i = 1
-    found = None
-    while True:
-        try:
-            w = fam.word(n, i, lf)
-        except HorizonError:
-            break
-        if w == y:
-            found = i
-            break
-        i += 1
-    if found is None:
+    try:
+        while fam.word(n, i, lf) != y:
+            i += 1
+    except HorizonError:
         raise LanguageError(
-            f"{y!r} was not realized by any level-{n} interval within the horizon")
-    lo = lf.l(n, found)
-    hi = lf.l(n, found + 1)
-    depth_needed = hi + 2
-    if zhat.depth < depth_needed:
+            f"{y!r} was not realized by any level-{n} interval within the "
+            f"horizon") from None
+    return lf.l(n, i), lf.l(n, i + 1)
+
+
+def realize_prefix(y: str, fam: FFamily, lf: LevelFamily,
+                   zhat: OdometerHead, handle=None):
+    """(t_w, letters): a translation t_w such that the shifted base orbit
+    reads y along the times t_1..t_N, checked by direct evaluation.
+
+    The interval [lo, hi) is the ``realization_interval`` of y; t_w is
+    the smallest positive integer making the first lo digits of t_w + zhat
+    zero with the next digit nonzero.
+    """
+    lo, hi = realization_interval(y, fam, lf, handle)
+    if zhat.depth < hi + 2:
         raise DepthError(f"zhat must have depth > {hi + 1}")
     deep = zhat.digits[zhat.depth // 2:]
     if len(set(deep)) == 1:
@@ -788,7 +805,7 @@ def realize_prefix(y: str, fam: FFamily, lf: LevelFamily,
     if t_w is None:
         raise ValidationError("no small positive translation found")  # unreachable
     letters = []
-    for k in range(1, n + 1):
+    for k in range(1, len(y) + 1):
         z = add_integer(zhat, t_w + lf.time(k))
         letters.append(f6_eval(z, fam, lf))
     return t_w, "".join(letters)

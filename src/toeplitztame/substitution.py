@@ -66,6 +66,13 @@ class Substitution:
         return {"alphabet": list(self.alphabet), "rules": self.rules()}
 
 
+def has_naive_order(theta: Substitution) -> bool:
+    """Whether all rule words share their first letter and share their
+    last letter, which makes the naive stationary order proper."""
+    return (len({w[0] for w in theta.words}) == 1
+            and len({w[-1] for w in theta.words}) == 1)
+
+
 @dataclass(frozen=True)
 class ColumnMap:
     """The i-th column theta_i: the letter map sending a to theta(a)[i]."""
@@ -114,20 +121,21 @@ def _mask_key(x: int):
                                      "little").translate(_FLIP8)
 
 
-def _image_tables(columns, upper, lower):
-    """Per column, ceil(|upper| / 8) byte tables, at least two, with the
-    image of a mask x the OR of tables[b][x >> 8b & 255]: table b covers
-    letters 8b .. 8b + 7 of sorted(upper) and is built by doubling, and
-    image bits are positions in sorted(lower)."""
-    letters = sorted(upper)
+def _image_tables(upper, words, lower):
+    """Per column of the image words (words[k] is the image of upper[k]),
+    ceil(|upper| / 8) byte tables, at least two, with the image of a mask
+    x the OR of tables[b][x >> 8b & 255]: table b covers letters
+    8b .. 8b + 7 of sorted(upper) and is built by doubling, and image bits
+    are positions in sorted(lower)."""
     pos = {a: t for t, a in enumerate(sorted(lower))}
     tables = []
-    for col in columns:
+    # col[t] is the column's image of the t-th sorted upper letter
+    for col in zip(*(w for _, w in sorted(zip(upper, words)))):
         parts = []
-        for start in range(0, max(len(letters), 9), 8):
+        for start in range(0, max(len(col), 9), 8):
             img = [0]
-            for a in letters[start:start + 8]:
-                bit = 1 << pos[col(a)]
+            for c in col[start:start + 8]:
+                bit = 1 << pos[c]
                 img += [y | bit for y in img]
             parts.append(img)
         tables.append(parts)
@@ -150,8 +158,7 @@ def _closure(theta: Substitution):
     each is a shortest one.  Only reached sets are visited."""
     if theta._closure_memo is None:
         n = len(theta.alphabet)
-        tables = _image_tables([column(theta, i) for i in range(theta.length)],
-                               theta.alphabet, theta.alphabet)
+        tables = _image_tables(theta.alphabet, theta.words, theta.alphabet)
         found = {(1 << n) - 1: ()}
         queue = deque(found)
         arcs = []

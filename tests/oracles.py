@@ -1,14 +1,17 @@
 """Routines the library replaced, kept as independent oracles for seeded
 cross-checks: simple-cycle enumeration (in place of the cycle count), the
 shared vertex read off the enumerated cycles (in place of the SCC
-criterion), the column maps and morphisms of a power built by composing
-columns one level at a time (in place of ``substitution_power`` and the
-``compose`` loop of ``telescope``), the subset graph over all 2^|A|
-subsets with one census and one reachability pass (in place of the
-trimmed graph of ``extended_bratteli.subset_arcs``), and the frozenset
-G_theta, coincidence search and extendable vertices (in place of the one
-mask closure of ``substitution._closure`` and the trim of
-``graphs.reached_from_cycle``).
+criterion), the column-by-column dict composition of two levels and the
+column maps and morphisms of a power built from it one level at a time
+(in place of the one translate of ``extended_bratteli.compose``, which
+``telescope`` and ``substitution_power`` share in effect), the subset
+graph over all 2^|A| subsets with one census and one reachability pass
+(in place of the trimmed graph of ``extended_bratteli.subset_arcs``), the
+frozenset G_theta, coincidence search and extendable vertices (in place of
+the one mask closure of ``substitution._closure`` and the trim of
+``graphs.reached_from_cycle``), and the per-level head-set loop for the
+longest D-head matching a head (in place of the prefix trie of
+``semicocycle._longest_head``).
 """
 
 import itertools
@@ -17,7 +20,7 @@ from collections import deque
 
 from toeplitztame import graphs
 from toeplitztame.errors import ValidationError
-from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, compose
+from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, LevelMorphism
 from toeplitztame.gtheta import SubsetGraph
 from toeplitztame.substitution import column_image
 
@@ -80,6 +83,26 @@ def shared_vertex_by_enumeration(vertices, edges, cap=10_000):
     return None, truncated
 
 
+def columns(m):
+    """Column i of a level morphism as a dict from upper letters to lower
+    ones."""
+    return [dict(zip(m.upper, col)) for col in zip(*m.words)]
+
+
+def compose_columns(first, second):
+    """Two consecutive levels (``first`` nearer the top) composed column by
+    column: composed column i + j * len(first) is first_i after second_j."""
+    if first.upper != second.lower:
+        raise ValidationError("levels do not chain")
+    fcols, scols = columns(first), columns(second)
+    cols = [None] * (len(fcols) * len(scols))
+    for j, sj in enumerate(scols):
+        for i, fi in enumerate(fcols):
+            cols[i + j * len(fcols)] = {a: fi[sj[a]] for a in second.upper}
+    return LevelMorphism(second.upper, first.lower, tuple(
+        "".join(col[a] for col in cols) for a in second.upper))
+
+
 def power_column_maps(m, power):
     """All composed column maps of the telescoped power, as tuples of
     images over the upper alphabet (alphabet order); index arithmetic puts
@@ -91,8 +114,7 @@ def power_column_maps(m, power):
             f"power {power} would need {m.length ** power} columns")
     letters = list(m.upper)
     pos = {a: t for t, a in enumerate(letters)}
-    base = [tuple(m.columns[i].as_dict()[a] for a in letters)
-            for i in range(m.length)]
+    base = list(zip(*m.words))
     maps = list(base)
     width = m.length
     for _ in range(power - 1):
@@ -110,7 +132,8 @@ def power_column_maps(m, power):
 
 
 def morphism_power(m, power):
-    """The power of a square level morphism by repeated composition."""
+    """The power of a square level morphism by repeated column-by-column
+    composition."""
     if m.upper != m.lower:
         raise ValidationError("powers need a square morphism")
     if m.length ** power > MAX_POWER_COLUMNS:
@@ -118,7 +141,7 @@ def morphism_power(m, power):
             f"power {power} would need {m.length ** power} columns")
     out = m
     for _ in range(power - 1):
-        out = compose(out, m)
+        out = compose_columns(out, m)
     return out
 
 
@@ -134,8 +157,8 @@ def full_subset_arcs(m):
     verts = [sum(1 << t for t in c) for r in range(1, n + 1)
              for c in itertools.combinations(range(n), r)]
     images = []
-    for col in m.columns:
-        masks = [1 << pos[col(a)] for a in letters]
+    for col in columns(m):
+        masks = [1 << pos[col[a]] for a in letters]
         img = [0] * (1 << n)
         for x in range(1, 1 << n):
             img[x] = img[x & (x - 1)] | masks[(x & -x).bit_length() - 1]
@@ -254,3 +277,14 @@ def census_extendable(g):
     return frozenset(reachable_from(
         g.vertices, [(d, s, lab) for s, d, lab in g.edges],
         sorted(on_cycle, key=vertex_key)))
+
+
+def longest_head_by_head_sets(digits, heads):
+    """The largest m with digits[:m] in heads(m) = Head_m, one head set
+    per level."""
+    L = 0
+    for m in range(1, len(digits) + 1):
+        if tuple(digits[:m]) not in heads(m):
+            break
+        L = m
+    return L

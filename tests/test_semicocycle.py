@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from oracles import longest_head_by_head_sets
 from toeplitztame.errors import (DepthError, HorizonError, LanguageError,
                                  PreconditionError, ValidationError)
 from toeplitztame.odometer import OdometerHead, head_index, level_product
@@ -17,6 +18,7 @@ from toeplitztame.semicocycle import (SCALE5, SCALE6, DPoint, DStage,
                                       f6_eval, head_set, heads_and_special,
                                       points_equal, realize_prefix,
                                       toeplitz5_window, translate_hits)
+from toeplitztame.semicocycle import _longest_head
 
 # ---------------------------------------------------------------------------
 # first family: the D-set over Z_((4^n))
@@ -420,11 +422,7 @@ def oracle_value(digits):
 
 
 def oracle_f5_eval(digits, stage, heads):
-    L = 0
-    for m in range(1, len(digits) + 1):
-        if digits[:m] not in heads(m):
-            break
-        L = m
+    L = longest_head_by_head_sets(digits, heads)
     confident = 2 ** stage.index >= len(digits) and L < len(digits)
     return ("a" if L % 2 else "b"), confident
 
@@ -520,6 +518,26 @@ def _near_d_head(rng, stage, depth):
     for k in range(cut, depth):
         digits[k] = rng.randrange(4 ** (k + 1))
     return tuple(digits)
+
+
+def test_prefix_trie_matches_head_set_loop():
+    # the trie grows with each query, so stage-point heads, heads that
+    # leave a point and arbitrary heads come in one seeded order
+    rng = random.Random(13)
+    for i in range(8):
+        stage = build_d_stage(i)
+        for _ in range(80):
+            depth = rng.randint(1, 2 ** i + 4)
+            kind = rng.randrange(3)
+            if kind == 0:
+                digits = oracle_head(rng.choice(stage.points), depth)
+            elif kind == 1:
+                digits = _near_d_head(rng, stage, depth)
+            else:
+                digits = oracle_integer_head(
+                    rng.randrange(level_product(SCALE5, depth)), depth)
+            assert _longest_head(stage, digits) == longest_head_by_head_sets(
+                digits, lambda m: head_set(stage, m))
 
 
 def test_stage_memos_and_lazy_factors_match_oracles():
