@@ -7,7 +7,7 @@ from .errors import ToeplitzError
 from .odometer import (OdometerHead, OdometerPoint, Scale, add_heads,
                        add_integer, common_head_length, head_index,
                        integer_head)
-from .substitution import (ColumnMap, Substitution, fixed_point_window,
+from .substitution import (Substitution, fixed_point_window,
                            has_coincidence, height_and_pure_base,
                            is_aperiodic, is_primitive, language, parse_text,
                            substitution_power, validate)

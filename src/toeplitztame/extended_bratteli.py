@@ -190,11 +190,15 @@ class DiagramSpec:
 
 def telescope(spec: DiagramSpec, groups) -> DiagramSpec:
     """Compose consecutive levels in blocks; the final group repeats.
+    Blocks of the final group's size are added until one starts at the
+    repeated level, so the block that repeats is a power of the tail.
     Uniform groups on a stationary spec yield the stationary spec of the
     substitution power."""
     groups = list(groups)
     if not groups or any(g < 1 for g in groups):
         raise ValidationError("groups must be positive")
+    while sum(groups) - groups[-1] + 1 < len(spec.levels):
+        groups.append(groups[-1])
     blocks, level = [], 1
     for g in groups:
         blocks.append([spec.morphism(level + t) for t in range(g)])

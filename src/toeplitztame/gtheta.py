@@ -28,6 +28,8 @@ INCONCLUSIVE = "inconclusive"
 
 # simple cycles are counted up to this many; the report then says truncated
 CYCLE_COUNT_CAP = 10_000
+# fiber_window builds words of at most this many symbols each
+FIBER_WINDOW_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -227,15 +229,14 @@ class FiberWord:
     offset: int
 
 
-def fiber_window(h: OdometerHead, theta: Substitution,
-                 size_limit: int = 100_000_000) -> list[FiberWord]:
+def fiber_window(h: OdometerHead, theta: Substitution) -> list[FiberWord]:
     """For each letter v, the word theta^n(v) placed on
     [-z^(n), l^n - z^(n)) with z^(n) the head index; the distinct words
     bound the fibre over any point extending the head.  Use window_letter
-    for depths whose words would exceed the size limit."""
+    for depths whose words would exceed FIBER_WINDOW_LIMIT symbols."""
     _check_scale(h, theta)
     n = h.depth
-    if theta.length ** n > size_limit:
+    if theta.length ** n > FIBER_WINDOW_LIMIT:
         raise ValidationError(
             f"window of {theta.length ** n} symbols exceeds the size limit; "
             "read single positions with window_letter instead")

@@ -17,11 +17,13 @@ Second family (over Z_2): a double sequence l^n_i closed under
 l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with midpoint interpolation on odd
 indices, times t_n = 2^(l^n_0), and a family f^n of interval-constant
 functions built from any right-extendable binary language so that the
-level-N interval words enumerate that language.  ``LevelFamily``
-evaluates single entries pointwise and grows the rows the f-family
-needs as lists, in bulk from the row below; ``FFamily`` keeps,
-per level, the row below the horizon, the letter of each interval and
-each interval's word, built as its parent's word plus that letter.
+level-N interval words enumerate that language.  The recursion has a
+closed form, the first row linearly interpolated at n - 1 + i/2^(n-1),
+so ``LevelFamily`` keeps only the first row: an entry is two first-row
+reads, and a row below a bound is one range per first-row segment.
+``FFamily`` keeps, per level, the row below the horizon, the letter of
+each interval and each interval's word, built as its parent's word
+plus that letter.
 Realizing a prescribed word y along the times amounts to placing the
 orbit inside one interval, which the translation t_w below does exactly.
 
@@ -38,7 +40,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import (accumulate, chain, combinations, count, islice,
-                       product, repeat)
+                       product)
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
@@ -417,52 +419,41 @@ class LevelFamily:
     integral; shift offsets are i_n = 2^(n-1) and the times are
     t_n = 2^(l^n_0).
 
-    ``l``, ``time`` and ``row`` evaluate the recursion pointwise with a
-    memo, in work linear in n.  ``row_to`` keeps each row as a list grown
-    in bulk from a slice of the row below, and grows only rows whose
-    entries the bound limits."""
+    The recursion has a closed form: l^n_i is the first row, linearly
+    interpolated, at the point n - 1 + i/2^(n-1).  The shift moves the
+    point by one, a midpoint halves the step, and the two neighbours of
+    a midpoint never straddle a first-row entry.  So only the first row
+    is kept, and an entry costs two first-row reads."""
 
     def __init__(self, first_row=None):
         self._first = first_row or (lambda i: 2 ** i - 1)
-        self._memo = {}
-        self._rows = []   # _rows[n-1] = [l^n_0, l^n_1, ...]
 
     def offset(self, n: int) -> int:
         return 2 ** (n - 1)
 
     def l(self, n: int, i: int) -> int:
-        """l^n_i by a depth-first descent on an explicit stack, so that n
-        is not bounded by the recursion limit.  Each level needs at most
-        two adjacent entries of the level below; they are visited, and
-        memoised, in the order of the recursion (l^{n-1}_{j + i_{n-1}}
-        first), so a non-integral midpoint fails at the same entry."""
+        """l^n_i: the point j + r/2^d, r odd, lies on first-row segment
+        j, and the recursion reaches it as the odd entry of level d + 1.
+        It is integral iff 2^d divides the segment's rise.  Otherwise,
+        with 2^v the largest power dividing it, the recursion stays in
+        the dyadic interval of length 2^-v around the point and fails at
+        its midpoint, the one point of the interval at level v + 2."""
         if n < 1 or i < 0:
             raise ValidationError("need n >= 1 and i >= 0")
-        memo = self._memo
-        stack = [(n, i)]
-        while stack:
-            m, x = top = stack[-1]
-            if top in memo:
-                stack.pop()
-            elif m == 1:
-                memo[top] = self._first(x)
-            else:
-                j, odd = divmod(x, 2)
-                lo_key = (m - 1, j + self.offset(m - 1))
-                hi_key = (m - 1, lo_key[1] + 1)
-                if lo_key not in memo:
-                    stack.append(lo_key)
-                elif not odd:
-                    memo[top] = memo[lo_key]
-                elif hi_key not in memo:
-                    stack.append(hi_key)
-                else:
-                    lo, hi = memo[lo_key], memo[hi_key]
-                    if (lo + hi) % 2:
-                        raise ValidationError(
-                            f"midpoint rule not integral at l^{m}_{x}")
-                    memo[top] = (lo + hi) // 2
-        return memo[n, i]
+        d = n - 1
+        j, r = d + (i >> d), i & ((1 << d) - 1)
+        if not r:
+            return self._first(j)
+        low = (r & -r).bit_length() - 1
+        r, d = r >> low, d - low
+        lo = self._first(j)
+        rise = self._first(j + 1) - lo
+        if rise & ((1 << d) - 1):
+            v = (rise & -rise).bit_length() - 1
+            r, d = (r >> (d - v - 1)) | 1, v + 1
+            raise ValidationError(
+                f"midpoint rule not integral at l^{d + 1}_{((j - d) << d) + r}")
+        return lo + (rise >> d) * r
 
     def time(self, n: int) -> int:
         return 2 ** self.l(n, 0)
@@ -470,55 +461,26 @@ class LevelFamily:
     def row(self, n: int, count: int) -> list[int]:
         return [self.l(n, i) for i in range(count)]
 
-    def _grow(self, n: int, count: int) -> list:
-        """Row n, holding at least count entries.  Only the missing pairs
-        l^n_{2j}, l^n_{2j+1} are computed, from one slice of the row
-        below, which grows just as far as they need; row n - 1 reaches
-        index about 2^(n-2) + count/2."""
-        while len(self._rows) < n:
-            self._rows.append([])
-        row = self._rows[n - 1]
-        if len(row) >= count:
-            return row
-        if n == 1:
-            row.extend(map(self._first, range(len(row), count)))
-            return row
-        start, half = len(row) // 2, (count + 1) // 2
-        off = self.offset(n - 1)
-        src = self._grow(n - 1, off + half + 1)[off + start:off + half + 1]
-        lo = src[:-1]
-        sums = list(map(operator.add, lo, src[1:]))
-        if any(map(operator.mod, sums, repeat(2))):
-            j = next(j for j, s in enumerate(sums) if s % 2)
-            raise ValidationError(
-                f"midpoint rule not integral at l^{n}_{2 * (start + j) + 1}")
-        del row[2 * start:]
-        row.extend([None] * (2 * len(lo)))
-        row[2 * start::2] = lo
-        row[2 * start + 1::2] = [s // 2 for s in sums]
-        return row
-
-    def row_to(self, n: int, bound: int, count: int = 2) -> list[int]:
+    def row_to(self, n: int, bound: int) -> list[int]:
         """The entries l^n_i <= bound, from a row that must strictly
-        increase through integers (so that there are finitely many).  The
-        row is grown to count entries first, then doubled as needed.
-
-        Such rows give l^n_0 >= l^1_0 + 2^(n-1) - 1, so once l^n_0 <= bound
-        the rows below are grown only about as far as the bound reaches."""
+        increase through integers (so that there are finitely many).
+        First-row segment j >= n - 1 holds the 2^(n-1) entries
+        range(l^1_j, l^1_{j+1}, rise/2^(n-1)) of row n."""
         if n < 1:
             raise ValidationError("need n >= 1 and i >= 0")
-        if self.l(n, 0) > bound:
-            return []
-        while True:
-            row = self._grow(n, count)
-            if (set(map(type, row)) - {int}
-                    or not all(map(operator.lt, row, row[1:]))):
+        entries, d = [], n - 1
+        j, a = d, self._first(d)
+        while a <= bound:
+            b = self._first(j + 1)
+            rise = b - a
+            if isinstance(rise, int) and rise & ((1 << d) - 1):
+                self.l(n, ((j - d) << d) + 1)
+            if not isinstance(rise, int) or rise <= 0:
                 raise ValidationError(
                     f"row {n} does not increase strictly through integers")
-            k = bisect_right(row, bound)
-            if k < len(row):
-                return row[:k]
-            count = 2 * len(row) + 1
+            entries.extend(range(a, min(b, bound + 1), rise >> d))
+            j, a = j + 1, b
+        return entries
 
 
 def build_level_family() -> LevelFamily:
@@ -668,18 +630,14 @@ def build_f_family(handle, n_max: int, horizon: int,
     word give both letters.  The work is linear in the number of
     intervals below the horizon, not in the horizon.
 
-    The first row must increase strictly through integers.  Then
-    l^n_1 >= l^1_0 + 2^(n-1), with equality for the default row, so a
-    horizon within 2^(n_max-1) of l^1_0 is refused before the recursion
-    for l^n_max_1 is walked, n_max levels deep.  A family whose rows
-    would hold more than MAX_FAMILY_ENTRIES entries in all is refused
-    before the row that would pass it is grown."""
+    The first row must increase strictly through integers.  A horizon
+    at or below l^n_max_1 is refused first; a family whose rows would
+    hold more than MAX_FAMILY_ENTRIES entries in all is refused before
+    the row that would pass it is built."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     lf = lf or build_level_family()
-    span = horizon - lf.l(1, 0)
-    if (span <= 0 or (span - 1).bit_length() <= n_max - 1
-            or horizon <= lf.l(n_max, 1)):
+    if horizon <= lf.l(n_max, 1):
         raise HorizonError("horizon too small for the requested levels")
     rows, letters, words = [], [], []
     count = total = 2
@@ -689,10 +647,10 @@ def build_f_family(handle, n_max: int, horizon: int,
                 f"levels 1..{n} below the horizon need more than "
                 f"{MAX_FAMILY_ENTRIES} level entries; lower the horizon "
                 f"or n_max")
-        row = lf.row_to(n, horizon, count)
+        row = lf.row_to(n, horizon)
         total += len(row)
         # l^{n+1}_{2m} = l^n_{m + i_n} is the first entry past the horizon
-        # for m = len(row) - i_n, so 2m + 1 entries of row n + 1 suffice
+        # for m = len(row) - i_n, so row n + 1 holds at most 2m + 1 entries
         count = 2 * (len(row) - lf.offset(n)) + 1
         started = bisect_left(row, horizon)
         if n == 1:

@@ -73,33 +73,6 @@ def has_naive_order(theta: Substitution) -> bool:
             and len({w[-1] for w in theta.words}) == 1)
 
 
-@dataclass(frozen=True)
-class ColumnMap:
-    """The i-th column theta_i: the letter map sending a to theta(a)[i]."""
-
-    index: int
-    table: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.table))
-
-    def __call__(self, a: str) -> str:
-        return self._map[a]
-
-    def as_dict(self) -> dict:
-        return dict(self._map)
-
-    def image(self, letters) -> frozenset:
-        t = self._map
-        return frozenset(t[a] for a in letters)
-
-
-def column(theta: Substitution, i: int) -> ColumnMap:
-    if not 0 <= i < theta.length:
-        raise ValidationError(f"column index {i} out of range")
-    return ColumnMap(i, tuple((a, theta.rule(a)[i]) for a in theta.alphabet))
-
-
 def column_image(theta: Substitution, i: int, letters) -> frozenset:
     return frozenset(theta.rule(a)[i] for a in letters)
 

@@ -95,16 +95,16 @@ def test_telescope_mixed_groups_match_morphism_power():
 
 def test_compose_and_telescope_match_column_by_column_oracle():
     # explicit specs chain a non-square top level over a square tail on
-    # shuffled alphabets, and their last group, which repeats, must start
-    # at the tail; stationary ones take uniform and mixed groups
+    # shuffled alphabets, and the level their telescoping repeats is the
+    # tail composed as often as the last group says; stationary ones take
+    # uniform and mixed groups
     rng = random.Random(1313)
     branches = {"explicit": 0, "uniform": 0, "mixed": 0}
     for trial in range(90):
         spec = _random_spec(rng, stationary=trial % 3 == 0)
         top, tail = spec.morphism(1), spec.tail_morphism()
         assert compose(top, tail) == compose_columns(top, tail)
-        fewest = 1 if spec.kind == "stationary" else 2
-        groups = [rng.randint(1, 3) for _ in range(rng.randint(fewest, 3))]
+        groups = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
         tele = telescope(spec, groups)
         level = 1
         for g, got in zip(groups, tele.levels):
@@ -116,6 +116,12 @@ def test_compose_and_telescope_match_column_by_column_oracle():
             level += g
         if spec.kind == "explicit":
             branches["explicit"] += 1
+            power = tail
+            for _ in range(groups[-1] - 1):
+                power = compose_columns(power, tail)
+            assert tele.tail_morphism() == power
+            assert all(m == power for m in tele.levels[len(groups):])
+            assert len(tele.levels) == max(len(groups), 2)
         elif len(set(groups)) == 1:
             branches["uniform"] += 1
             assert tele.kind == "stationary" and len(tele.levels) == 1
@@ -125,6 +131,19 @@ def test_compose_and_telescope_match_column_by_column_oracle():
             branches["mixed"] += 1
             assert tele.kind == "explicit" and len(tele.levels) == len(groups)
     assert min(branches.values()) >= 10
+
+
+def test_telescope_repeats_a_power_of_the_tail(ex22, ex23):
+    # a last group starting above the repeated level is followed by one
+    # block of its size that starts at it, so the thickness is the spec's
+    spec = DiagramSpec.explicit([morphism_from_substitution(ex22),
+                                 morphism_from_substitution(ex23)])
+    assert essential_thickness(spec) == 1
+    for groups in ([1], [2], [3], [1, 2], [2, 1]):
+        tele = telescope(spec, groups)
+        assert essential_thickness(tele) == 1, groups
+        assert tele.tail_morphism() == telescope(
+            DiagramSpec.explicit([spec.tail_morphism()]), groups[-1:]).levels[0]
 
 
 def test_telescope_caps_every_branch(ex22, ex23):

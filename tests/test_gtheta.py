@@ -273,6 +273,10 @@ def test_fiber_window_examples(ex22):
         ("a", "a", 0), ("b", "b", 0), ("c", "c", 0)]
     col0 = fiber_window(OdometerHead(Z4, (0,)), ex22)
     assert {w.text[0] for w in col0} == {"a"}
+    # 4^14 symbols per word are refused before any word is built
+    with pytest.raises(ValidationError,
+                       match="window of 268435456 symbols exceeds the size limit"):
+        fiber_window(OdometerHead(Z4, (1,) * 14), ex22)
 
 
 def test_fiber_window_restriction_consistency(ex22):

@@ -689,16 +689,15 @@ def oracle_build_f_family(handle, n_max, horizon, lf):
     return OracleFFamily(n_max, horizon, tables)
 
 
-def oracle_row_to(lf, n, bound, limit=None):
-    """The entries l^n_i <= bound of a strictly increasing row (or the
-    first limit entries), pointwise."""
-    entries = []
-    while len(entries) != limit and (
-            limit is not None or not entries or entries[-1] <= bound):
+def oracle_row_to(lf, n, bound):
+    """The entries l^n_i <= bound of a strictly increasing row, pointwise."""
+    entries = [lf.l(n, 0)]
+    while entries[-1] <= bound:
         entries.append(lf.l(n, len(entries)))
-        if len(entries) > 1 and not entries[-2] < entries[-1]:
-            raise ValidationError(f"row {n} does not increase strictly")
-    return entries if limit is not None else entries[:-1]
+        if not entries[-2] < entries[-1]:
+            raise ValidationError(
+                f"row {n} does not increase strictly through integers")
+    return entries[:-1]
 
 
 def outcome(f, *args):
@@ -732,32 +731,52 @@ def test_level_rows_match_recursion_oracle():
         rng.shuffle(queries)
         for n, i in queries:
             assert outcome(lf.l, n, i) == outcome(oracle.l, n, i), (n, i)
-        # the same entries memoised, up to the same failing midpoints
-        assert lf._memo == oracle._memo
         fresh = LevelFamily(first)
         for n in range(1, 8):
             assert outcome(fresh.row, n, 40) == \
                 outcome(lambda: [oracle.l(n, i) for i in range(40)])
             assert outcome(fresh.time, n) == outcome(oracle.time, n)
-        # the bulk rows: equal entries, and a ValidationError wherever the
-        # recursion fails below the bound; the bulk growth may also fail a
-        # little past the bound, where some row the recursion rests on fails
+        # the rows below a bound: the oracle's entries, or its error
         for n, bound in itertools.product(range(1, 8), (0, 5, 40, 300, 5000)):
-            got = outcome(LevelFamily(first).row_to, n, bound)
-            expected = outcome(oracle_row_to, oracle, n, bound)
-            if isinstance(got, list):
-                assert got == expected
-            else:
-                assert got[0] is ValidationError
-                assert isinstance(expected, tuple) or any(
-                    isinstance(outcome(oracle_row_to, oracle, k, None,
-                                       2 * len(expected) + 2 ** n + 4), tuple)
-                    for k in range(1, n + 1))
+            assert outcome(LevelFamily(first).row_to, n, bound) == \
+                outcome(oracle_row_to, oracle, n, bound), (n, bound)
+
+
+def test_closed_form_fails_where_the_recursion_fails():
+    # first rows whose rises have 2-adic valuations 0..9, so that the
+    # midpoints of a segment fail at many depths and the failing entry
+    # sits deep inside the recursion of the queried one
+    rng = random.Random(1515)
+    first_rows = [lambda i: 3 * i, lambda i: i * i + i // 3]
+    for _ in range(13):
+        rises = [rng.choice([0, 1, 3, -2]) << rng.randrange(10)
+                 for _ in range(320)]
+        start = rng.randint(-4, 4)
+        first_rows.append(lambda i, r=rises, a=start: a + sum(r[:i]))
+    failing_levels = set()
+    for first in first_rows:
+        lf, oracle = LevelFamily(first), OracleLevelFamily(first)
+        queries = rng.sample([(n, i) for n in range(1, 15)
+                              for i in range(300)], 600)
+        for n, i in queries:
+            got = outcome(lf.l, n, i)
+            assert got == outcome(oracle.l, n, i), (n, i)
+            if isinstance(got, tuple):
+                failing_levels.add(int(got[1].split("^")[1].split("_")[0]))
+    assert len(failing_levels) >= 8
+
+
+def test_default_rows_below_a_bound_match_the_pointwise_oracle():
+    lf, oracle = build_level_family(), OracleLevelFamily()
+    for n, bound in itertools.product(range(1, 11),
+                                      (-1, 0, 1, 63, 64, 500, 4096, 10000)):
+        assert lf.row_to(n, bound) == oracle_row_to(oracle, n, bound)
+    assert lf.row_to(3, 15) == [3, 4, 5, 6, 7, 9, 11, 13, 15]
 
 
 def test_level_entries_deeper_than_the_recursion_limit():
     # the default row gives l^n_0 = 2^(n-1) - 1 and l^n_1 = 2^(n-1); the
-    # descent walks 3000 levels without recursing
+    # closed form reads two first-row entries at any depth
     lf = build_level_family()
     assert lf.l(3000, 1) == 2 ** 2999
     assert lf.l(3000, 0) == 2 ** 2999 - 1

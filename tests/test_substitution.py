@@ -8,8 +8,8 @@ import pytest
 from toeplitztame.errors import (NotPrimitive, ParseError, PureBaseError,
                                  StabilizationError, ToeplitzError,
                                  ValidationError)
-from toeplitztame.substitution import (LETTER_POOL, Substitution, column,
-                                       expand, first_letter_seed,
+from toeplitztame.substitution import (LETTER_POOL, Substitution,
+                                       column_image, expand, first_letter_seed,
                                        fixed_point_window, has_coincidence,
                                        height_and_pure_base, is_aperiodic,
                                        is_primitive, language, letter_in_power,
@@ -139,7 +139,7 @@ def test_height_two_round_trip(height2):
 
 def test_coincidence_examples(ex22, thue_morse, pd_coincidence):
     # single-step oracle: column 0 is constant
-    assert column(ex22, 0).image(ex22.alphabet) == frozenset("a")
+    assert column_image(ex22, 0, ex22.alphabet) == frozenset("a")
     assert has_coincidence(ex22) == (0,)
     assert has_coincidence(thue_morse) is None
     assert has_coincidence(pd_coincidence) == (0,)
@@ -169,8 +169,12 @@ def test_coincidence_bfs_equals_brute_force_small(ex22, ex23, thue_morse):
 def test_column_word_consistency(ex22, ex23, thue_morse, height2):
     for theta in (ex22, ex23, thue_morse, height2):
         for a in theta.alphabet:
-            rebuilt = "".join(column(theta, i)(a) for i in range(theta.length))
+            rebuilt = "".join(min(column_image(theta, i, a))
+                              for i in range(theta.length))
             assert rebuilt == theta.rule(a)
+        for i in range(theta.length):
+            assert column_image(theta, i, theta.alphabet) == \
+                frozenset(w[i] for w in theta.words)
 
 
 def test_fixed_point_window_examples(ex22, thue_morse):
