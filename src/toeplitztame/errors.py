@@ -28,10 +28,6 @@ class ValidationError(ToeplitzError):
     code = "validation"
 
 
-class ScaleMismatch(ToeplitzError):
-    code = "odometer/scale-mismatch"
-
-
 class NotPrimitive(ToeplitzError):
     code = "substitution/not-primitive"
 

@@ -160,10 +160,6 @@ class DiagramSpec:
         every analysis of the spec shares."""
         return self.levels[-1]
 
-    @property
-    def rank(self) -> int:
-        return max(len(m.upper) for m in self.levels)
-
     def to_json(self):
         if self.kind == "stationary":
             return {"stationary": self.substitution.to_json()}
@@ -210,15 +206,6 @@ def telescope(spec: DiagramSpec, groups) -> DiagramSpec:
         m = reduce(compose, blocks[0])
         return DiagramSpec.stationary(Substitution(m.upper, m.words))
     return DiagramSpec.explicit(reduce(compose, b) for b in blocks)
-
-
-def extended_image(m: LevelMorphism, i: int, letters) -> frozenset:
-    """The extended-diagram edge relation: the image of an upper subset
-    under one column."""
-    s = frozenset(letters)
-    if not s or not s <= set(m.upper):
-        raise ValidationError("need a nonempty subset of the upper alphabet")
-    return m.image(i, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The subset graph of a constant-length substitution and everything it
 decides: the two-cycle tameness criterion, singular-orbit bounds,
-discontinuity membership, fibre windows and the canonical semicocycle.
+fibre-window letters and the canonical semicocycle.
 
 Vertices are the letter sets theta_{w_1}...theta_{w_k}(A) of cardinality
 > 1, plus the full alphabet; there is an edge from B to A labelled i iff
@@ -17,8 +17,8 @@ from .errors import NotPrimitive, PeriodicSubstitution, PureBaseError, \
     StabilizationError, ValidationError
 from .odometer import OdometerHead, head_index
 from .substitution import (Substitution, _closure, _letter_set, _mask_key,
-                           column_image, expand, height_and_pure_base,
-                           is_aperiodic, is_primitive,
+                           column_image, height_and_pure_base, is_aperiodic,
+                           is_primitive, letter_in_power,
                            shortest_collapsing_word, validate)
 
 TAME = "tame"
@@ -28,8 +28,6 @@ INCONCLUSIVE = "inconclusive"
 
 # simple cycles are counted up to this many; the report then says truncated
 CYCLE_COUNT_CAP = 10_000
-# fiber_window builds words of at most this many symbols each
-FIBER_WINDOW_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -210,44 +208,15 @@ def tameness_verdict(theta) -> AnalysisReport:
 
 
 # ---------------------------------------------------------------------------
-# discontinuity set and fibre windows
-
-
-def discontinuity_membership(h: OdometerHead, theta_prime: Substitution) -> bool:
-    """True iff the subset graph carries a path with successive labels
-    z_1..z_n, i.e. all the partial images theta_{z_k}...theta_{z_n}(A)
-    have more than one letter.  Necessary for any extension of the head to
-    be a discontinuity point; exact in the limit of the depth.  Images
-    only shrink, so it is the full composition that decides."""
-    return canonical_semicocycle_eval(h, theta_prime) is None
-
-
-@dataclass(frozen=True)
-class FiberWord:
-    vertex: str
-    text: str
-    offset: int
-
-
-def fiber_window(h: OdometerHead, theta: Substitution) -> list[FiberWord]:
-    """For each letter v, the word theta^n(v) placed on
-    [-z^(n), l^n - z^(n)) with z^(n) the head index; the distinct words
-    bound the fibre over any point extending the head.  Use window_letter
-    for depths whose words would exceed FIBER_WINDOW_LIMIT symbols."""
-    _check_scale(h, theta)
-    n = h.depth
-    if theta.length ** n > FIBER_WINDOW_LIMIT:
-        raise ValidationError(
-            f"window of {theta.length ** n} symbols exceeds the size limit; "
-            "read single positions with window_letter instead")
-    z = head_index(h)
-    return [FiberWord(v, expand(theta, v, n), -z) for v in theta.alphabet]
+# fibre windows
 
 
 def window_letter(h: OdometerHead, theta: Substitution, vertex: str, position: int) -> str:
     """Letter of the fibre-window word of ``vertex`` at a shift position,
-    evaluated by digit descent instead of materializing the word."""
-    from .substitution import letter_in_power
+    evaluated by digit descent instead of materializing the word.  The
+    word is theta^n(v) placed on [-z^(n), l^n - z^(n)), with z^(n) the
+    head index; the distinct words bound the fibre over any point
+    extending the head."""
     _check_scale(h, theta)
     z = head_index(h)
     return letter_in_power(theta, vertex, h.depth, z + position)
@@ -256,7 +225,11 @@ def window_letter(h: OdometerHead, theta: Substitution, vertex: str, position: i
 def canonical_semicocycle_eval(h: OdometerHead, theta: Substitution):
     """The letter at position 0 when all fibre words agree there,
     equivalently when theta_{z_1} o ... o theta_{z_n} collapses the
-    alphabet; None while undetermined at this depth."""
+    alphabet; None while undetermined at this depth.  None is the test
+    for the discontinuity set: every partial image theta_{z_k} o ... o
+    theta_{z_n}(A) has more than one letter, which any extension of the
+    head to a discontinuity point needs, and which is exact in the limit
+    of the depth."""
     if h.depth < 1:
         raise ValidationError("head depth must be >= 1")
     _check_scale(h, theta)

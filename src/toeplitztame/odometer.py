@@ -14,12 +14,12 @@ small integer to a deep head touches only its low levels.
 
 Digits are range-checked where they come from outside: the public
 ``OdometerHead`` constructor checks every digit.  The heads that
-``integer_head``, ``add_integer`` and ``add_heads`` return skip that check,
-since every digit they make is a ``divmod`` remainder by its modulus and
-every digit they copy comes from a checked head.  A scale holds
-no memo of its moduli or level products: scales such as the module
-constants of ``semicocycle`` outlive a single command, and a table of
-level products would keep O(depth^3) bits alive.
+``integer_head`` and ``add_integer`` return skip that check, since every
+digit they make is a ``divmod`` remainder by its modulus and every digit
+they copy comes from a checked head.  A scale holds no memo of its moduli
+or level products: scales such as the module constants of ``semicocycle``
+outlive a single command, and a table of level products would keep
+O(depth^3) bits alive.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, repeat
 
-from .errors import ScaleMismatch, ValidationError
+from .errors import ValidationError
 
 
 def _is_modulus(m) -> bool:
@@ -103,16 +103,6 @@ class Scale:
         return chain(self.prefix[start - 1:],
                      self.tail.moduli(max(start, len(self.prefix) + 1)))
 
-    def min_modulus_beyond(self, depth: int) -> int:
-        """Smallest modulus at any level n > depth (closed form)."""
-        if self.kind == "constant":
-            return self.l
-        if self.kind == "powers":
-            return self.b ** (depth + 1)
-        cands = list(self.prefix[depth:])
-        cands.append(self.tail.min_modulus_beyond(max(depth, len(self.prefix))))
-        return min(cands)
-
     def to_json(self):
         if self.kind == "constant":
             return {"kind": "constant", "l": self.l}
@@ -161,35 +151,6 @@ def _arithmetic_head(scale: Scale, digits: tuple) -> OdometerHead:
     return h
 
 
-@dataclass(frozen=True)
-class OdometerPoint:
-    """A head followed by one digit repeated at every deeper level."""
-
-    head: OdometerHead
-    tail_digit: int
-
-    def __post_init__(self):
-        bound = self.head.scale.min_modulus_beyond(self.head.depth)
-        if not 0 <= self.tail_digit < bound:
-            raise ValidationError(
-                f"tail digit {self.tail_digit} invalid beyond depth {self.head.depth}")
-
-    @property
-    def scale(self) -> Scale:
-        return self.head.scale
-
-    def digit(self, n: int) -> int:
-        if n <= self.head.depth:
-            return self.head.digits[n - 1]
-        return self.tail_digit
-
-    def head_at(self, depth: int) -> OdometerHead:
-        """Expand to an explicit head of the requested depth."""
-        digits = list(self.head.digits[:depth])
-        digits.extend(self.tail_digit for _ in range(depth - len(digits)))
-        return OdometerHead(self.scale, tuple(digits))
-
-
 def integer_head(t: int, scale: Scale, depth: int) -> OdometerHead:
     """Head of the canonical odometer representation of the integer t."""
     if depth < 0:
@@ -216,30 +177,6 @@ def add_integer(h: OdometerHead, t: int) -> OdometerHead:
         c, r = divmod(d + c, m)
         digits.append(r)
     return _arithmetic_head(h.scale, tuple(digits))
-
-
-def add_heads(a: OdometerHead, b: OdometerHead) -> OdometerHead:
-    """Digit-wise sum a + b, exact down to the shallower depth."""
-    if a.scale != b.scale:
-        raise ScaleMismatch("cannot add heads over different scales")
-    digits = []
-    c = 0
-    for x, y, m in zip(a.digits, b.digits, a.scale.moduli()):
-        c, r = divmod(x + y + c, m)
-        digits.append(r)
-    return _arithmetic_head(a.scale, tuple(digits))
-
-
-def common_head_length(a: OdometerHead, b: OdometerHead) -> tuple[int, bool]:
-    """(L, saturated): L leading digits agree; saturated means agreement
-    reached the shallower depth, so the true L may exceed the reported one."""
-    if a.scale != b.scale:
-        raise ScaleMismatch("cannot compare heads over different scales")
-    limit = min(a.depth, b.depth)
-    L = 0
-    while L < limit and a.digits[L] == b.digits[L]:
-        L += 1
-    return L, L == limit
 
 
 def head_index(h: OdometerHead) -> int:

@@ -44,8 +44,8 @@ from itertools import (accumulate, chain, combinations, count, islice,
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
-from .odometer import (OdometerHead, Scale, add_integer, head_index,
-                       integer_head, level_product)
+from .odometer import (OdometerHead, Scale, add_integer, integer_head,
+                       level_product)
 
 SCALE5 = Scale.powers(4)
 SCALE6 = Scale.constant(2)
@@ -262,12 +262,6 @@ def toeplitz5_window(zhat: OdometerHead, n0: int, n1: int, stage: DStage) -> str
     return "".join(letters)
 
 
-def points_equal(p: DPoint, q: DPoint) -> bool:
-    """Exact equality of the two eventually-constant points."""
-    span = max(len(p.head_exponents), len(q.head_exponents)) + 1
-    return p.exponents(span) == q.exponents(span)
-
-
 def _canonical(p: DPoint) -> tuple:
     """One id per point: the head without its trailing tail-valued
     exponents, then the tail; two points are equal iff their ids are."""
@@ -313,21 +307,12 @@ def _windows(vals, bases: list, modulus: int, t_range: int) -> list:
     return found
 
 
-def translate_hits(z: OdometerHead, stage: DStage, t_range: int) -> list:
-    """All (source head class, t) with |t| <= t_range such that
-    d + t + z agrees with some stage head at the depth of z, where d runs
-    over the distinct depth-limited stage heads (classes index their
-    sorted list).  Head arithmetic at a fixed depth is arithmetic modulo
-    the product of the moduli, so each candidate reduces to one residue
-    comparison."""
-    _, vals, _ = _head_classes(stage, z.depth)
-    return _translate_hits(head_index(z), vals,
-                           level_product(SCALE5, z.depth), t_range)
-
-
 def _translate_hits(zval: int, vals: list, modulus: int, t_range: int) -> list:
-    """The hits of ``translate_hits``, sorted: for each source class, the
-    class values within t_range of source + z, by bisection."""
+    """All (source class, t) with |t| <= t_range such that source + t + z
+    agrees with some class value, sorted: for each source class, the class
+    values within t_range of source + z, by bisection.  Head arithmetic at
+    a fixed depth is arithmetic modulo the product of the moduli, so each
+    candidate is one residue comparison."""
     bases = [(sval + zval) % modulus for sval in vals]
     return [(sc, t) for sc, window in
             enumerate(_windows(vals, bases, modulus, t_range))
@@ -497,8 +482,7 @@ class FullShift:
     name = "full"
 
     def words(self, n: int) -> frozenset:
-        import itertools
-        return frozenset("".join(w) for w in itertools.product("ab", repeat=n))
+        return frozenset("".join(w) for w in product("ab", repeat=n))
 
     def extensions(self, w: str) -> str:
         return "ab"
@@ -538,34 +522,6 @@ class SturmianFibonacci:
 
     def extensions(self, w: str) -> str:
         longer = self.words(len(w) + 1)
-        return "".join(c for c in "ab" if w + c in longer)
-
-
-class UserWordList:
-    """An explicit right-extendable language given as words per length."""
-
-    name = "user"
-
-    def __init__(self, words_by_length: dict):
-        self._words = {n: frozenset(ws) for n, ws in words_by_length.items()}
-        if self._words.get(1) != frozenset({"a", "b"}):
-            raise LanguageError("a usable language has L^1 = {a, b}")
-        for n in sorted(self._words):
-            if n + 1 not in self._words:
-                break
-            for w in self._words[n]:
-                if not any(w + c in self._words[n + 1] for c in "ab"):
-                    raise LanguageError(f"{w!r} has no right extension")
-
-    def words(self, n: int) -> frozenset:
-        if n not in self._words:
-            raise LanguageError(f"no words of length {n} supplied")
-        return self._words[n]
-
-    def extensions(self, w: str) -> str:
-        longer = self._words.get(len(w) + 1)
-        if longer is None:
-            raise LanguageError("word list exhausted")
         return "".join(c for c in "ab" if w + c in longer)
 
 

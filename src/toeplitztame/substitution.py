@@ -418,66 +418,8 @@ def shortest_collapsing_word(theta: Substitution):
     return _closure(theta)[0]
 
 
-def has_coincidence(theta: Substitution):
-    """Coincidence witness on the pure base: the shortest index word
-    i_1..i_k with |theta'_{i_k}(...theta'_{i_1}(A')...)| = 1, or None."""
-    _, theta_prime, _ = height_and_pure_base(theta)
-    return shortest_collapsing_word(theta_prime)
-
-
 # ---------------------------------------------------------------------------
-# fixed points
-
-
-@dataclass(frozen=True)
-class Window:
-    """A two-sided word: ``text`` with the origin at index ``origin``;
-    positions run over [-origin, len(text) - origin)."""
-
-    text: str
-    origin: int
-
-    def letter(self, i: int) -> str:
-        j = self.origin + i
-        if not 0 <= j < len(self.text):
-            raise ValidationError(f"position {i} outside window")
-        return self.text[j]
-
-    @property
-    def lo(self) -> int:
-        return -self.origin
-
-    @property
-    def hi(self) -> int:
-        return len(self.text) - self.origin
-
-
-def two_sided_seed(theta: Substitution) -> tuple[str, str, int]:
-    """(p, s, q): an admissible seed pair p.s for a two-sided fixed point
-    of theta^q, preferring the smallest power q and then alphabet order."""
-    for q in range(1, len(theta.alphabet) + 1):
-        lang2 = language(theta, 2)
-        for p in theta.alphabet:
-            if expand(theta, p, q)[-1] != p:
-                continue
-            for s in theta.alphabet:
-                if expand(theta, s, q)[0] != s:
-                    continue
-                if p + s in lang2:
-                    return p, s, q
-    raise ValidationError("no admissible two-sided fixed-point seed found")
-
-
-def fixed_point_window(theta: Substitution, radius: int) -> Window:
-    """Two-sided fixed-point word on [-radius, radius)."""
-    if radius == 0:
-        return Window("", 0)
-    p, s, q = two_sided_seed(theta)
-    left, right = p, s
-    while len(right) < radius or len(left) < radius:
-        left = expand(theta, left, q)
-        right = expand(theta, right, q)
-    return Window(left[-radius:] + right[:radius], radius)
+# powers
 
 
 def substitution_power(theta: Substitution, m: int) -> Substitution:

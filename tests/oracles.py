@@ -12,17 +12,24 @@ the one mask closure of ``substitution._closure`` and the trim of
 ``graphs.reached_from_cycle``), and the per-level head-set loop for the
 longest D-head matching a head (in place of the prefix trie of
 ``semicocycle._longest_head``).
+
+Beside them are references with no counterpart in the library: a
+materialised two-sided fixed-point window (the raw shift that independence
+patterns must occur in), the common head length of two odometer heads (the
+pointwise definition of the first semicocycle), and an explicit word list
+as a right-extendable test language.
 """
 
 import itertools
 
 from collections import deque
+from dataclasses import dataclass
 
 from toeplitztame import graphs
-from toeplitztame.errors import ValidationError
+from toeplitztame.errors import LanguageError, ValidationError
 from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, LevelMorphism
 from toeplitztame.gtheta import SubsetGraph
-from toeplitztame.substitution import column_image
+from toeplitztame.substitution import column_image, expand, language
 
 
 def simple_cycles(vertices, edges, cap=10_000):
@@ -288,3 +295,85 @@ def longest_head_by_head_sets(digits, heads):
             break
         L = m
     return L
+
+
+@dataclass(frozen=True)
+class Window:
+    """A two-sided word: ``text`` with the origin at index ``origin``;
+    positions run over [-origin, len(text) - origin)."""
+
+    text: str
+    origin: int
+
+    def letter(self, i: int) -> str:
+        j = self.origin + i
+        if not 0 <= j < len(self.text):
+            raise ValidationError(f"position {i} outside window")
+        return self.text[j]
+
+
+def two_sided_seed(theta):
+    """(p, s, q): an admissible seed pair p.s for a two-sided fixed point
+    of theta^q, preferring the smallest power q and then alphabet order."""
+    lang2 = language(theta, 2)
+    for q in range(1, len(theta.alphabet) + 1):
+        for p in theta.alphabet:
+            if expand(theta, p, q)[-1] != p:
+                continue
+            for s in theta.alphabet:
+                if expand(theta, s, q)[0] != s:
+                    continue
+                if p + s in lang2:
+                    return p, s, q
+    raise ValidationError("no admissible two-sided fixed-point seed found")
+
+
+def fixed_point_window(theta, radius):
+    """Two-sided fixed-point word on [-radius, radius)."""
+    if radius == 0:
+        return Window("", 0)
+    p, s, q = two_sided_seed(theta)
+    left, right = p, s
+    while len(right) < radius or len(left) < radius:
+        left = expand(theta, left, q)
+        right = expand(theta, right, q)
+    return Window(left[-radius:] + right[:radius], radius)
+
+
+def common_head_length(a, b):
+    """(L, saturated): L leading digits of two heads over one scale agree;
+    saturated means agreement reached the shallower depth, so the true L
+    may exceed the reported one."""
+    limit = min(a.depth, b.depth)
+    L = 0
+    while L < limit and a.digits[L] == b.digits[L]:
+        L += 1
+    return L, L == limit
+
+
+class UserWordList:
+    """An explicit right-extendable language given as words per length."""
+
+    name = "user"
+
+    def __init__(self, words_by_length):
+        self._words = {n: frozenset(ws) for n, ws in words_by_length.items()}
+        if self._words.get(1) != frozenset({"a", "b"}):
+            raise LanguageError("a usable language has L^1 = {a, b}")
+        for n in sorted(self._words):
+            if n + 1 not in self._words:
+                break
+            for w in self._words[n]:
+                if not any(w + c in self._words[n + 1] for c in "ab"):
+                    raise LanguageError(f"{w!r} has no right extension")
+
+    def words(self, n):
+        if n not in self._words:
+            raise LanguageError(f"no words of length {n} supplied")
+        return self._words[n]
+
+    def extensions(self, w):
+        longer = self._words.get(len(w) + 1)
+        if longer is None:
+            raise LanguageError("word list exhausted")
+        return "".join(c for c in "ab" if w + c in longer)

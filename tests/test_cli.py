@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -326,6 +327,27 @@ def test_module_entry_point_reads_sys_argv():
     done = run_module("analyze")
     assert done.returncode == 2
     assert b"the following arguments are required: input" in done.stderr
+
+
+def test_package_exports_only_the_reexported_names():
+    import toeplitztame
+    assert sorted(toeplitztame.__all__) == [
+        "AnalysisReport", "DStage", "DiagramSpec", "FullShift",
+        "IndependenceScheme", "LevelFamily", "LevelMorphism", "OdometerHead",
+        "Scale", "SturmianFibonacci", "SubsetGraph", "Substitution",
+        "ToeplitzError", "add_integer", "build_d_stage", "build_f_family",
+        "build_gtheta", "build_level_family", "canonical_semicocycle_eval",
+        "check_translate_disjointness", "cycle_count_upper_bound",
+        "essential_thickness", "extendable_vertices", "f5_eval", "f6_eval",
+        "find_double_path", "head_index", "heads_and_special",
+        "height_and_pure_base", "independence_times", "integer_head",
+        "is_aperiodic", "is_primitive", "language", "parse_text",
+        "realize_prefix", "substitution_power", "synthesize_scheme",
+        "tameness_verdict", "telescope", "thickness_census", "to_dot",
+        "toeplitz5_window", "two_cycles_share_vertex", "validate",
+        "verify_patterns"]
+    for name in toeplitztame.__all__:
+        assert not isinstance(getattr(toeplitztame, name), types.ModuleType)
 
 
 # ---------------------------------------------------------------------------

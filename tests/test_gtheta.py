@@ -12,12 +12,11 @@ from toeplitztame.errors import (NotPrimitive, PeriodicSubstitution,
 from toeplitztame.gtheta import (CYCLE_COUNT_CAP, NON_TAME,
                                  NOT_ALMOST_AUTOMORPHIC, TAME, build_gtheta,
                                  canonical_semicocycle_eval,
-                                 cycle_count_upper_bound,
-                                 discontinuity_membership, fiber_window,
-                                 tameness_verdict, to_dot,
-                                 two_cycles_share_vertex, window_letter)
-from toeplitztame.odometer import OdometerHead, Scale
-from toeplitztame.substitution import (Substitution, column_image,
+                                 cycle_count_upper_bound, tameness_verdict,
+                                 to_dot, two_cycles_share_vertex,
+                                 window_letter)
+from toeplitztame.odometer import OdometerHead, Scale, head_index
+from toeplitztame.substitution import (Substitution, column_image, expand,
                                        height_and_pure_base, is_primitive,
                                        shortest_collapsing_word)
 
@@ -243,12 +242,29 @@ def test_bad_inputs_reported():
         tameness_verdict({"rules": {"a": "ab", "b": "ab"}})
 
 
+def in_discontinuity_set(h, theta):
+    return canonical_semicocycle_eval(h, theta) is None
+
+
+def fibre_words(h, theta):
+    """(vertex, theta^n(v), offset): each fibre-window word, materialised
+    and placed on [-z^(n), l^n - z^(n)) with z^(n) the head index."""
+    return [(v, expand(theta, v, h.depth), -head_index(h))
+            for v in theta.alphabet]
+
+
+def window_word(h, theta, v):
+    return "".join(window_letter(h, theta, v, pos)
+                   for pos in range(-head_index(h),
+                                    theta.length ** h.depth - head_index(h)))
+
+
 def test_discontinuity_membership(ex22, ex23):
     for depth in (1, 3, 6):
         h = OdometerHead(Z4, (1,) * depth)
-        assert discontinuity_membership(h, ex22) is True
-    assert discontinuity_membership(OdometerHead(Z4, (0, 1, 1)), ex22) is False
-    assert discontinuity_membership(OdometerHead(Z4, (2, 2)), ex23) is False
+        assert in_discontinuity_set(h, ex22) is True
+    assert in_discontinuity_set(OdometerHead(Z4, (0, 1, 1)), ex22) is False
+    assert in_discontinuity_set(OdometerHead(Z4, (2, 2)), ex23) is False
 
 
 def test_discontinuity_monotone(ex22, ex23):
@@ -257,26 +273,21 @@ def test_discontinuity_monotone(ex22, ex23):
         for _ in range(200):
             depth = rng.randint(2, 6)
             h = OdometerHead(Z4, tuple(rng.randrange(4) for _ in range(depth)))
-            if discontinuity_membership(h, theta):
+            if in_discontinuity_set(h, theta):
                 shorter = OdometerHead(Z4, h.digits[:-1])
-                assert discontinuity_membership(shorter, theta)
+                assert in_discontinuity_set(shorter, theta)
 
 
 def test_fiber_window_examples(ex22):
-    words = fiber_window(OdometerHead(Z4, (1,)), ex22)
-    by_vertex = {w.vertex: w for w in words}
-    assert by_vertex["b"].text == "abba"
-    assert by_vertex["b"].offset == -1
-    assert by_vertex["b"].text[1] == "b"  # position 0
-    zero_depth = fiber_window(OdometerHead(Z4, ()), ex22)
-    assert [(w.vertex, w.text, w.offset) for w in zero_depth] == [
-        ("a", "a", 0), ("b", "b", 0), ("c", "c", 0)]
-    col0 = fiber_window(OdometerHead(Z4, (0,)), ex22)
-    assert {w.text[0] for w in col0} == {"a"}
-    # 4^14 symbols per word are refused before any word is built
-    with pytest.raises(ValidationError,
-                       match="window of 268435456 symbols exceeds the size limit"):
-        fiber_window(OdometerHead(Z4, (1,) * 14), ex22)
+    h = OdometerHead(Z4, (1,))
+    assert window_word(h, ex22, "b") == "abba"
+    assert window_letter(h, ex22, "b", 0) == "b"
+    zero_depth = OdometerHead(Z4, ())
+    assert [window_word(zero_depth, ex22, v) for v in "abc"] == ["a", "b", "c"]
+    col0 = OdometerHead(Z4, (0,))
+    assert {window_letter(col0, ex22, v, 0) for v in "abc"} == {"a"}
+    with pytest.raises(ValidationError, match="index outside"):
+        window_letter(h, ex22, "b", 3)
 
 
 def test_fiber_window_restriction_consistency(ex22):
@@ -284,21 +295,22 @@ def test_fiber_window_restriction_consistency(ex22):
     for _ in range(20):
         n = rng.randint(1, 4)
         digits = tuple(rng.randrange(4) for _ in range(n + 1))
-        deep = fiber_window(OdometerHead(Z4, digits), ex22)
-        shallow = fiber_window(OdometerHead(Z4, digits[:-1]), ex22)
-        shallow_texts = {w.text for w in shallow}
-        for w in deep:
+        deep = OdometerHead(Z4, digits)
+        shallow = OdometerHead(Z4, digits[:-1])
+        shallow_texts = {window_word(shallow, ex22, v) for v in "abc"}
+        for v in "abc":
             # the depth-n coordinate range sits at block z_{n+1} of the word
             block = digits[-1] * 4 ** n
-            assert w.text[block:block + 4 ** n] in shallow_texts
+            assert window_word(deep, ex22, v)[block:block + 4 ** n] in \
+                shallow_texts
 
 
 def test_window_letter_matches_expansion(ex22):
     h = OdometerHead(Z4, (1, 2, 3))
-    for fw in fiber_window(h, ex22):
-        hi = fw.offset + len(fw.text)
-        for pos in (fw.offset, 0, 5, hi - 1):
-            assert window_letter(h, ex22, fw.vertex, pos) == fw.text[pos - fw.offset]
+    for v, text, offset in fibre_words(h, ex22):
+        hi = offset + len(text)
+        for pos in (offset, 0, 5, hi - 1):
+            assert window_letter(h, ex22, v, pos) == text[pos - offset]
 
 
 def test_canonical_semicocycle(ex22):
@@ -306,15 +318,14 @@ def test_canonical_semicocycle(ex22):
     assert canonical_semicocycle_eval(OdometerHead(Z4, (1,)), ex22) is None
     h = OdometerHead(Z4, (1, 2))
     value = canonical_semicocycle_eval(h, ex22)
-    words = fiber_window(h, ex22)
-    letters = {w.text[-w.offset] for w in words}
+    letters = {text[-offset] for _, text, offset in fibre_words(h, ex22)}
     assert (value is None and len(letters) > 1) or {value} == letters
 
 
 def test_membership_equals_undetermined_eval(ex22, ex23, ex217a, ex217b):
-    # membership delegates to the evaluation, so it is checked against its
-    # definition: every partial image theta_{z_k}...theta_{z_n}(A) has more
-    # than one letter
+    # the evaluation is checked against the definition of the discontinuity
+    # set: every partial image theta_{z_k}...theta_{z_n}(A) has more than
+    # one letter
     rng = random.Random(11)
     for theta in (ex22, ex23, ex217a, ex217b):
         scale = Scale.constant(theta.length)
@@ -326,8 +337,7 @@ def test_membership_equals_undetermined_eval(ex22, ex23, ex217a, ex217b):
             for z in reversed(h.digits):
                 images.append(column_image(theta, z, images[-1]))
             member = all(len(s) > 1 for s in images[1:])
-            assert discontinuity_membership(h, theta) == member
-            assert (canonical_semicocycle_eval(h, theta) is None) == member
+            assert in_discontinuity_set(h, theta) == member
 
 
 def test_scc_criterion_equals_enumeration_random():

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
+from oracles import fixed_point_window
 from toeplitztame.errors import PreconditionError
 from toeplitztame.independence import (IndependenceScheme, independence_times,
                                        scheme_is_valid, synthesize_scheme,
                                        verify_patterns)
-from toeplitztame.substitution import (expand, fixed_point_window,
-                                       substitution_power)
+from toeplitztame.substitution import expand, substitution_power
 
 
 def pinned_recurrence_times(n_max):

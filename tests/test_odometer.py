@@ -4,11 +4,11 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from toeplitztame.errors import ScaleMismatch, ValidationError
-from toeplitztame.odometer import (OdometerHead, OdometerPoint, Scale,
-                                   add_heads, add_integer,
-                                   common_head_length, head_index,
-                                   integer_head, level_product, truncate)
+from oracles import common_head_length
+from toeplitztame.errors import ValidationError
+from toeplitztame.odometer import (OdometerHead, Scale, add_integer,
+                                   head_index, integer_head, level_product,
+                                   truncate)
 
 Z2 = Scale.constant(2)
 Z4 = Scale.constant(4)
@@ -49,11 +49,6 @@ def test_common_head_length_examples():
     assert common_head_length(OdometerHead(Z4, (2,)), OdometerHead(Z4, (1,)))[0] == 0
 
 
-def test_common_head_length_scale_mismatch():
-    with pytest.raises(ScaleMismatch):
-        common_head_length(OdometerHead(Z2, (1,)), OdometerHead(Z4, (1,)))
-
-
 def test_head_index_examples():
     # 1 + 10*16 + 1*256 + 10*4096 = 41377, the depth-4 shift offset used in
     # the worked fibre-window check
@@ -69,16 +64,6 @@ def test_digit_bounds_enforced():
     with pytest.raises(ValidationError):
         OdometerHead(P4, (1, 16))
     OdometerHead(P4, (1, 15))
-
-
-def test_point_tail_validation():
-    head = OdometerHead(P4, (1, 1))
-    OdometerPoint(head, 9)  # 9 < 4^3
-    with pytest.raises(ValidationError):
-        OdometerPoint(OdometerHead(Z4, (1,)), 5)
-    p = OdometerPoint(head, 9)
-    assert p.head_at(5).digits == (1, 1, 9, 9, 9)
-    assert p.digit(1) == 1 and p.digit(7) == 9
 
 
 def test_explicit_scale():
@@ -134,26 +119,10 @@ def test_head_index_roundtrip(scale, t, depth):
     assert head_index(integer_head(t, scale, depth)) == t
 
 
-@given(heads(), heads())
-def test_add_heads_matches_value_arithmetic(a, b):
-    if a.scale != b.scale:
-        return
-    depth = min(a.depth, b.depth)
-    m = level_product(a.scale, depth)
-    s = add_heads(a, b)
-    assert s.depth == depth
-    assert head_index(s) == (head_index(truncate(a, depth))
-                             + head_index(truncate(b, depth))) % m
-
-
-@given(heads(), heads(), st.integers(-10 ** 9, 10 ** 9), scales,
-       st.integers(0, 12))
-def test_arithmetic_heads_revalidate(a, b, t, scale, depth):
+@given(heads(), st.integers(-10 ** 9, 10 ** 9), scales, st.integers(0, 12))
+def test_arithmetic_heads_revalidate(a, t, scale, depth):
     # the heads built without the digit check pass it when rebuilt
-    results = [add_integer(a, t), integer_head(t, scale, depth)]
-    if a.scale == b.scale:
-        results.append(add_heads(a, b))
-    for h in results:
+    for h in (add_integer(a, t), integer_head(t, scale, depth)):
         assert type(h.digits) is tuple
         assert OdometerHead(h.scale, h.digits) == h
 
@@ -175,15 +144,6 @@ def oracle_add_integer(h, t):
     c = t
     for k, d in enumerate(h.digits):
         c, r = divmod(d + c, h.scale.modulus(k + 1))
-        digits.append(r)
-    return tuple(digits)
-
-
-def oracle_add_heads(a, b):
-    digits = []
-    c = 0
-    for k in range(min(a.depth, b.depth)):
-        c, r = divmod(a.digits[k] + b.digits[k] + c, a.scale.modulus(k + 1))
         digits.append(r)
     return tuple(digits)
 
@@ -230,9 +190,6 @@ def test_moduli_arithmetic_matches_modulus_oracles():
                 assert head_index(h) == oracle_head_index(h) == t % P
                 s = rng.choice(ts) + rng.randint(-3, 3)
                 assert add_integer(h, s).digits == oracle_add_integer(h, s)
-                g = integer_head(rng.choice(ts), scale, rng.randint(0, 40))
-                assert add_heads(h, g).digits == oracle_add_heads(h, g)
-                assert add_heads(g, h).digits == oracle_add_heads(g, h)
             if depth:
                 n = rng.randint(1, depth)
                 m = scale.modulus(n)

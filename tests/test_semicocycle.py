@@ -4,21 +4,31 @@ import re
 
 import pytest
 
-from oracles import longest_head_by_head_sets
+from oracles import (UserWordList, common_head_length,
+                     longest_head_by_head_sets)
 from toeplitztame.errors import (DepthError, HorizonError, LanguageError,
                                  PreconditionError, ValidationError)
-from toeplitztame.odometer import OdometerHead, head_index, level_product
+from toeplitztame.odometer import (OdometerHead, head_index, integer_head,
+                                   level_product)
 from toeplitztame.semicocycle import (SCALE5, SCALE6, DPoint, DStage,
                                       FullShift, LevelFamily,
-                                      SturmianFibonacci,
-                                      UserWordList, build_d_stage,
+                                      SturmianFibonacci, build_d_stage,
                                       build_f_family, build_level_family,
                                       check_translate_disjointness,
                                       default_zhat5, default_zhat6, f5_eval,
                                       f6_eval, head_set, heads_and_special,
-                                      points_equal, realize_prefix,
-                                      toeplitz5_window, translate_hits)
-from toeplitztame.semicocycle import _longest_head
+                                      realize_prefix, toeplitz5_window)
+from toeplitztame.semicocycle import (_canonical, _head_classes,
+                                      _longest_head, _translate_hits)
+
+
+def translate_hits(z, stage, t_range):
+    """The (source head class, t) hits of z, as the disjointness check
+    finds them: over the distinct stage heads at the depth of z."""
+    _, vals, _ = _head_classes(stage, z.depth)
+    return _translate_hits(head_index(z), vals,
+                           level_product(SCALE5, z.depth), t_range)
+
 
 # ---------------------------------------------------------------------------
 # first family: the D-set over Z_((4^n))
@@ -119,9 +129,6 @@ def test_f5_eval_examples():
 def test_f5_matches_pointwise_definition():
     # oracle: L(z, D) as the literal maximum of the common head lengths
     # over the stage points, instead of the head-set membership route
-    import random
-    from toeplitztame.odometer import common_head_length
-
     stage = build_d_stage(5)
     rng = random.Random(55)
     for _ in range(300):
@@ -163,7 +170,6 @@ def test_translate_hits_planted():
     heads = sorted(head_set(stage, 12))
     # z = e - d - t for head class 2, point 0, t = 5
     modulus = level_product(SCALE5, 12)
-    from toeplitztame.odometer import integer_head
     zval = (head_index(OdometerHead(SCALE5, heads[2]))
             - head_index(stage.points[0].head_at(12)) - 5) % modulus
     z = integer_head(zval, SCALE5, 12)
@@ -180,8 +186,8 @@ def test_translate_disjointness_flags_corruption():
 
 
 def test_points_equal_is_exact():
-    assert points_equal(DPoint((0,), 1), DPoint((0, 1), 1))
-    assert not points_equal(DPoint((), 0), DPoint((0,), 1))
+    assert _canonical(DPoint((0,), 1)) == _canonical(DPoint((0, 1), 1))
+    assert _canonical(DPoint((), 0)) != _canonical(DPoint((0,), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,6 @@ def test_disjoint_supports():
     for n in range(1, 9):
         for n2 in range(n + 1, 9):
             assert lf.l(n, 0) + 1 <= lf.l(n2, 0)
-    from toeplitztame.odometer import integer_head
     for n in range(1, 9):
         t = lf.time(n)
         head = integer_head(t, SCALE6, lf.l(n, 0) + 1).digits
@@ -846,8 +851,6 @@ def oracle_pairwise_translate_hits(zval, vals, modulus, t_range):
 
 
 def test_translate_hits_bisection_matches_pairwise_oracle():
-    from toeplitztame.odometer import integer_head
-    from toeplitztame.semicocycle import _translate_hits
     rng = random.Random(63)
     # arbitrary distinct values: windows crossing 0 and modulus, and
     # windows of 2 t_range + 1 >= modulus that hold every residue
@@ -859,7 +862,7 @@ def test_translate_hits_bisection_matches_pairwise_oracle():
         t_range = rng.choice([0, 1, 2, 3, modulus // 2, modulus, rng.randint(0, 40)])
         assert _translate_hits(zval, vals, modulus, t_range) == \
             oracle_pairwise_translate_hits(zval, vals, modulus, t_range)
-    # through the public function, at depths whose level products are small
+    # over stage head classes, at depths whose level products are small
     for i in (1, 2, 3, 4):
         stage = build_d_stage(i)
         heads = OracleHeads(stage)

@@ -5,17 +5,16 @@ from math import gcd
 
 import pytest
 
+from oracles import fixed_point_window, two_sided_seed
 from toeplitztame.errors import (NotPrimitive, ParseError, PureBaseError,
                                  StabilizationError, ToeplitzError,
                                  ValidationError)
 from toeplitztame.substitution import (LETTER_POOL, Substitution,
                                        column_image, expand, first_letter_seed,
-                                       fixed_point_window, has_coincidence,
                                        height_and_pure_base, is_aperiodic,
                                        is_primitive, language, letter_in_power,
                                        parse_text, shortest_collapsing_word,
-                                       substitution_power, two_sided_seed,
-                                       validate)
+                                       substitution_power, validate)
 
 
 def matrix_power_positive_oracle(theta, k):
@@ -140,9 +139,10 @@ def test_height_two_round_trip(height2):
 def test_coincidence_examples(ex22, thue_morse, pd_coincidence):
     # single-step oracle: column 0 is constant
     assert column_image(ex22, 0, ex22.alphabet) == frozenset("a")
-    assert has_coincidence(ex22) == (0,)
-    assert has_coincidence(thue_morse) is None
-    assert has_coincidence(pd_coincidence) == (0,)
+    for theta, witness in ((ex22, (0,)), (thue_morse, None),
+                           (pd_coincidence, (0,))):
+        pure_base = height_and_pure_base(theta)[1]
+        assert shortest_collapsing_word(pure_base) == witness
 
 
 def brute_force_collapse(theta, max_len=4):
