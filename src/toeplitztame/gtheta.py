@@ -39,16 +39,6 @@ class SubsetGraph:
     vertices: tuple[frozenset, ...]
     edges: tuple[tuple[frozenset, frozenset, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_census_memo", None)
-
-    def census(self) -> list:
-        """The SCC census of the graph, computed once and memoised on it."""
-        if self._census_memo is None:
-            object.__setattr__(self, "_census_memo",
-                               graphs.component_census(self.vertices, self.edges))
-        return self._census_memo
-
     def extendable(self) -> frozenset:
         """Vertices traversed by an infinite path, i.e. vertices that can
         reach a cycle along the edge direction: the vertices reached from
@@ -106,7 +96,7 @@ def two_cycles_share_vertex(g: SubsetGraph) -> CycleCensus:
     more internal edges than vertices iff two distinct cycles share a
     vertex.  Simple cycles are counted, up to CYCLE_COUNT_CAP, when the
     graph is small."""
-    census = g.census()
+    census = graphs.component_census(g.vertices, g.edges)
     shared = graphs.shared_cycle_vertex(g.vertices, g.edges, census)
     n_cycles = None
     truncated = False
@@ -116,14 +106,14 @@ def two_cycles_share_vertex(g: SubsetGraph) -> CycleCensus:
     return CycleCensus(tuple(census), shared, n_cycles, truncated)
 
 
-def cycle_count_upper_bound(g: SubsetGraph) -> int:
-    """Number of simple cycles when no two share a vertex; an upper bound
-    for the number of singular orbits."""
-    census = g.census()
-    if graphs.shared_cycle_vertex(g.vertices, g.edges, census) is not None:
+def cycle_count_upper_bound(census: CycleCensus) -> int:
+    """Number of simple cycles when no two share a vertex, read from the
+    census of ``two_cycles_share_vertex``; an upper bound for the number
+    of singular orbits."""
+    if census.shared_vertex is not None:
         raise ValidationError("cycle count is infinite: two cycles share a vertex")
     # no shared vertex forces n_internal_edges == n_vertices: one cycle each
-    return sum(1 for row in census if row["n_internal_edges"] >= 1)
+    return sum(1 for row in census.components if row["n_internal_edges"] >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +191,7 @@ def tameness_verdict(theta) -> AnalysisReport:
         verdict, reason = TAME, None
     bound_cycles = None
     if census.shared_vertex is None:
-        bound_cycles = cycle_count_upper_bound(graph)
+        bound_cycles = cycle_count_upper_bound(census)
     return AnalysisReport(theta, True, True, bound, h, theta_prime, blocks,
                           witness, graph, census, verdict, reason,
                           census.shared_vertex, bound_cycles)

@@ -63,7 +63,8 @@ def scheme_is_valid(s: IndependenceScheme) -> bool:
     theta_m = substitution_power(s.base, s.power)
     if s.working_length != theta_m.length:
         return False
-    if not (0 <= s.j0 < s.j1 < s.j2 < s.working_length):
+    if not (0 <= s.j0 < s.j1 < s.j2 < s.working_length
+            and 0 <= s.i < s.working_length):
         return False
     if s.j2 - s.j1 != s.j1 - s.j0:
         return False

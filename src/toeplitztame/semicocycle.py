@@ -6,23 +6,23 @@ a D-point is a power of 3, level n carrying an exponent of at most n - 1.
 The semicocycle reads a when the longest head a D-point shares with z has
 odd length, b otherwise.  Evaluation at a finite head is certified by
 membership of the truncated heads in the stage's head sets: the head sets
-Head_m are stable once the stage holds at least m points.  The longest
-truncated head in its head set is read from a prefix trie of the stage's
-points, grown as heads walk down it.  A ``DStage`` checks the range of
-every digit once, so head sets and head classes are built as digit tuples
-straight from the exponents.  Translate hits are found by bisecting the
-sorted head values, and duplicate points by one canonical id per point.
+Head_m are stable once the stage holds at least m points.  The one head
+index is a prefix trie of the stage's points, grown as it is walked: the
+longest truncated head in its head set is a walk down it, and Head_m,
+the special word and the head classes are read from its depth-m nodes.
+A ``DStage`` checks the range of every digit once, so heads are digit
+tuples built straight from the exponents.  Translate hits are found by
+bisecting the sorted head values, and duplicate points by one canonical
+id per point.
 
-Second family (over Z_2): a double sequence l^n_i closed under
-l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with midpoint interpolation on odd
-indices, times t_n = 2^(l^n_0), and a family f^n of interval-constant
-functions built from any right-extendable binary language so that the
-level-N interval words enumerate that language.  The recursion has a
-closed form, the first row linearly interpolated at n - 1 + i/2^(n-1),
-so ``LevelFamily`` keeps only the first row: an entry is two first-row
-reads, and a row below a bound is one range per first-row segment.
-``FFamily`` keeps, per level, the row below the horizon, the letter of
-each interval and each interval's word, built as its parent's word
+Second family (over Z_2): a double sequence l^n_i with first row
+l^1_i = 2^i - 1, closed under l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with
+midpoint interpolation on odd indices, times t_n = 2^(l^n_0), and a
+family f^n of interval-constant functions built from any
+right-extendable binary language so that the level-N interval words
+enumerate that language.  ``LevelFamily`` reads l^n_i in closed form,
+and ``FFamily`` keeps, per level, the row below the horizon, the letter
+of each interval and each interval's word, built as its parent's word
 plus that letter.
 Realizing a prescribed word y along the times amounts to placing the
 orbit inside one interval, which the translation t_w below does exactly.
@@ -39,8 +39,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import (accumulate, chain, combinations, count, islice,
-                       product)
+from itertools import accumulate, combinations, count, islice, product
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
@@ -119,13 +118,8 @@ class DStage:
                 if not 0 <= e <= cap[n - 1]:
                     raise ValidationError(
                         f"digit 3^{e} at level {n} out of range [0, l_{n})")
-        # per-stage memos, not dataclass fields (no part of eq or hash):
-        # depth m -> Head_m, depth -> the sorted depth-limited head
-        # classes with their head values and each point's class, and the
-        # root [points, children] of the prefix trie of ``_longest_head``
-        object.__setattr__(self, "_head_sets", {})
-        object.__setattr__(self, "_head_classes", {})
-        object.__setattr__(self, "_trie", [self.points, None])
+        # one memo, not a field: the prefix trie root [point indices, children]
+        object.__setattr__(self, "_trie", [range(len(self.points)), None])
 
     def to_json(self):
         return {"stage": self.index, "points": [p.to_json() for p in self.points]}
@@ -154,62 +148,67 @@ def build_d_stage(i: int) -> DStage:
     return DStage(i, tuple(points))
 
 
-def _point_heads(stage: DStage, depth: int) -> list:
-    """The depth-limited digit tuple of each stage point, read straight
-    from its exponents (the stage has checked every digit)."""
-    exps = [p.exponents(depth) for p in stage.points]
-    power = [1]
-    for _ in range(max(chain.from_iterable(exps), default=0)):
-        power.append(3 * power[-1])
-    return [tuple(map(power.__getitem__, e)) for e in exps]
+def _grow(stage: DStage, node: list, m: int) -> dict:
+    """The children of a depth-m trie node [indices of the points whose
+    first m digits are its path, children], keyed by the level-(m + 1)
+    digit in ascending order; built on the first visit."""
+    groups = {}
+    for a in node[0]:
+        groups.setdefault(stage.points[a].exponent(m + 1), []).append(a)
+    node[1] = {3 ** e: [group, None] for e, group in sorted(groups.items())}
+    return node[1]
+
+
+def _level(stage: DStage, depth: int) -> list:
+    """(path, node) for each depth-``depth`` trie node, ascending in the
+    path, which is the head of any of the node's points."""
+    nodes = [stage._trie] if stage.points else []
+    for m in range(depth):
+        nodes = [kid for node in nodes
+                 for kid in (node[1] or _grow(stage, node, m)).values()]
+    power = [3 ** e for e in range(2 * depth)]  # 3^e < 4^n, n <= depth
+    return [(tuple(map(power.__getitem__,
+                       stage.points[node[0][0]].exponents(depth))), node)
+            for node in nodes]
 
 
 def head_set(stage: DStage, m: int) -> frozenset:
-    """Head_m as digit tuples; exact once the stage has at least m points
-    (the heads of the first m points, pairwise distinct).
-
-    Memoised per stage in a dict the stage carries, so the sets live and
-    die with the ``DStage`` of one command and a lookup never hashes the
-    stage itself."""
-    heads = stage._head_sets.get(m)
-    if heads is None:
-        heads = stage._head_sets[m] = frozenset(_point_heads(stage, m))
-    return heads
+    """Head_m as digit tuples, the paths of the depth-m trie nodes; exact
+    once the stage has at least m points (their heads, pairwise distinct)."""
+    return frozenset(path for path, _ in _level(stage, m))
 
 
 def _head_classes(stage: DStage, depth: int):
     """(sorted Head_depth, their head_index values, class of each point),
-    memoised on the stage like ``head_set``.  The digit at level k + 1
-    weighs l_1 ... l_k."""
-    classes = stage._head_classes.get(depth)
-    if classes is None:
-        point_heads = _point_heads(stage, depth)
-        heads_sorted = sorted(set(point_heads))
-        class_of = {h: ci for ci, h in enumerate(heads_sorted)}
-        weights = list(accumulate(islice(SCALE5.moduli(), max(depth - 1, 0)),
-                                  operator.mul, initial=1))
-        classes = stage._head_classes[depth] = (
-            heads_sorted,
-            [sum(map(operator.mul, h, weights)) for h in heads_sorted],
-            [class_of[h] for h in point_heads])
-    return classes
+    read from the depth-``depth`` trie nodes in order.  The digit at level
+    k + 1 weighs l_1 ... l_k."""
+    level = _level(stage, depth)
+    weights = list(accumulate(islice(SCALE5.moduli(), max(depth - 1, 0)),
+                              operator.mul, initial=1))
+    point_class = [0] * len(stage.points)
+    for ci, (_, node) in enumerate(level):
+        for a in node[0]:
+            point_class[a] = ci
+    return ([path for path, _ in level],
+            [sum(map(operator.mul, path, weights)) for path, _ in level],
+            point_class)
 
 
 def heads_and_special(m: int, stage: DStage):
     """(Head_m, w_m): the m distinct heads and the unique one with two
-    distinct one-digit extensions in Head_{m+1}."""
+    distinct one-digit extensions in Head_{m+1}, the one depth-m trie node
+    with two children."""
     if 2 ** stage.index < m + 1:
         raise PreconditionError(
             f"stage {stage.index} is too shallow for stable Head_{m + 1}")
-    heads = head_set(stage, m)
-    if len(heads) != m:
-        raise ValidationError(f"|Head_{m}| = {len(heads)}, expected {m}")
-    longer = head_set(stage, m + 1)
-    specials = {h[:m] for h in longer
-                if sum(1 for g in longer if g[:m] == h[:m]) >= 2}
+    level = _level(stage, m)
+    if len(level) != m:
+        raise ValidationError(f"|Head_{m}| = {len(level)}, expected {m}")
+    specials = [path for path, node in level
+                if len(node[1] or _grow(stage, node, m)) >= 2]
     if len(specials) != 1:
         raise ValidationError(f"expected one special word, got {len(specials)}")
-    return heads, next(iter(specials))
+    return frozenset(path for path, _ in level), specials[0]
 
 
 def f5_eval(h: OdometerHead, stage: DStage):
@@ -230,17 +229,10 @@ def f5_eval(h: OdometerHead, stage: DStage):
 def _longest_head(stage: DStage, digits) -> int:
     """The largest m <= len(digits) with digits[:m] in Head_m: the depth
     of the last node on the path of ``digits`` through the stage's prefix
-    trie.  A depth-m node is [the points whose first m digits agree with
-    its path, children]; its children, keyed by the level-(m + 1) digit,
-    are built on the first visit and kept on the stage."""
+    trie."""
     node = stage._trie
     for m, d in enumerate(digits):
-        if node[1] is None:
-            kids = {}
-            for p in node[0]:
-                kids.setdefault(3 ** p.exponent(m + 1), []).append(p)
-            node[1] = {k: [pts, None] for k, pts in kids.items()}
-        node = node[1].get(d)
+        node = (node[1] or _grow(stage, node, m)).get(d)
         if node is None:
             return m
     return len(digits)
@@ -399,46 +391,26 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
 
 
 class LevelFamily:
-    """The rows l^n_i: l^1_i given by the first row, l^{n+1}_{2i} =
-    l^n_{i + i_n} and the odd entries the midpoints, which must stay
-    integral; shift offsets are i_n = 2^(n-1) and the times are
-    t_n = 2^(l^n_0).
+    """The rows l^n_i: l^1_i = 2^i - 1, l^{n+1}_{2i} = l^n_{i + i_n} and
+    the odd entries the midpoints; shift offsets are i_n = 2^(n-1) and
+    the times are t_n = 2^(l^n_0).
 
     The recursion has a closed form: l^n_i is the first row, linearly
     interpolated, at the point n - 1 + i/2^(n-1).  The shift moves the
     point by one, a midpoint halves the step, and the two neighbours of
-    a midpoint never straddle a first-row entry.  So only the first row
-    is kept, and an entry costs two first-row reads."""
-
-    def __init__(self, first_row=None):
-        self._first = first_row or (lambda i: 2 ** i - 1)
+    a midpoint never straddle a first-row entry.  Segment j rises by 2^j,
+    so every midpoint is an integer: with j = n - 1 + floor(i / 2^(n-1))
+    and r = i mod 2^(n-1), l^n_i = 2^j - 1 + r 2^(j-n+1)."""
 
     def offset(self, n: int) -> int:
         return 2 ** (n - 1)
 
     def l(self, n: int, i: int) -> int:
-        """l^n_i: the point j + r/2^d, r odd, lies on first-row segment
-        j, and the recursion reaches it as the odd entry of level d + 1.
-        It is integral iff 2^d divides the segment's rise.  Otherwise,
-        with 2^v the largest power dividing it, the recursion stays in
-        the dyadic interval of length 2^-v around the point and fails at
-        its midpoint, the one point of the interval at level v + 2."""
         if n < 1 or i < 0:
             raise ValidationError("need n >= 1 and i >= 0")
         d = n - 1
-        j, r = d + (i >> d), i & ((1 << d) - 1)
-        if not r:
-            return self._first(j)
-        low = (r & -r).bit_length() - 1
-        r, d = r >> low, d - low
-        lo = self._first(j)
-        rise = self._first(j + 1) - lo
-        if rise & ((1 << d) - 1):
-            v = (rise & -rise).bit_length() - 1
-            r, d = (r >> (d - v - 1)) | 1, v + 1
-            raise ValidationError(
-                f"midpoint rule not integral at l^{d + 1}_{((j - d) << d) + r}")
-        return lo + (rise >> d) * r
+        j = d + (i >> d)
+        return (1 << j) - 1 + ((i & ((1 << d) - 1)) << (j - d))
 
     def time(self, n: int) -> int:
         return 2 ** self.l(n, 0)
@@ -447,24 +419,16 @@ class LevelFamily:
         return [self.l(n, i) for i in range(count)]
 
     def row_to(self, n: int, bound: int) -> list[int]:
-        """The entries l^n_i <= bound, from a row that must strictly
-        increase through integers (so that there are finitely many).
-        First-row segment j >= n - 1 holds the 2^(n-1) entries
-        range(l^1_j, l^1_{j+1}, rise/2^(n-1)) of row n."""
+        """The entries l^n_i <= bound: first-row segment j >= n - 1 holds
+        the 2^(n-1) entries range(2^j - 1, 2^(j+1) - 1, 2^(j-n+1)) of
+        row n."""
         if n < 1:
             raise ValidationError("need n >= 1 and i >= 0")
-        entries, d = [], n - 1
-        j, a = d, self._first(d)
-        while a <= bound:
-            b = self._first(j + 1)
-            rise = b - a
-            if isinstance(rise, int) and rise & ((1 << d) - 1):
-                self.l(n, ((j - d) << d) + 1)
-            if not isinstance(rise, int) or rise <= 0:
-                raise ValidationError(
-                    f"row {n} does not increase strictly through integers")
-            entries.extend(range(a, min(b, bound + 1), rise >> d))
-            j, a = j + 1, b
+        entries, d, j = [], n - 1, n - 1
+        while (1 << j) - 1 <= bound:
+            entries.extend(range((1 << j) - 1, min((2 << j) - 1, bound + 1),
+                                 1 << (j - d)))
+            j += 1
         return entries
 
 
@@ -494,15 +458,15 @@ class SturmianFibonacci:
     language source.  Complexity n + 1, one right-special word per length."""
 
     name = "sturmian"
+    max_len = 64
 
-    def __init__(self, max_len: int = 64):
+    def __init__(self):
         w = "a"
-        while len(w) < 4 * max_len + 16:
+        while len(w) < 4 * self.max_len + 16:
             w = w.replace("a", "A").replace("b", "a").replace("A", "ab")
         self._word = w
         self._longer = w.replace("a", "A").replace("b", "a").replace("A", "ab")
         self._factors = {}
-        self.max_len = max_len
 
     def words(self, n: int) -> frozenset:
         """The length-n factors, computed and checked on first request:
@@ -586,10 +550,9 @@ def build_f_family(handle, n_max: int, horizon: int,
     word give both letters.  The work is linear in the number of
     intervals below the horizon, not in the horizon.
 
-    The first row must increase strictly through integers.  A horizon
-    at or below l^n_max_1 is refused first; a family whose rows would
-    hold more than MAX_FAMILY_ENTRIES entries in all is refused before
-    the row that would pass it is built."""
+    A horizon at or below l^n_max_1 is refused first; a family whose
+    rows would hold more than MAX_FAMILY_ENTRIES entries in all is
+    refused before the row that would pass it is built."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     lf = lf or build_level_family()

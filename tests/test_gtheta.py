@@ -167,7 +167,7 @@ def test_census_examples(ex22, ex23):
     assert c22.shared_vertex == fs("ab")
     c23 = two_cycles_share_vertex(g23)
     assert c23.shared_vertex is None
-    assert cycle_count_upper_bound(build_gtheta(ex23)) == 2
+    assert cycle_count_upper_bound(c23) == 2
     # enumerated cycles agree with the SCC criterion and the count on both
     for g, census in ((g22, c22), (g23, c23)):
         cycles, truncated = simple_cycles(g.vertices, g.edges)
@@ -210,19 +210,19 @@ def test_two_self_loops_share():
 
 def test_cycle_bound_examples(ex217a):
     g = build_gtheta(ex217a)
-    assert cycle_count_upper_bound(g) == 1
+    assert cycle_count_upper_bound(two_cycles_share_vertex(g)) == 1
     acyclic = _shared_vertex(["x"], [])
     assert acyclic is None
     assert simple_cycles(["x"], [])[0] == []
     assert graphs.count_simple_cycles(["x"], [], CYCLE_COUNT_CAP) == (0, False)
     from toeplitztame.gtheta import SubsetGraph
     empty = SubsetGraph(("a", "b"), (fs("ab"),), ())
-    assert cycle_count_upper_bound(empty) == 0
+    assert cycle_count_upper_bound(two_cycles_share_vertex(empty)) == 0
 
 
 def test_cycle_bound_requires_finiteness(ex22):
     with pytest.raises(ValidationError):
-        cycle_count_upper_bound(build_gtheta(ex22))
+        cycle_count_upper_bound(two_cycles_share_vertex(build_gtheta(ex22)))
 
 
 def test_verdicts(ex22, ex23, ex217a, ex217b, thue_morse, pd_coincidence):

@@ -50,10 +50,16 @@ def test_synthesize_other_example(ex217b):
 
 
 def test_tampered_scheme_rejected(ex22):
+    # a wrong column i = j1, and two outside the L = 16 columns: i = -6
+    # would read column 10 by negative indexing, i = 16 lies past the last
     s = synthesize_scheme(ex22)
-    bad = IndependenceScheme(s.base, s.power, s.working_length, s.a_set,
-                             s.b_set, s.j0, s.j1, s.j2, s.j1)  # wrong i
-    assert not scheme_is_valid(bad)
+    assert (s.working_length, s.i) == (16, 10)
+    for i in (s.j1, -6, 16):
+        bad = IndependenceScheme(s.base, s.power, s.working_length, s.a_set,
+                                 s.b_set, s.j0, s.j1, s.j2, i)
+        assert not scheme_is_valid(bad)
+        with pytest.raises(PreconditionError, match="its own invariants"):
+            verify_patterns(bad, n_levels=1)
 
 
 def test_independence_times(ex22):
