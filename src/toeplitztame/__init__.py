@@ -12,9 +12,8 @@ from .substitution import (Substitution, height_and_pure_base, is_aperiodic,
 from .gtheta import (AnalysisReport, SubsetGraph, build_gtheta,
                      canonical_semicocycle_eval, cycle_count_upper_bound,
                      tameness_verdict, to_dot, two_cycles_share_vertex)
-from .extended_bratteli import (DiagramSpec, LevelMorphism, essential_thickness,
-                                extendable_vertices, find_double_path,
-                                telescope, thickness_census)
+from .extended_bratteli import (essential_thickness, find_double_path,
+                                thickness_census)
 from .independence import (IndependenceScheme, independence_times,
                            synthesize_scheme, verify_patterns)
 from .semicocycle import (DStage, FullShift, LevelFamily, SturmianFibonacci,
@@ -23,18 +22,16 @@ from .semicocycle import (DStage, FullShift, LevelFamily, SturmianFibonacci,
                           heads_and_special, realize_prefix, toeplitz5_window)
 
 __all__ = [
-    "AnalysisReport", "DStage", "DiagramSpec", "FullShift",
-    "IndependenceScheme", "LevelFamily", "LevelMorphism", "OdometerHead",
-    "Scale", "SturmianFibonacci", "SubsetGraph", "Substitution",
-    "ToeplitzError", "add_integer", "build_d_stage", "build_f_family",
-    "build_gtheta", "build_level_family", "canonical_semicocycle_eval",
-    "check_translate_disjointness", "cycle_count_upper_bound",
-    "essential_thickness", "extendable_vertices", "f5_eval", "f6_eval",
+    "AnalysisReport", "DStage", "FullShift", "IndependenceScheme",
+    "LevelFamily", "OdometerHead", "Scale", "SturmianFibonacci",
+    "SubsetGraph", "Substitution", "ToeplitzError", "add_integer",
+    "build_d_stage", "build_f_family", "build_gtheta", "build_level_family",
+    "canonical_semicocycle_eval", "check_translate_disjointness",
+    "cycle_count_upper_bound", "essential_thickness", "f5_eval", "f6_eval",
     "find_double_path", "head_index", "heads_and_special",
     "height_and_pure_base", "independence_times", "integer_head",
     "is_aperiodic", "is_primitive", "language", "parse_text",
     "realize_prefix", "substitution_power", "synthesize_scheme",
-    "tameness_verdict", "telescope", "thickness_census", "to_dot",
-    "toeplitz5_window", "two_cycles_share_vertex", "validate",
-    "verify_patterns",
+    "tameness_verdict", "thickness_census", "to_dot", "toeplitz5_window",
+    "two_cycles_share_vertex", "validate", "verify_patterns",
 ]

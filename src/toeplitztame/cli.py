@@ -19,8 +19,8 @@ import sys
 from . import __version__
 from .errors import (ArgumentParseError, DepthError, LanguageError,
                      ParseError, ToeplitzError, ValidationError)
-from .extended_bratteli import DiagramSpec, essential_thickness, \
-    find_double_path, thickness_census
+from .extended_bratteli import (essential_thickness, find_double_path,
+                                thickness_census)
 from .gtheta import INCONCLUSIVE, tameness_verdict, to_dot
 from .independence import synthesize_scheme, verify_patterns
 from .odometer import OdometerHead, Scale, add_integer, head_index
@@ -114,12 +114,14 @@ def _cmd_gtheta(args) -> int:
 def _cmd_thickness(args) -> int:
     if args.depth < 1:
         raise ValidationError(f"--depth must be >= 1, got {args.depth}")
-    spec = DiagramSpec.stationary(_load_substitution(args.input))
-    k = essential_thickness(spec)
-    census = thickness_census(spec, depth=args.depth)
+    if args.max_power < 1:
+        raise ValidationError(f"--max-power must be >= 1, got {args.max_power}")
+    theta = _load_substitution(args.input)
+    k = essential_thickness(theta)
+    census = thickness_census(theta, depth=args.depth)
     witness = None
     if k >= 2:
-        witness = find_double_path(spec, k, max_power=args.max_power)
+        witness = find_double_path(theta, k, max_power=args.max_power)
     _emit({
         "schema": 1,
         "essential_thickness": k,
@@ -136,6 +138,8 @@ def _cmd_thickness(args) -> int:
 
 
 def _cmd_independence(args) -> int:
+    if args.max_power < 1:
+        raise ValidationError(f"--max-power must be >= 1, got {args.max_power}")
     theta = _load_substitution(args.input)
     scheme = synthesize_scheme(theta, max_power=args.max_power)
     if scheme is None:

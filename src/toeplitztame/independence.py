@@ -26,8 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DepthError, PreconditionError, ValidationError
-from .extended_bratteli import (MAX_POWER_COLUMNS, _tail,
-                                morphism_from_substitution)
+from .extended_bratteli import MAX_POWER_COLUMNS, _tail
 from .gtheta import NON_TAME, tameness_verdict
 from .odometer import OdometerHead, Scale, head_index
 from .substitution import (Substitution, _letter_set, has_naive_order,
@@ -96,7 +95,7 @@ def synthesize_scheme(theta, max_power: int = 6):
             f"independence schemes require a non-tame verdict, got {report.verdict}")
     base = report.pure_base
     letters = sorted(base.alphabet)
-    strata = _tail(morphism_from_substitution(base))[1]
+    strata = _tail(base)[1]
     # the extendable k-sets, k >= 2, in the subset order of the strata
     a_sets = [_letter_set(letters, x) for k in range(2, len(letters) + 1)
               for x in strata[k][0]]

@@ -51,6 +51,7 @@ class Substitution:
         object.__setattr__(self, "_table", str.maketrans(self._rule))
         object.__setattr__(self, "_languages", {})
         object.__setattr__(self, "_closure_memo", None)
+        object.__setattr__(self, "_tail_memo", None)
 
     @property
     def length(self) -> int:
@@ -94,16 +95,15 @@ def _mask_key(x: int):
                                      "little").translate(_FLIP8)
 
 
-def _image_tables(upper, words, lower):
-    """Per column of the image words (words[k] is the image of upper[k]),
-    ceil(|upper| / 8) byte tables, at least two, with the image of a mask
-    x the OR of tables[b][x >> 8b & 255]: table b covers letters
-    8b .. 8b + 7 of sorted(upper) and is built by doubling, and image bits
-    are positions in sorted(lower)."""
-    pos = {a: t for t, a in enumerate(sorted(lower))}
+def _image_tables(theta: Substitution):
+    """Per column of theta, ceil(|A| / 8) byte tables, at least two, with
+    the image of a mask x the OR of tables[b][x >> 8b & 255]: table b
+    covers letters 8b .. 8b + 7 of the sorted alphabet and is built by
+    doubling."""
+    pos = {a: t for t, a in enumerate(sorted(theta.alphabet))}
     tables = []
-    # col[t] is the column's image of the t-th sorted upper letter
-    for col in zip(*(w for _, w in sorted(zip(upper, words)))):
+    # col[t] is the column's image of the t-th sorted letter
+    for col in zip(*(w for _, w in sorted(zip(theta.alphabet, theta.words)))):
         parts = []
         for start in range(0, max(len(col), 9), 8):
             img = [0]
@@ -131,7 +131,7 @@ def _closure(theta: Substitution):
     each is a shortest one.  Only reached sets are visited."""
     if theta._closure_memo is None:
         n = len(theta.alphabet)
-        tables = _image_tables(theta.alphabet, theta.words, theta.alphabet)
+        tables = _image_tables(theta)
         found = {(1 << n) - 1: ()}
         queue = deque(found)
         arcs = []

@@ -1,10 +1,9 @@
 """Routines the library replaced, kept as independent oracles for seeded
 cross-checks: simple-cycle enumeration (in place of the cycle count), the
 shared vertex read off the enumerated cycles (in place of the SCC
-criterion), the column-by-column dict composition of two levels and the
-column maps and morphisms of a power built from it one level at a time
-(in place of the one translate of ``extended_bratteli.compose``, which
-``telescope`` and ``substitution_power`` share in effect), the subset
+criterion), the column-by-column dict composition of two substitutions
+and the column maps and words of a power built from it one level at a
+time (in place of the translates of ``substitution_power``), the subset
 graph over all 2^|A| subsets with one census and one reachability pass
 (in place of the trimmed graph of ``extended_bratteli.subset_arcs``), the
 frozenset G_theta, coincidence search and extendable vertices (in place of
@@ -27,9 +26,10 @@ from dataclasses import dataclass
 
 from toeplitztame import graphs
 from toeplitztame.errors import LanguageError, ValidationError
-from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, LevelMorphism
+from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS
 from toeplitztame.gtheta import SubsetGraph
-from toeplitztame.substitution import column_image, expand, language
+from toeplitztame.substitution import (Substitution, column_image, expand,
+                                       language)
 
 
 def simple_cycles(vertices, edges, cap=10_000):
@@ -90,81 +90,76 @@ def shared_vertex_by_enumeration(vertices, edges, cap=10_000):
     return None, truncated
 
 
-def columns(m):
-    """Column i of a level morphism as a dict from upper letters to lower
-    ones."""
-    return [dict(zip(m.upper, col)) for col in zip(*m.words)]
+def columns(theta):
+    """Column i of a substitution as a dict from letters to letters."""
+    return [dict(zip(theta.alphabet, col)) for col in zip(*theta.words)]
 
 
 def compose_columns(first, second):
-    """Two consecutive levels (``first`` nearer the top) composed column by
-    column: composed column i + j * len(first) is first_i after second_j."""
-    if first.upper != second.lower:
-        raise ValidationError("levels do not chain")
+    """Two substitutions on one alphabet (``first`` nearer the top)
+    composed column by column: composed column i + j * len(first) is
+    first_i after second_j."""
+    if first.alphabet != second.alphabet:
+        raise ValidationError("substitutions do not share an alphabet")
     fcols, scols = columns(first), columns(second)
     cols = [None] * (len(fcols) * len(scols))
     for j, sj in enumerate(scols):
         for i, fi in enumerate(fcols):
-            cols[i + j * len(fcols)] = {a: fi[sj[a]] for a in second.upper}
-    return LevelMorphism(second.upper, first.lower, tuple(
-        "".join(col[a] for col in cols) for a in second.upper))
+            cols[i + j * len(fcols)] = {a: fi[sj[a]] for a in second.alphabet}
+    return Substitution(second.alphabet, tuple(
+        "".join(col[a] for col in cols) for a in second.alphabet))
 
 
-def power_column_maps(m, power):
-    """All composed column maps of the telescoped power, as tuples of
-    images over the upper alphabet (alphabet order); index arithmetic puts
-    the deepest level in the most significant digit."""
-    if m.upper != m.lower:
-        raise ValidationError("powers need a square morphism")
-    if m.length ** power > MAX_POWER_COLUMNS:
+def power_column_maps(theta, power):
+    """All composed column maps of the power, as tuples of images over the
+    alphabet (alphabet order); index arithmetic puts the deepest level in
+    the most significant digit."""
+    if theta.length ** power > MAX_POWER_COLUMNS:
         raise ValidationError(
-            f"power {power} would need {m.length ** power} columns")
-    letters = list(m.upper)
+            f"power {power} would need {theta.length ** power} columns")
+    letters = list(theta.alphabet)
     pos = {a: t for t, a in enumerate(letters)}
-    base = list(zip(*m.words))
+    base = list(zip(*theta.words))
     maps = list(base)
-    width = m.length
+    width = theta.length
     for _ in range(power - 1):
         # index c + j * width composes the existing map c after the new,
         # deeper column j: (M^{t+1})_{c + j l^t} = (M^t)_c o M_j
-        nxt = [None] * (len(maps) * m.length)
-        for j in range(m.length):
+        nxt = [None] * (len(maps) * theta.length)
+        for j in range(theta.length):
             f = base[j]
             for c, g in enumerate(maps):
                 nxt[c + j * width] = tuple(
                     g[pos[f[t]]] for t in range(len(letters)))
         maps = nxt
-        width *= m.length
+        width *= theta.length
     return letters, maps
 
 
-def morphism_power(m, power):
-    """The power of a square level morphism by repeated column-by-column
+def morphism_power(theta, power):
+    """The power of a substitution by repeated column-by-column
     composition."""
-    if m.upper != m.lower:
-        raise ValidationError("powers need a square morphism")
-    if m.length ** power > MAX_POWER_COLUMNS:
+    if theta.length ** power > MAX_POWER_COLUMNS:
         raise ValidationError(
-            f"power {power} would need {m.length ** power} columns")
-    out = m
+            f"power {power} would need {theta.length ** power} columns")
+    out = theta
     for _ in range(power - 1):
-        out = compose_columns(out, m)
+        out = compose_columns(out, theta)
     return out
 
 
-def full_subset_arcs(m):
-    """Arcs (T, image, label) for every nonempty upper subset T; an arc
+def full_subset_arcs(theta):
+    """Arcs (T, image, label) for every nonempty letter subset T; an arc
     runs from the upper subset down to its image.  Subsets are bitmasks:
-    bit t of T is the t-th letter of sorted(m.upper), bit t of an image the
-    t-th letter of sorted(m.lower).  Vertices come in (popcount, ascending
-    bits) order."""
-    letters = sorted(m.upper)
+    bit t is the t-th letter of the sorted alphabet.  Vertices come in
+    (popcount, ascending bits) order."""
+    letters = sorted(theta.alphabet)
     n = len(letters)
-    pos = {a: t for t, a in enumerate(sorted(m.lower))}
+    pos = {a: t for t, a in enumerate(letters)}
     verts = [sum(1 << t for t in c) for r in range(1, n + 1)
              for c in itertools.combinations(range(n), r)]
     images = []
-    for col in columns(m):
+    for col in columns(theta):
         masks = [1 << pos[col[a]] for a in letters]
         img = [0] * (1 << n)
         for x in range(1, 1 << n):
@@ -174,13 +169,13 @@ def full_subset_arcs(m):
     return verts, arcs
 
 
-def full_tail(m):
-    """The subset graph of a square morphism, built over all 2^|A| subsets
-    and censused once, memoised on the morphism like the library's
+def full_tail(theta):
+    """The subset graph of a substitution, built over all 2^|A| subsets
+    and censused once, memoised on the substitution like the library's
     ``_tail``: (extendable masks, {k: (extendable k-sets in vertex order,
     their cardinality-preserving arcs, classification)})."""
-    if m._tail_memo is None:
-        verts, arcs = full_subset_arcs(m)
+    if theta._tail_memo is None:
+        verts, arcs = full_subset_arcs(theta)
         census = graphs.component_census(verts, arcs)
         cls = {}
         on_cycle = []
@@ -194,7 +189,7 @@ def full_tail(m):
                     cls.setdefault(k, "at-most-countable")
         ext = reachable_from(verts, arcs, on_cycle)
         strata = {k: ([], [], cls.get(k, "none"))
-                  for k in range(1, len(m.upper) + 1)}
+                  for k in range(1, len(theta.alphabet) + 1)}
         for v in verts:
             if v in ext:
                 strata[v.bit_count()][0].append(v)
@@ -202,8 +197,8 @@ def full_tail(m):
             k = t.bit_count()
             if s.bit_count() == k and t in ext:
                 strata[k][1].append((t, s, i))
-        object.__setattr__(m, "_tail_memo", (ext, strata))
-    return m._tail_memo
+        object.__setattr__(theta, "_tail_memo", (ext, strata))
+    return theta._tail_memo
 
 
 def reachable_from(vertices, edges, sources):

@@ -11,7 +11,7 @@ import time
 from oracles import shared_vertex_by_enumeration
 from toeplitztame import graphs
 from toeplitztame.cli import main
-from toeplitztame.extended_bratteli import (DiagramSpec, essential_thickness,
+from toeplitztame.extended_bratteli import (essential_thickness,
                                             find_double_path, thickness_census)
 from toeplitztame.gtheta import (NON_TAME, NOT_ALMOST_AUTOMORPHIC, TAME,
                                  tameness_verdict)
@@ -90,13 +90,13 @@ def test_criterion_3_coincidence_gate():
 
 def test_criterion_4_thickness():
     t0 = time.monotonic()
-    spec22 = DiagramSpec.stationary(_fresh({"a": "aaca", "b": "abba", "c": "aaba"}))
-    spec23 = DiagramSpec.stationary(_fresh({"a": "aaca", "b": "abba", "c": "acba"}))
-    k22 = essential_thickness(spec22)
-    witness = find_double_path(spec22, 2, max_power=2)
-    census22 = thickness_census(spec22)
-    k23 = essential_thickness(spec23)
-    census23 = thickness_census(spec23)
+    theta22 = _fresh({"a": "aaca", "b": "abba", "c": "aaba"})
+    theta23 = _fresh({"a": "aaca", "b": "abba", "c": "acba"})
+    k22 = essential_thickness(theta22)
+    witness = find_double_path(theta22, 2, max_power=2)
+    census22 = thickness_census(theta22)
+    k23 = essential_thickness(theta23)
+    census23 = thickness_census(theta23)
     elapsed = time.monotonic() - t0
     assert k22 == 2
     assert witness.power == 2

@@ -309,6 +309,34 @@ def test_bad_depth_arguments_are_validation_errors(capsys, argv):
     assert "--depth" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("thickness", str(FIXTURES / "ex22.sub"), "--max-power", "0"),
+    ("thickness", str(FIXTURES / "ex22.sub"), "--max-power", "-2"),
+    ("independence", str(FIXTURES / "ex22.sub"), "--max-power", "0"),
+    ("independence", str(FIXTURES / "ex22.sub"), "--max-power", "-2"),
+])
+def test_bad_max_power_arguments_are_validation_errors(capsys, argv):
+    # a search that never ran is no inconclusive report
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["error"]["code"] == "validation"
+    assert "--max-power" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("source, message", [
+    (str(FIXTURES / "thue_morse.sub"),
+     "naive stationary order is only proper when all rule words share "
+     "their first letter and share their last letter"),
+    ('{"a":"abca","b":"aaca","c":"abba","d":"abca"}',
+     "every letter must occur in some rule word"),
+])
+def test_thickness_input_errors_name_the_diagram_condition(capsys, source,
+                                                           message):
+    code, report = run_json(capsys, "thickness", source)
+    assert code == 1
+    assert report["error"] == {"code": "validation", "message": message}
+
+
 def test_window_depth_zero_means_two_to_the_stage(capsys):
     code, report = run_json(capsys, "semicocycle", "window", "--stage", "4",
                             "--depth", "0", "--range", "0:8")
@@ -332,19 +360,18 @@ def test_module_entry_point_reads_sys_argv():
 def test_package_exports_only_the_reexported_names():
     import toeplitztame
     assert sorted(toeplitztame.__all__) == [
-        "AnalysisReport", "DStage", "DiagramSpec", "FullShift",
-        "IndependenceScheme", "LevelFamily", "LevelMorphism", "OdometerHead",
-        "Scale", "SturmianFibonacci", "SubsetGraph", "Substitution",
-        "ToeplitzError", "add_integer", "build_d_stage", "build_f_family",
-        "build_gtheta", "build_level_family", "canonical_semicocycle_eval",
+        "AnalysisReport", "DStage", "FullShift", "IndependenceScheme",
+        "LevelFamily", "OdometerHead", "Scale", "SturmianFibonacci",
+        "SubsetGraph", "Substitution", "ToeplitzError", "add_integer",
+        "build_d_stage", "build_f_family", "build_gtheta",
+        "build_level_family", "canonical_semicocycle_eval",
         "check_translate_disjointness", "cycle_count_upper_bound",
-        "essential_thickness", "extendable_vertices", "f5_eval", "f6_eval",
-        "find_double_path", "head_index", "heads_and_special",
-        "height_and_pure_base", "independence_times", "integer_head",
-        "is_aperiodic", "is_primitive", "language", "parse_text",
-        "realize_prefix", "substitution_power", "synthesize_scheme",
-        "tameness_verdict", "telescope", "thickness_census", "to_dot",
-        "toeplitz5_window", "two_cycles_share_vertex", "validate",
+        "essential_thickness", "f5_eval", "f6_eval", "find_double_path",
+        "head_index", "heads_and_special", "height_and_pure_base",
+        "independence_times", "integer_head", "is_aperiodic", "is_primitive",
+        "language", "parse_text", "realize_prefix", "substitution_power",
+        "synthesize_scheme", "tameness_verdict", "thickness_census",
+        "to_dot", "toeplitz5_window", "two_cycles_share_vertex", "validate",
         "verify_patterns"]
     for name in toeplitztame.__all__:
         assert not isinstance(getattr(toeplitztame, name), types.ModuleType)
