@@ -10,8 +10,8 @@ from .substitution import (Substitution, height_and_pure_base, is_aperiodic,
                            is_primitive, language, parse_text,
                            substitution_power, validate)
 from .gtheta import (AnalysisReport, SubsetGraph, build_gtheta,
-                     canonical_semicocycle_eval, cycle_count_upper_bound,
-                     tameness_verdict, to_dot, two_cycles_share_vertex)
+                     cycle_count_upper_bound, tameness_verdict, to_dot,
+                     two_cycles_share_vertex)
 from .extended_bratteli import (essential_thickness, find_double_path,
                                 thickness_census)
 from .independence import (IndependenceScheme, independence_times,
@@ -26,9 +26,9 @@ __all__ = [
     "LevelFamily", "OdometerHead", "Scale", "SturmianFibonacci",
     "SubsetGraph", "Substitution", "ToeplitzError", "add_integer",
     "build_d_stage", "build_f_family", "build_gtheta", "build_level_family",
-    "canonical_semicocycle_eval", "check_translate_disjointness",
-    "cycle_count_upper_bound", "essential_thickness", "f5_eval", "f6_eval",
-    "find_double_path", "head_index", "heads_and_special",
+    "check_translate_disjointness", "cycle_count_upper_bound",
+    "essential_thickness", "f5_eval", "f6_eval", "find_double_path",
+    "head_index", "heads_and_special",
     "height_and_pure_base", "independence_times", "integer_head",
     "is_aperiodic", "is_primitive", "language", "parse_text",
     "realize_prefix", "substitution_power", "synthesize_scheme",

@@ -1,6 +1,5 @@
 """The subset graph of a constant-length substitution and everything it
-decides: the two-cycle tameness criterion, singular-orbit bounds,
-fibre-window letters and the canonical semicocycle.
+decides: the two-cycle tameness criterion and singular-orbit bounds.
 
 Vertices are the letter sets theta_{w_1}...theta_{w_k}(A) of cardinality
 > 1, plus the full alphabet; there is an edge from B to A labelled i iff
@@ -15,10 +14,8 @@ from dataclasses import dataclass
 from . import graphs
 from .errors import NotPrimitive, PeriodicSubstitution, PureBaseError, \
     StabilizationError, ValidationError
-from .odometer import OdometerHead, head_index
 from .substitution import (Substitution, _closure, _letter_set, _mask_key,
-                           column_image, height_and_pure_base, is_aperiodic,
-                           is_primitive, letter_in_power,
+                           height_and_pure_base, is_aperiodic, is_primitive,
                            shortest_collapsing_word, validate)
 
 TAME = "tame"
@@ -195,47 +192,6 @@ def tameness_verdict(theta) -> AnalysisReport:
     return AnalysisReport(theta, True, True, bound, h, theta_prime, blocks,
                           witness, graph, census, verdict, reason,
                           census.shared_vertex, bound_cycles)
-
-
-# ---------------------------------------------------------------------------
-# fibre windows
-
-
-def window_letter(h: OdometerHead, theta: Substitution, vertex: str, position: int) -> str:
-    """Letter of the fibre-window word of ``vertex`` at a shift position,
-    evaluated by digit descent instead of materializing the word.  The
-    word is theta^n(v) placed on [-z^(n), l^n - z^(n)), with z^(n) the
-    head index; the distinct words bound the fibre over any point
-    extending the head."""
-    _check_scale(h, theta)
-    z = head_index(h)
-    return letter_in_power(theta, vertex, h.depth, z + position)
-
-
-def canonical_semicocycle_eval(h: OdometerHead, theta: Substitution):
-    """The letter at position 0 when all fibre words agree there,
-    equivalently when theta_{z_1} o ... o theta_{z_n} collapses the
-    alphabet; None while undetermined at this depth.  None is the test
-    for the discontinuity set: every partial image theta_{z_k} o ... o
-    theta_{z_n}(A) has more than one letter, which any extension of the
-    head to a discontinuity point needs, and which is exact in the limit
-    of the depth."""
-    if h.depth < 1:
-        raise ValidationError("head depth must be >= 1")
-    _check_scale(h, theta)
-    s = frozenset(theta.alphabet)
-    for z in reversed(h.digits):
-        s = column_image(theta, z, s)
-    if len(s) == 1:
-        return next(iter(s))
-    return None
-
-
-def _check_scale(h: OdometerHead, theta: Substitution):
-    for n in range(1, h.depth + 1):
-        if h.scale.modulus(n) != theta.length:
-            raise ValidationError(
-                "head scale does not match the substitution length")
 
 
 # ---------------------------------------------------------------------------

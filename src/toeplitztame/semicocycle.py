@@ -3,6 +3,11 @@
 First family (over Z_((4^n))): a recursively defined chain of point sets
 D^0 subset D^1 subset ... whose closure D is a Cantor set; every digit of
 a D-point is a power of 3, level n carrying an exponent of at most n - 1.
+The recursion has a closed form: point p, the same point at every stage
+i with p < 2^i, has exponent p beyond level p, and at level n <= p the
+exponent p with its leading binary 1s stripped until it is below n.  So
+a ``DPoint`` is one int and a ``DStage`` its index; no exponent is
+stored, and no digit needs a range check, since 3^(n-1) < 4^n.
 The semicocycle reads a when the longest head a D-point shares with z has
 odd length, b otherwise.  Evaluation at a finite head is certified by
 membership of the truncated heads in the stage's head sets: the head sets
@@ -10,10 +15,9 @@ Head_m are stable once the stage holds at least m points.  The one head
 index is a prefix trie of the stage's points, grown as it is walked: the
 longest truncated head in its head set is a walk down it, and Head_m,
 the special word and the head classes are read from its depth-m nodes.
-A ``DStage`` checks the range of every digit once, so heads are digit
-tuples built straight from the exponents.  Translate hits are found by
-bisecting the sorted head values, and duplicate points by one canonical
-id per point.
+A head class's value puts each digit in its own bit field, and translate
+hits are found by bisecting the sorted values.  Distinct points have
+distinct tail exponents, so no two are equal.
 
 Second family (over Z_2): a double sequence l^n_i with first row
 l^1_i = 2^i - 1, closed under l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with
@@ -35,11 +39,10 @@ default non-integer base points are all-digits-2 respectively alternating
 
 from __future__ import annotations
 
-import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, count, islice, product
+from itertools import chain, product
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
@@ -58,94 +61,96 @@ MAX_FAMILY_ENTRIES = 1 << 18
 # the D-set over Z_((4^n))
 
 
+def _exponent(p: int, n: int) -> int:
+    """The exponent of point p at level n >= 1: p with its leading binary
+    1s stripped until it is below n.  Every bit at or above the bit
+    length k of n goes, and of the rest at most bit k - 1."""
+    if p < n:
+        return p
+    k = n.bit_length()
+    r = p & ((1 << k) - 1)
+    return r if r < n else r & ((1 << (k - 1)) - 1)
+
+
+def _runs(p: int, depth: int):
+    """(e, count): the exponents of point p at levels 1..depth as runs of
+    one value, in order.  The exponent at level n is the largest low part
+    of p below n, 0 or p mod 2^(k+1) for a set bit k of p, so it steps up
+    once per set bit."""
+    e = done = 0
+    for k in range(p.bit_length()):
+        if p >> k & 1:
+            cut = min(e | 1 << k, depth)
+            yield e, cut - done
+            e, done = e | 1 << k, cut
+    yield e, depth - done
+
+
+def _digits(p: int, depth: int) -> tuple[int, ...]:
+    """The digits 3^e of point p at levels 1..depth, a tuple repeat per run."""
+    return tuple(chain.from_iterable((3 ** e,) * k for e, k in _runs(p, depth)))
+
+
 @dataclass(frozen=True)
 class DPoint:
-    """Digit exponents of one D-point: digit at level n is 3^e, where e is
-    head_exponents[n-1] inside the head and tail_exponent beyond."""
+    """Point p of the D-set: its digit at level n is 3^e with e its
+    ``exponent(n)``; its head runs up to level p and its tail exponent
+    is p."""
 
-    head_exponents: tuple[int, ...]
-    tail_exponent: int
+    p: int
+
+    @property
+    def head_exponents(self) -> tuple[int, ...]:
+        return self.exponents(self.p)
+
+    @property
+    def tail_exponent(self) -> int:
+        return self.p
 
     def exponent(self, n: int) -> int:
-        if n <= len(self.head_exponents):
-            return self.head_exponents[n - 1]
-        return self.tail_exponent
+        return _exponent(self.p, n)
 
     def exponents(self, depth: int) -> tuple[int, ...]:
         """The exponents at levels 1..depth."""
-        head = self.head_exponents[:depth]
-        return head + (self.tail_exponent,) * (depth - len(head))
+        return tuple(chain.from_iterable((e,) * k for e, k in _runs(self.p, depth)))
 
     def digit(self, n: int) -> int:
         return 3 ** self.exponent(n)
 
     def head_at(self, depth: int) -> OdometerHead:
-        head = tuple(3 ** e for e in self.head_exponents[:depth])
-        tail = (3 ** self.tail_exponent,) * (depth - len(head))
-        return OdometerHead(SCALE5, head + tail)
+        return OdometerHead(SCALE5, _digits(self.p, depth))
 
     def to_json(self):
         return {"head_exponents": list(self.head_exponents),
-                "tail_exponent": self.tail_exponent}
+                "tail_exponent": self.p}
 
 
 @dataclass(frozen=True)
 class DStage:
+    """Stage ``index``: the points 0 .. 2^index - 1."""
+
     index: int
-    points: tuple[DPoint, ...]
 
     def __post_init__(self):
-        # Every digit 3^e must lie in [0, l_n) at its level n of SCALE5.  It
-        # is checked here once per stage, so the head sets and head classes
-        # below build digit tuples without an OdometerHead each.  cap[n-1]
-        # is the largest exponent level n admits; a tail exponent must fit
-        # every level from its first through one past the longest head.
-        longest = max((len(p.head_exponents) for p in self.points), default=0)
-        cap, e, power = [], 0, 1
-        for m in islice(SCALE5.moduli(), longest + 1):
-            while 3 * power < m:
-                power, e = 3 * power, e + 1
-            while power >= m:
-                power, e = power // 3, e - 1
-            cap.append(e)
-        tail_cap = list(accumulate(reversed(cap), min))[::-1]
-        for p in self.points:
-            head, tail = p.head_exponents, p.tail_exponent
-            if (min(head, default=0) >= 0 and 0 <= tail <= tail_cap[len(head)]
-                    and all(map(operator.le, head, cap))):
-                continue
-            for n, e in enumerate(p.exponents(longest + 1), 1):
-                if not 0 <= e <= cap[n - 1]:
-                    raise ValidationError(
-                        f"digit 3^{e} at level {n} out of range [0, l_{n})")
         # one memo, not a field: the prefix trie root [point indices, children]
-        object.__setattr__(self, "_trie", [range(len(self.points)), None])
+        object.__setattr__(self, "_trie", [range(1 << self.index), None])
+
+    @property
+    def points(self) -> tuple[DPoint, ...]:
+        return tuple(map(DPoint, range(1 << self.index)))
 
     def to_json(self):
         return {"stage": self.index, "points": [p.to_json() for p in self.points]}
 
 
 def build_d_stage(i: int) -> DStage:
-    """Stage i of the recursion: each point of the previous stage spawns a
-    twin that repeats 3^(m_i + l) beyond a head of length m_i + l, where
-    m_i = 2^i and l is the point's position; the new points are appended
-    after the old ones.  By construction the exponent at level n is at
-    most n - 1."""
+    """Stage i of the recursion: each point l of stage s spawns the point
+    2^s + l, which repeats the exponents of l up to level 2^s + l and
+    then 2^s + l beyond.  Unwound, that is ``_exponent``: at level n the
+    exponent is at most n - 1."""
     if not 0 <= i <= 12:
         raise ValidationError("stages up to 12 are supported (2^i points)")
-    points = [DPoint((), 0)]
-    for stage in range(i):
-        m = 2 ** stage
-        fresh = []
-        for l, p in enumerate(points):
-            cut = m + l
-            fresh.append(DPoint(p.exponents(cut), cut))
-        points.extend(fresh)
-    for p in points:
-        if (p.tail_exponent > len(p.head_exponents)
-                or not all(map(operator.lt, p.head_exponents, count(1)))):
-            raise ValidationError("digit exponent exceeds level - 1")
-    return DStage(i, tuple(points))
+    return DStage(i)
 
 
 def _grow(stage: DStage, node: list, m: int) -> dict:
@@ -154,7 +159,7 @@ def _grow(stage: DStage, node: list, m: int) -> dict:
     digit in ascending order; built on the first visit."""
     groups = {}
     for a in node[0]:
-        groups.setdefault(stage.points[a].exponent(m + 1), []).append(a)
+        groups.setdefault(_exponent(a, m + 1), []).append(a)
     node[1] = {3 ** e: [group, None] for e, group in sorted(groups.items())}
     return node[1]
 
@@ -162,14 +167,11 @@ def _grow(stage: DStage, node: list, m: int) -> dict:
 def _level(stage: DStage, depth: int) -> list:
     """(path, node) for each depth-``depth`` trie node, ascending in the
     path, which is the head of any of the node's points."""
-    nodes = [stage._trie] if stage.points else []
+    nodes = [stage._trie]
     for m in range(depth):
         nodes = [kid for node in nodes
                  for kid in (node[1] or _grow(stage, node, m)).values()]
-    power = [3 ** e for e in range(2 * depth)]  # 3^e < 4^n, n <= depth
-    return [(tuple(map(power.__getitem__,
-                       stage.points[node[0][0]].exponents(depth))), node)
-            for node in nodes]
+    return [(_digits(node[0][0], depth), node) for node in nodes]
 
 
 def head_set(stage: DStage, m: int) -> frozenset:
@@ -181,17 +183,19 @@ def head_set(stage: DStage, m: int) -> frozenset:
 def _head_classes(stage: DStage, depth: int):
     """(sorted Head_depth, their head_index values, class of each point),
     read from the depth-``depth`` trie nodes in order.  The digit at level
-    k + 1 weighs l_1 ... l_k."""
+    k + 1 weighs l_1 ... l_k = 2^(k(k+1)) and is below 4^(k+1), so it sits
+    in its own bit field of the value."""
     level = _level(stage, depth)
-    weights = list(accumulate(islice(SCALE5.moduli(), max(depth - 1, 0)),
-                              operator.mul, initial=1))
-    point_class = [0] * len(stage.points)
-    for ci, (_, node) in enumerate(level):
+    point_class = [0] * (1 << stage.index)
+    values = []
+    for ci, (path, node) in enumerate(level):
         for a in node[0]:
             point_class[a] = ci
-    return ([path for path, _ in level],
-            [sum(map(operator.mul, path, weights)) for path, _ in level],
-            point_class)
+        value = 0
+        for k, d in enumerate(path):
+            value |= d << k * (k + 1)
+        values.append(value)
+    return [path for path, _ in level], values, point_class
 
 
 def heads_and_special(m: int, stage: DStage):
@@ -254,16 +258,6 @@ def toeplitz5_window(zhat: OdometerHead, n0: int, n1: int, stage: DStage) -> str
     return "".join(letters)
 
 
-def _canonical(p: DPoint) -> tuple:
-    """One id per point: the head without its trailing tail-valued
-    exponents, then the tail; two points are equal iff their ids are."""
-    head, tail = p.head_exponents, p.tail_exponent
-    k = len(head)
-    while k and head[k - 1] == tail:
-        k -= 1
-    return head[:k], tail
-
-
 def _translate(off: int, modulus: int, t_range: int):
     """The t with |t| <= t_range and t = off modulo modulus (0 <= off <
     modulus), preferring t >= 0; None when there is none."""
@@ -311,19 +305,10 @@ def _translate_hits(zval: int, vals: list, modulus: int, t_range: int) -> list:
             for t, _ in window]
 
 
-def _structural_violations(stage: DStage, values: list, modulus: int,
-                           t_range: int) -> list:
-    """Duplicate points (equal canonical ids) and distinct points whose
-    head values at the working depth differ by a small nonzero t, in the
-    order of their index pairs.  Equal points have equal values, so no
-    pair is both."""
+def _structural_violations(values: list, modulus: int, t_range: int) -> list:
+    """Distinct points whose head values at the working depth differ by a
+    small nonzero t, in the order of their index pairs."""
     found = []
-    by_id = {}
-    for a, p in enumerate(stage.points):
-        by_id.setdefault(_canonical(p), []).append(a)
-    for group in by_id.values():
-        found.extend({"kind": "duplicate-point", "pair": [a, b]}
-                     for a, b in combinations(group, 2))
     by_value = {}
     for a, v in enumerate(values):
         by_value.setdefault(v, []).append(a)
@@ -340,34 +325,21 @@ def _structural_violations(stage: DStage, values: list, modulus: int,
     return found
 
 
-def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
-                                 samples: int, seed: int = 0) -> dict:
-    """Evidence for the unique-translate property: translates of a
-    non-integer z hit D at most once.
-
-    A structural pass first rejects stages with duplicate points or with
-    distinct points that are small nonzero integer translates of each
-    other at the working depth.  Then each sample aims one translate at a
-    stage head on purpose (z = e - d - t) and scans all other (head, t)
-    pairs exhaustively; any second hit is a reported violation.  Finite
-    depth makes this evidence, not proof.
-    """
-    if t_range < 0 or samples < 0:
-        raise ValidationError("t_range and samples must be non-negative")
-    if depth < 0:
-        raise ValidationError("depth must be >= 0")
+def _violations(head_value: list, point_class: list, depth: int,
+                t_range: int, samples: int, seed: int) -> tuple[int, list]:
+    """(checked samples, violations) for the points of the head classes
+    ``point_class``, whose values at ``depth`` are ``head_value``."""
     rng = random.Random(seed)
     modulus = level_product(SCALE5, depth)
-    _, head_value, point_class = _head_classes(stage, depth)
     values = [head_value[ci] for ci in point_class]
-    violations = _structural_violations(stage, values, modulus, t_range)
+    violations = _structural_violations(values, modulus, t_range)
     # integer_head(t) has the head_index t mod the level product, so z is
     # a small integer iff zval or zval - modulus is within 4 t_range of 0
     small = 4 * t_range
     checked = 0
     for _ in range(samples):
         ce = rng.randrange(len(head_value))
-        di = rng.randrange(len(stage.points))
+        di = rng.randrange(len(point_class))
         t = rng.randint(-t_range, t_range)
         zval = (head_value[ce] - values[di] - t) % modulus
         z = integer_head(zval, SCALE5, depth)
@@ -381,6 +353,28 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
         if extra:
             violations.append({"kind": "double-hit", "source": source_class,
                                "t": t, "z": list(z.digits), "others": extra})
+    return checked, violations
+
+
+def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
+                                 samples: int, seed: int = 0) -> dict:
+    """Evidence for the unique-translate property: translates of a
+    non-integer z hit D at most once.
+
+    A structural pass first rejects stages with distinct points that are
+    small nonzero integer translates of each other at the working depth.
+    Then each sample aims one translate at a stage head on purpose
+    (z = e - d - t) and scans all other (head, t) pairs exhaustively; any
+    second hit is a reported violation.  Finite depth makes this
+    evidence, not proof.
+    """
+    if t_range < 0 or samples < 0:
+        raise ValidationError("t_range and samples must be non-negative")
+    if depth < 0:
+        raise ValidationError("depth must be >= 0")
+    _, head_value, point_class = _head_classes(stage, depth)
+    checked, violations = _violations(head_value, point_class, depth,
+                                      t_range, samples, seed)
     return {"schema": 1, "stage": stage.index, "depth": depth,
             "t_range": t_range, "samples": samples, "checked": checked,
             "seed": seed, "violations": violations}
@@ -513,17 +507,19 @@ class FFamily:
     # by the horizon
     words: tuple[tuple[str, ...], ...]
 
-    def value(self, n: int, x: int) -> str:
+    def _check_level(self, n: int) -> None:
         if not 1 <= n <= self.n_max:
             raise ValidationError(f"f^{n} not built (n_max {self.n_max})")
+
+    def value(self, n: int, x: int) -> str:
+        self._check_level(n)
         if x >= self.horizon:
             raise HorizonError(f"f^{n}({x}) beyond horizon {self.horizon}")
         i = bisect_right(self.rows[n - 1], x) - 1
         return self.letters[n - 1][i] if i >= 0 else "a"
 
     def word(self, n: int, i: int, lf: LevelFamily) -> str:
-        if not 1 <= n <= self.n_max:
-            raise ValidationError(f"f^{n} not built (n_max {self.n_max})")
+        self._check_level(n)
         words = self.words[n - 1]
         if 0 <= i < len(words):
             return words[i]
@@ -640,11 +636,10 @@ def realization_interval(y: str, fam: FFamily, lf: LevelFamily,
         raise LanguageError("words are over the letters a, b")
     if handle is not None and y not in handle.words(n):
         raise LanguageError(f"{y!r} is not in the level-{n} language")
-    i = 1
+    fam._check_level(n)
     try:
-        while fam.word(n, i, lf) != y:
-            i += 1
-    except HorizonError:
+        i = fam.words[n - 1].index(y, 1)
+    except ValueError:
         raise LanguageError(
             f"{y!r} was not realized by any level-{n} interval within the "
             f"horizon") from None

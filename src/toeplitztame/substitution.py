@@ -74,10 +74,6 @@ def has_naive_order(theta: Substitution) -> bool:
             and len({w[-1] for w in theta.words}) == 1)
 
 
-def column_image(theta: Substitution, i: int, letters) -> frozenset:
-    return frozenset(theta.rule(a)[i] for a in letters)
-
-
 # ---------------------------------------------------------------------------
 # letter subsets as bitmasks: bit t is the t-th letter of the sorted alphabet
 

@@ -8,15 +8,18 @@ graph over all 2^|A| subsets with one census and one reachability pass
 (in place of the trimmed graph of ``extended_bratteli.subset_arcs``), the
 frozenset G_theta, coincidence search and extendable vertices (in place of
 the one mask closure of ``substitution._closure`` and the trim of
-``graphs.reached_from_cycle``), and the per-level head-set loop for the
+``graphs.reached_from_cycle``), the per-level head-set loop for the
 longest D-head matching a head (in place of the prefix trie of
-``semicocycle._longest_head``).
+``semicocycle._longest_head``), and the D-stage recursion on exponent
+tuples (in place of the closed form of ``semicocycle._exponent``).
 
 Beside them are references with no counterpart in the library: a
 materialised two-sided fixed-point window (the raw shift that independence
 patterns must occur in), the common head length of two odometer heads (the
-pointwise definition of the first semicocycle), and an explicit word list
-as a right-extendable test language.
+pointwise definition of the first semicocycle), an explicit word list as a
+right-extendable test language, and two readings of a substitution at an
+odometer head that no command reports: the letter of a fibre-window word
+and the canonical semicocycle, with the column images they rest on.
 """
 
 import itertools
@@ -28,8 +31,13 @@ from toeplitztame import graphs
 from toeplitztame.errors import LanguageError, ValidationError
 from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS
 from toeplitztame.gtheta import SubsetGraph
-from toeplitztame.substitution import (Substitution, column_image, expand,
-                                       language)
+from toeplitztame.odometer import OdometerHead, head_index
+from toeplitztame.substitution import (Substitution, expand, language,
+                                       letter_in_power)
+
+
+def column_image(theta: Substitution, i: int, letters) -> frozenset:
+    return frozenset(theta.rule(a)[i] for a in letters)
 
 
 def simple_cycles(vertices, edges, cap=10_000):
@@ -281,6 +289,19 @@ def census_extendable(g):
         sorted(on_cycle, key=vertex_key)))
 
 
+def oracle_d_stage(i):
+    """Stage i of the D-set as (head exponents, tail exponent) per point,
+    by the recursion on tuples: each point l of stage s spawns a point
+    whose head is the first 2^s + l exponents of l and whose tail
+    exponent is 2^s + l."""
+    points = [((), 0)]
+    for s in range(i):
+        m = 2 ** s
+        points += [(head[:m + l] + (tail,) * (m + l - len(head)), m + l)
+                   for l, (head, tail) in enumerate(points)]
+    return points
+
+
 def longest_head_by_head_sets(digits, heads):
     """The largest m with digits[:m] in heads(m) = Head_m, one head set
     per level."""
@@ -372,3 +393,40 @@ class UserWordList:
         if longer is None:
             raise LanguageError("word list exhausted")
         return "".join(c for c in "ab" if w + c in longer)
+
+
+def window_letter(h: OdometerHead, theta: Substitution, vertex: str, position: int) -> str:
+    """Letter of the fibre-window word of ``vertex`` at a shift position,
+    evaluated by digit descent instead of materializing the word.  The
+    word is theta^n(v) placed on [-z^(n), l^n - z^(n)), with z^(n) the
+    head index; the distinct words bound the fibre over any point
+    extending the head."""
+    _check_scale(h, theta)
+    z = head_index(h)
+    return letter_in_power(theta, vertex, h.depth, z + position)
+
+
+def canonical_semicocycle_eval(h: OdometerHead, theta: Substitution):
+    """The letter at position 0 when all fibre words agree there,
+    equivalently when theta_{z_1} o ... o theta_{z_n} collapses the
+    alphabet; None while undetermined at this depth.  None is the test
+    for the discontinuity set: every partial image theta_{z_k} o ... o
+    theta_{z_n}(A) has more than one letter, which any extension of the
+    head to a discontinuity point needs, and which is exact in the limit
+    of the depth."""
+    if h.depth < 1:
+        raise ValidationError("head depth must be >= 1")
+    _check_scale(h, theta)
+    s = frozenset(theta.alphabet)
+    for z in reversed(h.digits):
+        s = column_image(theta, z, s)
+    if len(s) == 1:
+        return next(iter(s))
+    return None
+
+
+def _check_scale(h: OdometerHead, theta: Substitution):
+    for n in range(1, h.depth + 1):
+        if h.scale.modulus(n) != theta.length:
+            raise ValidationError(
+                "head scale does not match the substitution length")

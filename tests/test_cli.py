@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -346,6 +347,30 @@ def test_window_depth_zero_means_two_to_the_stage(capsys):
                               "--range", "0:8")[1]
 
 
+# sha256 of the stdout of `semicocycle d-set --stage i`, i = 0..10, as
+# printed by the builder that stored every point's exponent tuple
+D_SET_SHA256 = (
+    "f20db65ebdc2867fb4c13ce1b55f17942da614e3848b64462d601dc102010871",
+    "042f25120af7c1d64a8c09df1fdc787dc67b5fe4c18c9007343ec01db4354bcd",
+    "a73c873545029ecfff87d8e2cdde5f4cee340f11bd0e3dc0ea549836cd21871c",
+    "0fcfcc10f6d602f6ef28dfeb33b3690c3433402d01157361d78ac4922e9f5383",
+    "db74cc7c13aec1e7384d9aee123ab59f93e55c546fb6450dc2bf12876f11f252",
+    "d42793b97a6fbb3abebdf709e27f186ea8c561a1756aba65ddedcda00afee6dd",
+    "e6a3448601ac671982b16ead9b635c5534968b68265418ec183b3c8ca2edc35b",
+    "ff84177206cb5973832182e0f21489cae20bf3933ea408f75cdfc76a03ed2e25",
+    "cc0faee480e05fe938d281166c20eb65fcbf08fb0b76a65cf62714d8fe0d49c2",
+    "1bc7e8b4f6aa6989fc3141e54f3649a76bbd1b4b3497cfdf544243248a8688a1",
+    "ee331818593f5db6c69e215c5167d7266165536bfab4a310fd07b066e39d342b",
+)
+
+
+def test_d_set_reports_match_the_stored_tuple_builder(capsys):
+    for i, digest in enumerate(D_SET_SHA256):
+        code, out = run(capsys, "semicocycle", "d-set", "--stage", str(i))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, i
+
+
 def test_module_entry_point_reads_sys_argv():
     done = run_module("analyze", "fixtures/ex22.sub")
     assert done.returncode == 0
@@ -364,15 +389,14 @@ def test_package_exports_only_the_reexported_names():
         "LevelFamily", "OdometerHead", "Scale", "SturmianFibonacci",
         "SubsetGraph", "Substitution", "ToeplitzError", "add_integer",
         "build_d_stage", "build_f_family", "build_gtheta",
-        "build_level_family", "canonical_semicocycle_eval",
-        "check_translate_disjointness", "cycle_count_upper_bound",
-        "essential_thickness", "f5_eval", "f6_eval", "find_double_path",
-        "head_index", "heads_and_special", "height_and_pure_base",
-        "independence_times", "integer_head", "is_aperiodic", "is_primitive",
-        "language", "parse_text", "realize_prefix", "substitution_power",
-        "synthesize_scheme", "tameness_verdict", "thickness_census",
-        "to_dot", "toeplitz5_window", "two_cycles_share_vertex", "validate",
-        "verify_patterns"]
+        "build_level_family", "check_translate_disjointness",
+        "cycle_count_upper_bound", "essential_thickness", "f5_eval",
+        "f6_eval", "find_double_path", "head_index", "heads_and_special",
+        "height_and_pure_base", "independence_times", "integer_head",
+        "is_aperiodic", "is_primitive", "language", "parse_text",
+        "realize_prefix", "substitution_power", "synthesize_scheme",
+        "tameness_verdict", "thickness_census", "to_dot", "toeplitz5_window",
+        "two_cycles_share_vertex", "validate", "verify_patterns"]
     for name in toeplitztame.__all__:
         assert not isinstance(getattr(toeplitztame, name), types.ModuleType)
 

@@ -4,16 +4,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (columns, full_tail, morphism_power, power_column_maps,
-                     reachable_from)
+from oracles import (column_image, columns, full_tail, morphism_power,
+                     power_column_maps, reachable_from)
 from toeplitztame import extended_bratteli, graphs
 from toeplitztame.errors import ValidationError
 from toeplitztame.extended_bratteli import (essential_thickness,
                                             find_double_path, thickness_census)
 from toeplitztame.extended_bratteli import _tail
 from toeplitztame.substitution import (Substitution, _letter_set,
-                                       column_image, substitution_power,
-                                       validate)
+                                       substitution_power, validate)
 
 THICKNESS_FUNCTIONS = (essential_thickness, thickness_census,
                        lambda theta: find_double_path(theta, 2))

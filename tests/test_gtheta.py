@@ -3,20 +3,19 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (census_extendable, frozenset_collapsing_word,
+from oracles import (canonical_semicocycle_eval, census_extendable,
+                     column_image, frozenset_collapsing_word,
                      frozenset_gtheta, shared_vertex_by_enumeration,
-                     simple_cycles)
+                     simple_cycles, window_letter)
 from toeplitztame import graphs
 from toeplitztame.errors import (NotPrimitive, PeriodicSubstitution,
                                  ToeplitzError, ValidationError)
 from toeplitztame.gtheta import (CYCLE_COUNT_CAP, NON_TAME,
                                  NOT_ALMOST_AUTOMORPHIC, TAME, build_gtheta,
-                                 canonical_semicocycle_eval,
                                  cycle_count_upper_bound, tameness_verdict,
-                                 to_dot, two_cycles_share_vertex,
-                                 window_letter)
+                                 to_dot, two_cycles_share_vertex)
 from toeplitztame.odometer import OdometerHead, Scale, head_index
-from toeplitztame.substitution import (Substitution, column_image, expand,
+from toeplitztame.substitution import (Substitution, expand,
                                        height_and_pure_base, is_primitive,
                                        shortest_collapsing_word)
 

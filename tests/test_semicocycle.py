@@ -3,26 +3,24 @@ import functools
 import itertools
 import operator
 import random
-import re
 
 import pytest
 
 from oracles import (UserWordList, common_head_length,
-                     longest_head_by_head_sets)
+                     longest_head_by_head_sets, oracle_d_stage)
 from toeplitztame.errors import (DepthError, HorizonError, LanguageError,
                                  PreconditionError, ValidationError)
 from toeplitztame.odometer import (OdometerHead, head_index, integer_head,
                                    level_product)
-from toeplitztame.semicocycle import (SCALE5, SCALE6, DPoint, DStage,
-                                      FullShift, LevelFamily,
+from toeplitztame.semicocycle import (SCALE5, SCALE6, FullShift, LevelFamily,
                                       SturmianFibonacci, build_d_stage,
                                       build_f_family, build_level_family,
                                       check_translate_disjointness,
                                       default_zhat5, default_zhat6, f5_eval,
                                       f6_eval, head_set, heads_and_special,
                                       realize_prefix, toeplitz5_window)
-from toeplitztame.semicocycle import (_canonical, _head_classes,
-                                      _longest_head, _translate_hits)
+from toeplitztame.semicocycle import (_head_classes, _longest_head,
+                                      _translate_hits, _violations)
 
 
 def translate_hits(z, stage, t_range):
@@ -181,16 +179,21 @@ def test_translate_hits_planted():
     assert hits == [(source_class, 5)]
 
 
-def test_translate_disjointness_flags_corruption():
-    stage = build_d_stage(3)
-    bad = DStage(stage.index, stage.points + (stage.points[2],))
-    report = check_translate_disjointness(bad, 16, 12, 10, seed=0)
-    assert any(v["kind"] == "duplicate-point" for v in report["violations"])
-
-
-def test_points_equal_is_exact():
-    assert _canonical(DPoint((0,), 1)) == _canonical(DPoint((0, 1), 1))
-    assert _canonical(DPoint((), 0)) != _canonical(DPoint((0,), 1))
+def test_d_stage_closed_form_matches_tuple_recursion():
+    # the recursion appends to the points of the stage before, and stage i
+    # holds the points 0 .. 2^i - 1, so stage 12 compares every stage; each
+    # point's exponents are read to two levels past its head
+    oracle = oracle_d_stage(12)
+    for i in range(13):
+        assert len(build_d_stage(i).points) == 2 ** i
+    for p, (head, tail) in zip(build_d_stage(12).points, oracle):
+        assert (p.head_exponents, p.tail_exponent) == (head, tail)
+        exponents = head + (tail, tail)
+        assert list(map(p.exponent, range(1, len(exponents) + 1))) == \
+            list(exponents)
+        assert all(map(operator.lt, exponents, itertools.count(1)))
+    # distinct eventual exponents: no two points are equal
+    assert len({tail for _, tail in oracle}) == len(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +384,6 @@ def test_realize_depth_guard():
 # eager Sturmian table that the stage memos and lazy factors replaced
 
 
-def oracle_build_d_stage(i):
-    points = [DPoint((), 0)]
-    for stage in range(i):
-        m = 2 ** stage
-        points += [DPoint(tuple(p.exponent(n) for n in range(1, m + l + 1)), m + l)
-                   for l, p in enumerate(points)]
-    return points
-
-
 def oracle_head(p, depth):
     return tuple(p.digit(n) for n in range(1, depth + 1))
 
@@ -474,45 +468,40 @@ def oracle_translate_hits(digits, t_range, heads):
     return sorted(hits)
 
 
-def oracle_disjointness(stage, t_range, depth, samples, seed):
+def oracle_disjointness(point_heads, depth, t_range, samples, seed):
+    """(checked samples, violations) from the points' heads at ``depth``,
+    pair by pair and hit by hit."""
     rng = random.Random(seed)
-    heads = OracleHeads(stage)
+    heads_sorted = sorted(set(point_heads))
     modulus = level_product(SCALE5, depth)
     violations = []
-    values = [oracle_value(oracle_head(p, depth)) for p in stage.points]
-    for a, b in itertools.combinations(range(len(stage.points)), 2):
-        pa, pb = stage.points[a], stage.points[b]
-        span = max(len(pa.head_exponents), len(pb.head_exponents)) + 1
-        if all(pa.exponent(n) == pb.exponent(n) for n in range(1, span + 1)):
-            violations.append({"kind": "duplicate-point", "pair": [a, b]})
-            continue
+    values = [oracle_value(h) for h in point_heads]
+    for a, b in itertools.combinations(range(len(point_heads)), 2):
         off = (values[b] - values[a]) % modulus
         t = off if off <= t_range else (off - modulus
                                         if modulus - off <= t_range else None)
         if t is not None and t != 0:
             violations.append({"kind": "integer-translate", "pair": [a, b], "t": t})
-    heads_sorted = sorted(heads(depth))
     small = {oracle_integer_head(t, depth)
              for t in range(-4 * t_range, 4 * t_range + 1)}
     checked = 0
     for _ in range(samples):
         ce = rng.randrange(len(heads_sorted))
-        di = rng.randrange(len(stage.points))
+        di = rng.randrange(len(point_heads))
         t = rng.randint(-t_range, t_range)
         z = oracle_integer_head(
             (oracle_value(heads_sorted[ce]) - values[di] - t) % modulus, depth)
         if len(set(z[depth // 2:])) == 1 or z in small:
             continue
         checked += 1
-        source = heads_sorted.index(oracle_head(stage.points[di], depth))
-        extra = [hit for hit in oracle_translate_hits(z, t_range, heads)
+        source = heads_sorted.index(point_heads[di])
+        extra = [hit for hit in
+                 oracle_translate_hits(z, t_range, lambda m: heads_sorted)
                  if hit != (source, t)]
         if extra:
             violations.append({"kind": "double-hit", "source": source,
                                "t": t, "z": list(z), "others": extra})
-    return {"schema": 1, "stage": stage.index, "depth": depth,
-            "t_range": t_range, "samples": samples, "checked": checked,
-            "seed": seed, "violations": violations}
+    return checked, violations
 
 
 def oracle_sturmian_factors(max_len=64):
@@ -591,7 +580,8 @@ def test_stage_memos_and_lazy_factors_match_oracles():
     for i in range(2, 8):
         stage = build_d_stage(i)
         heads = OracleHeads(stage)
-        assert list(stage.points) == oracle_build_d_stage(i)
+        assert [(p.head_exponents, p.tail_exponent)
+                for p in stage.points] == oracle_d_stage(i)
         span = max(len(p.head_exponents) for p in stage.points) + 2
         for p in stage.points:
             for depth in (0, 1, len(p.head_exponents), span):
@@ -625,14 +615,15 @@ def test_stage_memos_and_lazy_factors_match_oracles():
                 oracle_translate_hits(digits, 8, heads)
         if i <= 5:
             for depth, t_range in ((12, 16), (16, 8)):
-                assert check_translate_disjointness(
-                    stage, t_range, depth, 60, seed=i) == \
-                    oracle_disjointness(stage, t_range, depth, 60, i)
-    # a duplicate point and an integer translate (digits 3, 3, ... against
-    # 1, 3, 3, ...) give all three violation kinds
-    bad = DStage(3, build_d_stage(3).points + (DPoint((0,), 1), DPoint((1,), 1)))
-    assert check_translate_disjointness(bad, 16, 12, 20, seed=2) == \
-        oracle_disjointness(bad, 16, 12, 20, 2)
+                report = check_translate_disjointness(stage, t_range, depth,
+                                                      60, seed=i)
+                checked, violations = oracle_disjointness(
+                    [oracle_head(p, depth) for p in stage.points], depth,
+                    t_range, 60, i)
+                assert report == {
+                    "schema": 1, "stage": i, "depth": depth,
+                    "t_range": t_range, "samples": 60, "checked": checked,
+                    "seed": i, "violations": violations}
     factors = oracle_sturmian_factors()
     handle = SturmianFibonacci()
     for n in rng.sample(range(1, 65), 64):
@@ -881,47 +872,30 @@ def test_translate_hits_bisection_matches_pairwise_oracle():
                     oracle_translate_hits(digits, t_range, heads)
 
 
-def _random_stage(rng):
-    """A hand-built stage: points with small exponents, some repeated or
-    rewritten with extra trailing tail-valued exponents."""
-    points = []
-    for _ in range(rng.randint(1, 14)):
-        if points and rng.random() < 0.3:
-            p = rng.choice(points)
-            extra = rng.randint(0, 2)
-            points.append(DPoint(p.head_exponents + (p.tail_exponent,) * extra,
-                                 p.tail_exponent))
-            continue
-        head = tuple(rng.randint(0, k) for k in range(rng.randint(0, 5)))
-        points.append(DPoint(head, rng.randint(0, len(head))))
-    return DStage(rng.randint(0, 4), tuple(points))
+def _random_heads(rng):
+    """(depth, point heads): a few random head classes at a small depth,
+    shared by up to 14 points; small powers of 3 make integer translates
+    and double hits common."""
+    depth = rng.choice([1, 2, 3, 5, 8])
+    classes = [tuple(3 ** rng.randint(0, k) if rng.random() < 0.8
+                     else rng.randrange(4 ** (k + 1)) for k in range(depth))
+               for _ in range(rng.randint(1, 8))]
+    return depth, [rng.choice(classes) for _ in range(rng.randint(1, 14))]
 
 
-def test_canonical_structural_pass_matches_pairwise_oracle():
+def test_structural_pass_and_samples_match_pairwise_oracle():
+    # the value-level core of check_translate_disjointness on hand-built
+    # head classes, which stages never give: integer translates among them
     rng = random.Random(64)
     kinds = set()
     for _ in range(400):
-        stage = _random_stage(rng)
-        depth = rng.choice([1, 2, 3, 5, 8])
+        depth, heads = _random_heads(rng)
         t_range = rng.choice([0, 1, 2, 6, 40, 300])
         seed = rng.randrange(100)
-        report = check_translate_disjointness(stage, t_range, depth, 8, seed)
-        assert report == oracle_disjointness(stage, t_range, depth, 8, seed)
-        kinds.update(v["kind"] for v in report["violations"])
-    assert kinds == {"duplicate-point", "integer-translate", "double-hit"}
-
-
-def test_d_stage_checks_digit_range_once():
-    # hand-built stages go through the same check as built ones
-    DStage(0, (DPoint((1,), 1), DPoint((0, 2), 2)))   # 3 < 4, 9 < 16, 9 < 64
-    for point, message in ((DPoint((2,), 0), "digit 3^2 at level 1"),
-                           (DPoint((0,), 3), "digit 3^3 at level 2"),
-                           (DPoint((0, -1), 1), "digit 3^-1 at level 2")):
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            # a longer valid point: a tail must fit its first level, not
-            # only the deepest level the stage reaches
-            DStage(0, (DPoint((0, 1, 2), 2), point))
-    for i in range(0, 9):
-        for p in build_d_stage(i).points:
-            assert all(e <= n for n, e in enumerate(p.head_exponents))
-            assert p.tail_exponent <= len(p.head_exponents)
+        classes = sorted(set(heads))
+        got = _violations([oracle_value(h) for h in classes],
+                          [classes.index(h) for h in heads], depth, t_range,
+                          8, seed)
+        assert got == oracle_disjointness(heads, depth, t_range, 8, seed)
+        kinds.update(v["kind"] for v in got[1])
+    assert kinds == {"integer-translate", "double-hit"}
