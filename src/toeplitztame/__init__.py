@@ -17,7 +17,7 @@ from .extended_bratteli import (essential_thickness, find_double_path,
 from .independence import (IndependenceScheme, independence_times,
                            synthesize_scheme, verify_patterns)
 from .semicocycle import (DStage, FullShift, LevelFamily, SturmianFibonacci,
-                          build_d_stage, build_f_family, build_level_family,
+                          build_d_stage, build_f_family,
                           check_translate_disjointness, f5_eval, f6_eval,
                           heads_and_special, realize_prefix, toeplitz5_window)
 
@@ -25,7 +25,7 @@ __all__ = [
     "AnalysisReport", "DStage", "FullShift", "IndependenceScheme",
     "LevelFamily", "OdometerHead", "Scale", "SturmianFibonacci",
     "SubsetGraph", "Substitution", "ToeplitzError", "add_integer",
-    "build_d_stage", "build_f_family", "build_gtheta", "build_level_family",
+    "build_d_stage", "build_f_family", "build_gtheta",
     "check_translate_disjointness", "cycle_count_upper_bound",
     "essential_thickness", "f5_eval", "f6_eval", "find_double_path",
     "head_index", "heads_and_special",

@@ -24,8 +24,8 @@ from .extended_bratteli import (essential_thickness, find_double_path,
 from .gtheta import INCONCLUSIVE, tameness_verdict, to_dot
 from .independence import synthesize_scheme, verify_patterns
 from .odometer import OdometerHead, Scale, add_integer, head_index
-from .semicocycle import (FullShift, SturmianFibonacci, build_d_stage,
-                          build_f_family, build_level_family,
+from .semicocycle import (LEVELS, FullShift, SturmianFibonacci,
+                          build_d_stage, build_f_family,
                           check_translate_disjointness, default_zhat5,
                           default_zhat6, realization_interval,
                           realize_prefix, toeplitz5_window)
@@ -175,8 +175,7 @@ def _cmd_semicocycle(args) -> int:
         return 0
     if args.action == "realize":
         handle = FullShift() if args.lang == "full" else SturmianFibonacci()
-        lf = build_level_family()
-        fam = build_f_family(handle, args.n_max, args.horizon, lf)
+        fam = build_f_family(handle, args.n_max, args.horizon)
         n = len(args.word)
         if args.word not in handle.words(n):
             raise LanguageError(f"{args.word!r} is not in the level-{n} language")
@@ -191,14 +190,14 @@ def _cmd_semicocycle(args) -> int:
         # the first 8 digits are checked before the word is looked up; the
         # base point then gets the least depth 8 * 2^k past hi + 1
         base_point(8)
-        hi = realization_interval(args.word, fam, lf)[1]
+        hi = realization_interval(args.word, fam)[1]
         depth = 8 << ((hi + 1) // 8).bit_length()
         if depth > 1 << 22:
             raise DepthError(f"zhat must have depth > {hi + 1}")
-        t_w, letters = realize_prefix(args.word, fam, lf, base_point(depth))
+        t_w, letters = realize_prefix(args.word, fam, base_point(depth))
         _emit({"schema": 1, "word": args.word, "t_w": t_w, "letters": letters,
                "zhat": args.zhat or "alternating-01", "depth": depth,
-               "times": [lf.time(k) for k in range(1, n + 1)],
+               "times": [LEVELS.time(k) for k in range(1, n + 1)],
                "family": fam.to_json()})
         return 0
     stage = build_d_stage(args.stage)  # the action is "disjoint"

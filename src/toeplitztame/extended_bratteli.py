@@ -143,6 +143,8 @@ def thickness_census(theta, depth: int = 8) -> dict:
     at-most-countable: cycles exist but no vertex lies on two.
     uncountable: two distinct cycles share a vertex.
     """
+    if depth < 1:
+        raise ValidationError(f"depth must be >= 1, got {depth}")
     out = {}
     for k, (verts, arcs, cls) in _tail(_stationary(theta))[1].items():
         counts = []
@@ -195,6 +197,8 @@ def find_double_path(theta, k: int, max_power: int = 6):
     A -> M_j(A) in increasing j and then the labels x of M_j(A) at power
     p in increasing order.  Memory is O(|k-sets|^2) at every power.
     """
+    if max_power < 1:
+        raise ValidationError(f"max_power must be >= 1, got {max_power}")
     theta = _stationary(theta)
     if k < 2:
         raise ValidationError("double paths need cardinality >= 2")

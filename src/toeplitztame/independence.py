@@ -89,6 +89,8 @@ def synthesize_scheme(theta, max_power: int = 6):
     (j0, j1, j2, i)).  Requires a non-tame verdict; None means the search
     was inconclusive, not that no scheme exists.
     """
+    if max_power < 1:
+        raise ValidationError(f"max_power must be >= 1, got {max_power}")
     report = tameness_verdict(theta)
     if report.verdict != NON_TAME:
         raise PreconditionError(

@@ -192,9 +192,3 @@ def head_index(h: OdometerHead) -> int:
 def level_product(scale: Scale, m: int) -> int:
     """l^(m) = l_1 * ... * l_m."""
     return math.prod(islice(scale.moduli(), max(m, 0)))
-
-
-def truncate(h: OdometerHead, depth: int) -> OdometerHead:
-    if depth > h.depth:
-        raise ValidationError("cannot truncate to a larger depth")
-    return OdometerHead(h.scale, h.digits[:depth])

@@ -11,13 +11,14 @@ stored, and no digit needs a range check, since 3^(n-1) < 4^n.
 The semicocycle reads a when the longest head a D-point shares with z has
 odd length, b otherwise.  Evaluation at a finite head is certified by
 membership of the truncated heads in the stage's head sets: the head sets
-Head_m are stable once the stage holds at least m points.  The one head
-index is a prefix trie of the stage's points, grown as it is walked: the
-longest truncated head in its head set is a walk down it, and Head_m,
-the special word and the head classes are read from its depth-m nodes.
-A head class's value puts each digit in its own bit field, and translate
-hits are found by bisecting the sorted values.  Distinct points have
-distinct tail exponents, so no two are equal.
+Head_m are stable once the stage holds at least m points.  The same
+closed form indexes the heads: the first m exponents of point p are those
+of the point ``_exponent(p, m)`` below m, so Head_m holds the heads of
+the points below m, each point's depth-m class is that point, and the
+longest truncated head in its head set is a walk over the classes, one
+comparison per digit.  A head's value puts each digit in its own bit
+field, and translate hits are found by bisecting the sorted values.
+Distinct points have distinct tail exponents, so no two are equal.
 
 Second family (over Z_2): a double sequence l^n_i with first row
 l^1_i = 2^i - 1, closed under l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with
@@ -25,9 +26,9 @@ midpoint interpolation on odd indices, times t_n = 2^(l^n_0), and a
 family f^n of interval-constant functions built from any
 right-extendable binary language so that the level-N interval words
 enumerate that language.  ``LevelFamily`` reads l^n_i in closed form,
-and ``FFamily`` keeps, per level, the row below the horizon, the letter
-of each interval and each interval's word, built as its parent's word
-plus that letter.
+so the one instance ``LEVELS`` serves every reader, and ``FFamily``
+keeps, per level, the row below the horizon, the letter of each interval
+and each interval's word, built as its parent's word plus that letter.
 Realizing a prescribed word y along the times amounts to placing the
 orbit inside one interval, which the translation t_w below does exactly.
 
@@ -46,8 +47,7 @@ from itertools import chain, product
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
-from .odometer import (OdometerHead, Scale, add_integer, integer_head,
-                       level_product)
+from .odometer import OdometerHead, Scale, add_integer, level_product
 
 SCALE5 = Scale.powers(4)
 SCALE6 = Scale.constant(2)
@@ -127,13 +127,10 @@ class DPoint:
 
 @dataclass(frozen=True)
 class DStage:
-    """Stage ``index``: the points 0 .. 2^index - 1."""
+    """Stage ``index``: the points 0 .. 2^index - 1, whose heads are read
+    from ``_exponent``, so the index is all it holds."""
 
     index: int
-
-    def __post_init__(self):
-        # one memo, not a field: the prefix trie root [point indices, children]
-        object.__setattr__(self, "_trie", [range(1 << self.index), None])
 
     @property
     def points(self) -> tuple[DPoint, ...]:
@@ -153,66 +150,62 @@ def build_d_stage(i: int) -> DStage:
     return DStage(i)
 
 
-def _grow(stage: DStage, node: list, m: int) -> dict:
-    """The children of a depth-m trie node [indices of the points whose
-    first m digits are its path, children], keyed by the level-(m + 1)
-    digit in ascending order; built on the first visit."""
-    groups = {}
-    for a in node[0]:
-        groups.setdefault(_exponent(a, m + 1), []).append(a)
-    node[1] = {3 ** e: [group, None] for e, group in sorted(groups.items())}
-    return node[1]
-
-
-def _level(stage: DStage, depth: int) -> list:
-    """(path, node) for each depth-``depth`` trie node, ascending in the
-    path, which is the head of any of the node's points."""
-    nodes = [stage._trie]
-    for m in range(depth):
-        nodes = [kid for node in nodes
-                 for kid in (node[1] or _grow(stage, node, m)).values()]
-    return [(_digits(node[0][0], depth), node) for node in nodes]
+def _class_points(stage: DStage, m: int) -> range:
+    """The points q < min(m, 2^index), one per head in Head_m (at depth
+    0, the point 0).  The first m exponents of point p are those of
+    c = ``_exponent(p, m)`` < m, p's leading binary 1s being stripped
+    before any level up to m reads them, and a point q < m has exponent
+    q from level q + 1 on; so c is the depth-m class of p."""
+    return range(min(max(m, 1), 1 << stage.index))
 
 
 def head_set(stage: DStage, m: int) -> frozenset:
-    """Head_m as digit tuples, the paths of the depth-m trie nodes; exact
-    once the stage has at least m points (their heads, pairwise distinct)."""
-    return frozenset(path for path, _ in _level(stage, m))
+    """Head_m as digit tuples; exact once the stage has at least m points
+    (their heads, pairwise distinct)."""
+    return frozenset(_digits(q, m) for q in _class_points(stage, m))
+
+
+def _head_value(digits) -> int:
+    """The head_index of a head over the 4^n scale: the digit at level
+    k + 1 weighs l_1 ... l_k = 2^(k(k+1)) and is below 4^(k+1), so it
+    fills bits k(k+1) .. k(k+1) + 2k + 1 of the value alone."""
+    value = 0
+    for k, d in enumerate(digits):
+        value |= d << k * (k + 1)
+    return value
+
+
+def _head_digits(value: int, depth: int) -> tuple[int, ...]:
+    """The first ``depth`` digits of the integer ``value`` over the 4^n
+    scale, read from the bit fields of ``_head_value``."""
+    return tuple(value >> k * (k + 1) & ((4 << 2 * k) - 1) for k in range(depth))
 
 
 def _head_classes(stage: DStage, depth: int):
-    """(sorted Head_depth, their head_index values, class of each point),
-    read from the depth-``depth`` trie nodes in order.  The digit at level
-    k + 1 weighs l_1 ... l_k = 2^(k(k+1)) and is below 4^(k+1), so it sits
-    in its own bit field of the value."""
-    level = _level(stage, depth)
-    point_class = [0] * (1 << stage.index)
-    values = []
-    for ci, (path, node) in enumerate(level):
-        for a in node[0]:
-            point_class[a] = ci
-        value = 0
-        for k, d in enumerate(path):
-            value |= d << k * (k + 1)
-        values.append(value)
-    return [path for path, _ in level], values, point_class
+    """(sorted Head_depth, their head values, class of each point): the
+    class of point p is the rank of ``_exponent(p, depth)`` among the
+    heads of the points below depth, sorted by their digit tuples."""
+    heads = sorted((_digits(q, depth), q) for q in _class_points(stage, depth))
+    rank = [0] * len(heads)
+    for r, (_, q) in enumerate(heads):
+        rank[q] = r
+    point_class = [rank[_exponent(p, depth)] if depth > 0 else 0
+                   for p in range(1 << stage.index)]
+    return ([h for h, _ in heads], [_head_value(h) for h, _ in heads],
+            point_class)
 
 
 def heads_and_special(m: int, stage: DStage):
     """(Head_m, w_m): the m distinct heads and the unique one with two
-    distinct one-digit extensions in Head_{m+1}, the one depth-m trie node
-    with two children."""
+    distinct one-digit extensions in Head_{m+1}.  For m >= 1 that is the
+    class ``_exponent(m, m)``, which point m, the one point added to
+    Head_{m+1}, leaves at level m + 1 with exponent m."""
     if 2 ** stage.index < m + 1:
         raise PreconditionError(
             f"stage {stage.index} is too shallow for stable Head_{m + 1}")
-    level = _level(stage, m)
-    if len(level) != m:
-        raise ValidationError(f"|Head_{m}| = {len(level)}, expected {m}")
-    specials = [path for path, node in level
-                if len(node[1] or _grow(stage, node, m)) >= 2]
-    if len(specials) != 1:
-        raise ValidationError(f"expected one special word, got {len(specials)}")
-    return frozenset(path for path, _ in level), specials[0]
+    if m < 1:
+        raise ValidationError(f"|Head_{m}| = 1, expected {m}")
+    return head_set(stage, m), _digits(_exponent(m, m), m)
 
 
 def f5_eval(h: OdometerHead, stage: DStage):
@@ -231,13 +224,18 @@ def f5_eval(h: OdometerHead, stage: DStage):
 
 
 def _longest_head(stage: DStage, digits) -> int:
-    """The largest m <= len(digits) with digits[:m] in Head_m: the depth
-    of the last node on the path of ``digits`` through the stage's prefix
-    trie."""
-    node = stage._trie
+    """The largest m <= len(digits) with digits[:m] in Head_m.  Past the
+    class c of digits[:m] (0 at depth 0), Head_{m+1} holds the digit 3^c,
+    and 3^m too where point m >= 1 is in the stage and leaves c there
+    (``heads_and_special``)."""
+    size = 1 << stage.index
+    c, dc = 0, 1
     for m, d in enumerate(digits):
-        node = (node[1] or _grow(stage, node, m)).get(d)
-        if node is None:
+        if d == dc:
+            continue
+        if 0 < m < size and _exponent(m, m) == c and d == 3 ** m:
+            c, dc = m, d
+        else:
             return m
     return len(digits)
 
@@ -333,8 +331,8 @@ def _violations(head_value: list, point_class: list, depth: int,
     modulus = level_product(SCALE5, depth)
     values = [head_value[ci] for ci in point_class]
     violations = _structural_violations(values, modulus, t_range)
-    # integer_head(t) has the head_index t mod the level product, so z is
-    # a small integer iff zval or zval - modulus is within 4 t_range of 0
+    # the integer t has the head value t mod the level product, so z is a
+    # small integer iff zval or zval - modulus is within 4 t_range of 0
     small = 4 * t_range
     checked = 0
     for _ in range(samples):
@@ -342,8 +340,8 @@ def _violations(head_value: list, point_class: list, depth: int,
         di = rng.randrange(len(point_class))
         t = rng.randint(-t_range, t_range)
         zval = (head_value[ce] - values[di] - t) % modulus
-        z = integer_head(zval, SCALE5, depth)
-        deep = z.digits[depth // 2:]
+        z = _head_digits(zval, depth)
+        deep = z[depth // 2:]
         if len(set(deep)) == 1 or zval <= small or modulus - zval <= small:
             continue  # integer-like sample, excluded (P2 covers those orbits)
         checked += 1
@@ -352,7 +350,7 @@ def _violations(head_value: list, point_class: list, depth: int,
         extra = [hit for hit in planted if hit != (source_class, t)]
         if extra:
             violations.append({"kind": "double-hit", "source": source_class,
-                               "t": t, "z": list(z.digits), "others": extra})
+                               "t": t, "z": list(z), "others": extra})
     return checked, violations
 
 
@@ -426,8 +424,8 @@ class LevelFamily:
         return entries
 
 
-def build_level_family() -> LevelFamily:
-    return LevelFamily()
+# the one level family: it holds no state, so every reader shares it
+LEVELS = LevelFamily()
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +516,12 @@ class FFamily:
         i = bisect_right(self.rows[n - 1], x) - 1
         return self.letters[n - 1][i] if i >= 0 else "a"
 
-    def word(self, n: int, i: int, lf: LevelFamily) -> str:
+    def word(self, n: int, i: int) -> str:
         self._check_level(n)
         words = self.words[n - 1]
         if 0 <= i < len(words):
             return words[i]
-        lo, hi = lf.l(n, i), lf.l(n, i + 1)
+        lo, hi = LEVELS.l(n, i), LEVELS.l(n, i + 1)
         raise HorizonError(f"interval [{lo},{hi}) beyond horizon")
 
     def to_json(self):
@@ -533,8 +531,7 @@ class FFamily:
                 "choices": {"f1": "alternating", "below_domain": "a"}}
 
 
-def build_f_family(handle, n_max: int, horizon: int,
-                   lf: LevelFamily | None = None) -> FFamily:
+def build_f_family(handle, n_max: int, horizon: int) -> FFamily:
     """The constructive recursion: f^1 alternates a, b on consecutive
     first-row intervals; f^{N+1} splits the interval pair of a right
     special word a-then-b and otherwise copies the unique extension;
@@ -551,8 +548,7 @@ def build_f_family(handle, n_max: int, horizon: int,
     refused before the row that would pass it is built."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    lf = lf or build_level_family()
-    if horizon <= lf.l(n_max, 1):
+    if horizon <= LEVELS.l(n_max, 1):
         raise HorizonError("horizon too small for the requested levels")
     rows, letters, words = [], [], []
     count = total = 2
@@ -562,11 +558,11 @@ def build_f_family(handle, n_max: int, horizon: int,
                 f"levels 1..{n} below the horizon need more than "
                 f"{MAX_FAMILY_ENTRIES} level entries; lower the horizon "
                 f"or n_max")
-        row = lf.row_to(n, horizon)
+        row = LEVELS.row_to(n, horizon)
         total += len(row)
         # l^{n+1}_{2m} = l^n_{m + i_n} is the first entry past the horizon
         # for m = len(row) - i_n, so row n + 1 holds at most 2m + 1 entries
-        count = 2 * (len(row) - lf.offset(n)) + 1
+        count = 2 * (len(row) - LEVELS.offset(n)) + 1
         started = bisect_left(row, horizon)
         if n == 1:
             level = ("ab" * started)[:started]
@@ -574,7 +570,7 @@ def build_f_family(handle, n_max: int, horizon: int,
         else:
             # one extension query per distinct parent word, in the order
             # of the first occurrences, so a failing word fails first
-            off = lf.offset(n - 1)
+            off = LEVELS.offset(n - 1)
             parents = started_words[off:off + (started + 1) // 2]
             pair = {}
             for w in dict.fromkeys(parents):
@@ -597,7 +593,7 @@ def build_f_family(handle, n_max: int, horizon: int,
 # evaluation and realization over Z_2
 
 
-def f6_eval(z: OdometerHead, fam: FFamily, lf: LevelFamily) -> str:
+def f6_eval(z: OdometerHead, fam: FFamily) -> str:
     """The second-family semicocycle at a binary head: inside the support
     cylinder of t_n (zeros below the 1-bit of t_n) the value is
     f^n(common head length with t_n); elsewhere it is a.
@@ -612,9 +608,9 @@ def f6_eval(z: OdometerHead, fam: FFamily, lf: LevelFamily) -> str:
         raise DepthError("all digits zero: membership undecidable at this depth")
     p = nonzero[0]
     n = 1
-    while lf.l(n, 0) < p - 1:
+    while LEVELS.l(n, 0) < p - 1:
         n += 1
-    if lf.l(n, 0) != p - 1:
+    if LEVELS.l(n, 0) != p - 1:
         return "a"
     if len(nonzero) < 2:
         raise DepthError(
@@ -623,8 +619,7 @@ def f6_eval(z: OdometerHead, fam: FFamily, lf: LevelFamily) -> str:
     return fam.value(n, L)
 
 
-def realization_interval(y: str, fam: FFamily, lf: LevelFamily,
-                         handle=None) -> tuple[int, int]:
+def realization_interval(y: str, fam: FFamily, handle=None) -> tuple[int, int]:
     """(lo, hi): the first level-n interval [l^n_i, l^n_{i+1}), i >= 1,
     whose word is y, n = len(y), taken from the family table (i = 0 would
     collide with the 1-bit of t_n).  A base point realizing y needs
@@ -643,11 +638,10 @@ def realization_interval(y: str, fam: FFamily, lf: LevelFamily,
         raise LanguageError(
             f"{y!r} was not realized by any level-{n} interval within the "
             f"horizon") from None
-    return lf.l(n, i), lf.l(n, i + 1)
+    return LEVELS.l(n, i), LEVELS.l(n, i + 1)
 
 
-def realize_prefix(y: str, fam: FFamily, lf: LevelFamily,
-                   zhat: OdometerHead, handle=None):
+def realize_prefix(y: str, fam: FFamily, zhat: OdometerHead, handle=None):
     """(t_w, letters): a translation t_w such that the shifted base orbit
     reads y along the times t_1..t_N, checked by direct evaluation.
 
@@ -655,7 +649,7 @@ def realize_prefix(y: str, fam: FFamily, lf: LevelFamily,
     the smallest positive integer making the first lo digits of t_w + zhat
     zero with the next digit nonzero.
     """
-    lo, hi = realization_interval(y, fam, lf, handle)
+    lo, hi = realization_interval(y, fam, handle)
     if zhat.depth < hi + 2:
         raise DepthError(f"zhat must have depth > {hi + 1}")
     deep = zhat.digits[zhat.depth // 2:]
@@ -678,8 +672,8 @@ def realize_prefix(y: str, fam: FFamily, lf: LevelFamily,
         raise ValidationError("no small positive translation found")  # unreachable
     letters = []
     for k in range(1, len(y) + 1):
-        z = add_integer(zhat, t_w + lf.time(k))
-        letters.append(f6_eval(z, fam, lf))
+        z = add_integer(zhat, t_w + LEVELS.time(k))
+        letters.append(f6_eval(z, fam))
     return t_w, "".join(letters)
 
 

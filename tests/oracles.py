@@ -9,17 +9,20 @@ graph over all 2^|A| subsets with one census and one reachability pass
 frozenset G_theta, coincidence search and extendable vertices (in place of
 the one mask closure of ``substitution._closure`` and the trim of
 ``graphs.reached_from_cycle``), the per-level head-set loop for the
-longest D-head matching a head (in place of the prefix trie of
+longest D-head matching a head, the prefix trie of a D-stage's points
+with its walk, head sets, special words and head classes (both in place
+of the closed forms of ``semicocycle._class_points`` and
 ``semicocycle._longest_head``), and the D-stage recursion on exponent
 tuples (in place of the closed form of ``semicocycle._exponent``).
 
 Beside them are references with no counterpart in the library: a
 materialised two-sided fixed-point window (the raw shift that independence
 patterns must occur in), the common head length of two odometer heads (the
-pointwise definition of the first semicocycle), an explicit word list as a
-right-extendable test language, and two readings of a substitution at an
-odometer head that no command reports: the letter of a fibre-window word
-and the canonical semicocycle, with the column images they rest on.
+pointwise definition of the first semicocycle), the truncation of a head
+to a shallower depth, an explicit word list as a right-extendable test
+language, and two readings of a substitution at an odometer head that no
+command reports: the letter of a fibre-window word and the canonical
+semicocycle, with the column images they rest on.
 """
 
 import itertools
@@ -28,7 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from toeplitztame import graphs
-from toeplitztame.errors import LanguageError, ValidationError
+from toeplitztame.errors import (LanguageError, PreconditionError,
+                                 ValidationError)
 from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS
 from toeplitztame.gtheta import SubsetGraph
 from toeplitztame.odometer import OdometerHead, head_index
@@ -302,6 +306,78 @@ def oracle_d_stage(i):
     return points
 
 
+class PrefixTrie:
+    """The prefix trie of the points of D-stage i to a depth, grown as it
+    is walked.
+
+    A depth-m node is [the points whose first m digits are its path, its
+    children keyed by the level-(m + 1) digit in ascending order], the
+    children built on the first visit.  Digits come from the exponent
+    tuples of ``oracle_d_stage``."""
+
+    def __init__(self, i, depth):
+        self.index = i
+        self.heads = [tuple(3 ** (head[n] if n < len(head) else tail)
+                            for n in range(depth))
+                      for head, tail in oracle_d_stage(i)]
+        self.root = [range(len(self.heads)), None]
+
+    def _children(self, node, m):
+        if node[1] is None:
+            groups = {}
+            for a in node[0]:
+                groups.setdefault(self.heads[a][m], []).append(a)
+            node[1] = {d: [group, None] for d, group in sorted(groups.items())}
+        return node[1]
+
+    def level(self, depth):
+        """(path, node) for each depth-``depth`` node, ascending in the
+        path, which is the head of any of the node's points."""
+        nodes = [self.root]
+        for m in range(depth):
+            nodes = [kid for node in nodes
+                     for kid in self._children(node, m).values()]
+        return [(self.heads[node[0][0]][:depth], node) for node in nodes]
+
+    def head_set(self, m):
+        return frozenset(path for path, _ in self.level(m))
+
+    def head_classes(self, depth):
+        """(the depth-``depth`` paths, the class of each point), classes
+        numbered in path order."""
+        level = self.level(depth)
+        point_class = [0] * len(self.heads)
+        for ci, (_, node) in enumerate(level):
+            for a in node[0]:
+                point_class[a] = ci
+        return [path for path, _ in level], point_class
+
+    def heads_and_special(self, m):
+        """(Head_m, the one depth-m node with two children), or raises as
+        ``semicocycle.heads_and_special`` does."""
+        if 2 ** self.index < m + 1:
+            raise PreconditionError(
+                f"stage {self.index} is too shallow for stable Head_{m + 1}")
+        level = self.level(m)
+        if len(level) != m:
+            raise ValidationError(f"|Head_{m}| = {len(level)}, expected {m}")
+        specials = [path for path, node in level
+                    if len(self._children(node, m)) >= 2]
+        if len(specials) != 1:
+            raise ValidationError(
+                f"expected one special word, got {len(specials)}")
+        return frozenset(path for path, _ in level), specials[0]
+
+    def longest_head(self, digits):
+        """The depth of the last node on the path of ``digits``."""
+        node = self.root
+        for m, d in enumerate(digits):
+            node = self._children(node, m).get(d)
+            if node is None:
+                return m
+        return len(digits)
+
+
 def longest_head_by_head_sets(digits, heads):
     """The largest m with digits[:m] in heads(m) = Head_m, one head set
     per level."""
@@ -354,6 +430,12 @@ def fixed_point_window(theta, radius):
         left = expand(theta, left, q)
         right = expand(theta, right, q)
     return Window(left[-radius:] + right[:radius], radius)
+
+
+def truncate(h: OdometerHead, depth: int) -> OdometerHead:
+    if depth > h.depth:
+        raise ValidationError("cannot truncate to a larger depth")
+    return OdometerHead(h.scale, h.digits[:depth])
 
 
 def common_head_length(a, b):

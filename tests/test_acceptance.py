@@ -8,7 +8,7 @@ import pathlib
 import random
 import time
 
-from oracles import shared_vertex_by_enumeration
+from oracles import shared_vertex_by_enumeration, truncate
 from toeplitztame import graphs
 from toeplitztame.cli import main
 from toeplitztame.extended_bratteli import (essential_thickness,
@@ -18,10 +18,10 @@ from toeplitztame.gtheta import (NON_TAME, NOT_ALMOST_AUTOMORPHIC, TAME,
 from toeplitztame.independence import (independence_times, synthesize_scheme,
                                        verify_patterns)
 from toeplitztame.odometer import (OdometerHead, Scale, add_integer,
-                                   integer_head, truncate)
-from toeplitztame.semicocycle import (SCALE6, FullShift, SturmianFibonacci,
-                                      build_d_stage, build_f_family,
-                                      build_level_family,
+                                   integer_head)
+from toeplitztame.semicocycle import (SCALE6, FullShift, LevelFamily,
+                                      SturmianFibonacci, build_d_stage,
+                                      build_f_family,
                                       check_translate_disjointness,
                                       default_zhat6, head_set,
                                       heads_and_special, realize_prefix)
@@ -167,7 +167,7 @@ def test_criterion_6_first_family_structure():
 
 def test_criterion_7_second_family_structure():
     t0 = time.monotonic()
-    lf = build_level_family()
+    lf = LevelFamily()
     assert lf.row(2, 6) == [1, 2, 3, 5, 7, 11]
     assert lf.row(3, 7) == [3, 4, 5, 6, 7, 9, 11]
     assert [lf.time(n) for n in (1, 2, 3, 4)] == [1, 2, 8, 128]
@@ -178,34 +178,34 @@ def test_criterion_7_second_family_structure():
             tn = integer_head(lf.time(n), SCALE6, lf.l(n2, 0) + 1)
             tn2 = integer_head(lf.time(n2), SCALE6, lf.l(n2, 0) + 1)
             assert tn.digits[lf.l(n, 0)] == 1 and tn2.digits[lf.l(n, 0)] == 0
-    fam_full = build_f_family(FullShift(), 6, 4096, lf)
+    fam_full = build_f_family(FullShift(), 6, 4096)
     zhat = default_zhat6(2048)
     for n in range(1, 7):
         for w in map("".join, itertools.product("ab", repeat=n)):
-            _, letters = realize_prefix(w, fam_full, lf, zhat)
+            _, letters = realize_prefix(w, fam_full, zhat)
             assert letters == w
     sturmian = SturmianFibonacci()
-    fam_st = build_f_family(sturmian, 6, 4096, lf)
+    fam_st = build_f_family(sturmian, 6, 4096)
     for n in range(1, 7):
         realizable = set()
         i = 1
         while True:
             try:
-                realizable.add(fam_st.word(n, i, lf))
+                realizable.add(fam_st.word(n, i))
             except Exception:
                 break
             i += 1
         assert realizable == sturmian.words(n)
         assert len(realizable) == n + 1
         for w in sorted(realizable):
-            _, letters = realize_prefix(w, fam_st, lf, zhat)
+            _, letters = realize_prefix(w, fam_st, zhat)
             assert letters == w
         if n >= 2:
             non_factor = next(w for w in map("".join,
                                              itertools.product("ab", repeat=n))
                               if w not in realizable)
             try:
-                realize_prefix(non_factor, fam_st, lf, zhat, handle=sturmian)
+                realize_prefix(non_factor, fam_st, zhat, handle=sturmian)
                 assert False, "non-factor word must be rejected"
             except Exception:
                 pass

@@ -389,7 +389,7 @@ def test_package_exports_only_the_reexported_names():
         "LevelFamily", "OdometerHead", "Scale", "SturmianFibonacci",
         "SubsetGraph", "Substitution", "ToeplitzError", "add_integer",
         "build_d_stage", "build_f_family", "build_gtheta",
-        "build_level_family", "check_translate_disjointness",
+        "check_translate_disjointness",
         "cycle_count_upper_bound", "essential_thickness", "f5_eval",
         "f6_eval", "find_double_path", "head_index", "heads_and_special",
         "height_and_pure_base", "independence_times", "integer_head",

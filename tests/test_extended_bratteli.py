@@ -11,6 +11,7 @@ from toeplitztame.errors import ValidationError
 from toeplitztame.extended_bratteli import (essential_thickness,
                                             find_double_path, thickness_census)
 from toeplitztame.extended_bratteli import _tail
+from toeplitztame.independence import synthesize_scheme
 from toeplitztame.substitution import (Substitution, _letter_set,
                                        substitution_power, validate)
 
@@ -142,6 +143,16 @@ def test_find_double_path(ex22, ex23):
         assert image == set(w.lower)
     assert find_double_path(ex23, 2, max_power=4) is None
     assert find_double_path(ex22, 4, max_power=2) is None
+
+
+def test_library_bounds_below_one_are_validation_errors(ex22):
+    # a search or a count that never ran is no empty result
+    for call, name in ((lambda: find_double_path(ex22, 2, max_power=0), "max_power"),
+                       (lambda: synthesize_scheme(ex22, max_power=-1), "max_power"),
+                       (lambda: thickness_census(ex22, depth=0), "depth"),
+                       (lambda: thickness_census(ex22, depth=-1), "depth")):
+        with pytest.raises(ValidationError, match=f"{name} must be >= 1"):
+            call()
 
 
 def test_thickness_census(ex22, ex23):
@@ -425,7 +436,10 @@ def _square_morphism(rng, n, l, kind):
 def _assert_trim_matches_full(theta, double_paths):
     """The full builder primes the memo of one copy of theta, so the
     readers of ``full`` see its strata and those of ``trimmed`` see the
-    library's.  Returns the number of double-path witnesses found."""
+    library's.  With ``double_paths``, the library's first double path
+    up to power 4 is compared with the oracle's on alphabets of at most
+    6 letters, whose column maps the oracle builds outright.  Returns the
+    number of double-path witnesses found."""
     full = Substitution(theta.alphabet, theta.words)
     trimmed = Substitution(theta.alphabet, theta.words)
     want = full_tail(full)
@@ -436,14 +450,16 @@ def _assert_trim_matches_full(theta, double_paths):
     assert got[1].keys() == want[1].keys()
     assert essential_thickness(trimmed) == essential_thickness(full)
     assert thickness_census(trimmed) == thickness_census(full)
+    if not double_paths or len(theta.alphabet) > 6:
+        return 0
     witnesses = 0
-    for k in range(2, len(theta.alphabet) + 1) if double_paths else ():
-        deepest = find_double_path(full, k, max_power=4)
-        witnesses += deepest is not None
-        for max_power in range(1, 5):
-            reach = deepest is not None and deepest.power <= max_power
-            assert find_double_path(trimmed, k, max_power=max_power) == (
-                deepest if reach else None)
+    ext = oracle_extendable_tail_sets(theta)
+    for k in range(2, len(theta.alphabet) + 1):
+        want = oracle_find_double_path(theta, ext, k, 4)
+        witnesses += want is not None
+        got = find_double_path(trimmed, k, max_power=4)
+        assert want == (None if got is None else
+                        (got.power, got.upper, got.lower, got.labels))
     return witnesses
 
 
@@ -464,7 +480,7 @@ def test_trimmed_subset_graph_matches_full_builder(any_order):
             witnesses += _assert_trim_matches_full(theta, double_paths=True)
             seen[kind] += 1
     assert sum(seen.values()) >= 3000 and min(seen.values()) >= 700
-    assert witnesses >= 4000
+    assert witnesses >= 2500
 
 
 def test_trimmed_subset_graph_matches_full_builder_13_14_letters(any_order):

@@ -4,11 +4,10 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import common_head_length
+from oracles import common_head_length, truncate
 from toeplitztame.errors import ValidationError
 from toeplitztame.odometer import (OdometerHead, Scale, add_integer,
-                                   head_index, integer_head, level_product,
-                                   truncate)
+                                   head_index, integer_head, level_product)
 
 Z2 = Scale.constant(2)
 Z4 = Scale.constant(4)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import (UserWordList, common_head_length,
+from oracles import (PrefixTrie, UserWordList, common_head_length,
                      longest_head_by_head_sets, oracle_d_stage)
 from toeplitztame.errors import (DepthError, HorizonError, LanguageError,
                                  PreconditionError, ValidationError)
@@ -14,12 +14,13 @@ from toeplitztame.odometer import (OdometerHead, head_index, integer_head,
                                    level_product)
 from toeplitztame.semicocycle import (SCALE5, SCALE6, FullShift, LevelFamily,
                                       SturmianFibonacci, build_d_stage,
-                                      build_f_family, build_level_family,
+                                      build_f_family,
                                       check_translate_disjointness,
                                       default_zhat5, default_zhat6, f5_eval,
                                       f6_eval, head_set, heads_and_special,
                                       realize_prefix, toeplitz5_window)
-from toeplitztame.semicocycle import (_head_classes, _longest_head,
+from toeplitztame.semicocycle import (_head_classes, _head_digits,
+                                      _head_value, _longest_head,
                                       _translate_hits, _violations)
 
 
@@ -201,7 +202,7 @@ def test_d_stage_closed_form_matches_tuple_recursion():
 
 
 def test_level_family_rows():
-    lf = build_level_family()
+    lf = LevelFamily()
     assert lf.row(1, 5) == [0, 1, 3, 7, 15]
     assert lf.row(2, 6) == [1, 2, 3, 5, 7, 11]
     assert lf.row(3, 7) == [3, 4, 5, 6, 7, 9, 11]
@@ -209,7 +210,7 @@ def test_level_family_rows():
 
 
 def test_level_family_conditions():
-    lf = build_level_family()
+    lf = LevelFamily()
     # R1: diagonal strictly increasing
     diag = [lf.l(n, 0) for n in range(1, 10)]
     assert all(b > a for a, b in zip(diag, diag[1:]))
@@ -226,7 +227,7 @@ def test_level_family_conditions():
 def test_disjoint_supports():
     # U_n(t_n) fixes zeros up to l^n_0 and a one just above; R1 makes the
     # patterns pairwise contradictory
-    lf = build_level_family()
+    lf = LevelFamily()
     for n in range(1, 9):
         for n2 in range(n + 1, 9):
             assert lf.l(n, 0) + 1 <= lf.l(n2, 0)
@@ -237,9 +238,9 @@ def test_disjoint_supports():
 
 
 def test_f_family_full_shift_level2():
-    lf = build_level_family()
-    fam = build_f_family(FullShift(), 2, 64, lf)
-    words = [fam.word(2, i, lf) for i in range(8)]
+    lf = LevelFamily()
+    fam = build_f_family(FullShift(), 2, 64)
+    words = [fam.word(2, i) for i in range(8)]
     assert set(words) == {"aa", "ab", "ba", "bb"}
     # constancy of x -> f^1(x) f^2(x) on the level-2 intervals
     for i in range(8):
@@ -249,15 +250,14 @@ def test_f_family_full_shift_level2():
 
 
 def test_f_family_respects_language():
-    lf = build_level_family()
-    fam = build_f_family(SturmianFibonacci(), 6, 4096, lf)
+    fam = build_f_family(SturmianFibonacci(), 6, 4096)
     handle = SturmianFibonacci()
     for n in range(1, 7):
         words = set()
         i = 0
         while True:
             try:
-                words.add(fam.word(n, i, lf))
+                words.add(fam.word(n, i))
             except HorizonError:
                 break
             i += 1
@@ -266,14 +266,13 @@ def test_f_family_respects_language():
 
 
 def test_f_family_full_shift_all_words_recur():
-    lf = build_level_family()
-    fam = build_f_family(FullShift(), 6, 4096, lf)
+    fam = build_f_family(FullShift(), 6, 4096)
     for n in range(1, 7):
         seen = {}
         i = 0
         while True:
             try:
-                w = fam.word(n, i, lf)
+                w = fam.word(n, i)
             except HorizonError:
                 break
             seen.setdefault(w, []).append(i)
@@ -283,9 +282,9 @@ def test_f_family_full_shift_all_words_recur():
 
 
 def test_f_family_interval_constancy_both_handles():
-    lf = build_level_family()
+    lf = LevelFamily()
     for handle in (FullShift(), SturmianFibonacci()):
-        fam = build_f_family(handle, 4, 512, lf)
+        fam = build_f_family(handle, 4, 512)
         for n in range(1, 5):
             i = 0
             while lf.l(n, i + 1) <= 512:
@@ -298,8 +297,8 @@ def test_f_family_interval_constancy_both_handles():
 
 
 def test_f1_alternates():
-    lf = build_level_family()
-    fam = build_f_family(FullShift(), 1, 64, lf)
+    lf = LevelFamily()
+    fam = build_f_family(FullShift(), 1, 64)
     letters = [fam.value(1, lf.l(1, i)) for i in range(6)]
     assert letters == ["a", "b", "a", "b", "a", "b"]
 
@@ -324,59 +323,54 @@ def test_user_word_list():
 
 
 def test_f6_eval_support_dispatch():
-    lf = build_level_family()
-    fam = build_f_family(FullShift(), 4, 512, lf)
+    fam = build_f_family(FullShift(), 4, 512)
     # z = t_2 + 2^9: lowest set bit at position 2 = l^2_0 + 1, next at 10
     z = OdometerHead(SCALE6, (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0))
-    assert f6_eval(z, fam, lf) == fam.value(2, 9)
+    assert f6_eval(z, fam) == fam.value(2, 9)
     # lowest set bit not matching any l^n_0 + 1: default letter a
     z2 = OdometerHead(SCALE6, (0, 0, 1, 0, 0, 0, 1, 0))
-    assert f6_eval(z2, fam, lf) == "a"
+    assert f6_eval(z2, fam) == "a"
     with pytest.raises(DepthError):
-        f6_eval(OdometerHead(SCALE6, (0, 0, 0, 0)), fam, lf)
+        f6_eval(OdometerHead(SCALE6, (0, 0, 0, 0)), fam)
     with pytest.raises(DepthError):
-        f6_eval(OdometerHead(SCALE6, (0, 1, 0, 0)), fam, lf)
+        f6_eval(OdometerHead(SCALE6, (0, 1, 0, 0)), fam)
 
 
 def test_realize_prefix_full_shift():
-    lf = build_level_family()
-    fam = build_f_family(FullShift(), 6, 4096, lf)
+    fam = build_f_family(FullShift(), 6, 4096)
     zhat = default_zhat6(64)
-    t_w, letters = realize_prefix("ab", fam, lf, zhat)
+    t_w, letters = realize_prefix("ab", fam, zhat)
     assert letters == "ab"
     assert t_w == 54  # smallest positive choice for the default base point
-    t_w, letters = realize_prefix("a", fam, lf, zhat)
+    t_w, letters = realize_prefix("a", fam, zhat)
     assert letters == "a"
 
 
 def test_realize_round_trip_both_handles():
-    lf = build_level_family()
-    fam_full = build_f_family(FullShift(), 6, 4096, lf)
-    fam_st = build_f_family(SturmianFibonacci(), 6, 4096, lf)
+    fam_full = build_f_family(FullShift(), 6, 4096)
+    fam_st = build_f_family(SturmianFibonacci(), 6, 4096)
     sturmian = SturmianFibonacci()
     zhat = default_zhat6(2048)
     for n in range(1, 7):
         for w in map("".join, itertools.product("ab", repeat=n)):
-            _, letters = realize_prefix(w, fam_full, lf, zhat)
+            _, letters = realize_prefix(w, fam_full, zhat)
             assert letters == w
         for w in sorted(sturmian.words(n)):
-            _, letters = realize_prefix(w, fam_st, lf, zhat)
+            _, letters = realize_prefix(w, fam_st, zhat)
             assert letters == w
 
 
 def test_realize_rejects_non_language_words():
-    lf = build_level_family()
-    fam = build_f_family(SturmianFibonacci(), 4, 1024, lf)
+    fam = build_f_family(SturmianFibonacci(), 4, 1024)
     with pytest.raises(LanguageError):
-        realize_prefix("bb", fam, lf, default_zhat6(256),
+        realize_prefix("bb", fam, default_zhat6(256),
                        handle=SturmianFibonacci())
 
 
 def test_realize_depth_guard():
-    lf = build_level_family()
-    fam = build_f_family(FullShift(), 4, 1024, lf)
+    fam = build_f_family(FullShift(), 4, 1024)
     with pytest.raises(DepthError):
-        realize_prefix("abab", fam, lf, default_zhat6(4))
+        realize_prefix("abab", fam, default_zhat6(4))
 
 
 # ---------------------------------------------------------------------------
@@ -527,52 +521,68 @@ def _near_d_head(rng, stage, depth):
     return tuple(digits)
 
 
-def test_prefix_trie_matches_head_set_loop():
-    # the trie grows with each query, so stage-point heads, heads that
-    # leave a point and arbitrary heads come in one seeded order
+def test_closed_form_heads_match_prefix_trie_and_point_oracles():
+    # a stage is its index, and its longest heads, head sets, special
+    # words and head classes are read from _exponent; each is compared
+    # with the prefix trie of the points and with the points' own heads
     rng = random.Random(13)
     for i in range(8):
         stage = build_d_stage(i)
-        head_sets = functools.lru_cache(None)(lambda m, s=stage: head_set(s, m))
-        for _ in range(80):
-            depth = rng.randint(1, 2 ** i + 4)
+        assert vars(stage) == {"index": i}
+        trie = PrefixTrie(i, 2 ** i + 4)
+        deepest = trie.heads
+        heads = functools.lru_cache(None)(
+            lambda m: frozenset(h[:m] for h in deepest))
+        for _ in range(200):
+            depth = rng.randint(0, 2 ** i + 4)
             kind = rng.randrange(3)
             if kind == 0:
-                digits = oracle_head(rng.choice(stage.points), depth)
+                digits = rng.choice(deepest)[:depth]
             elif kind == 1:
                 digits = _near_d_head(rng, stage, depth)
             else:
                 digits = oracle_integer_head(
                     rng.randrange(level_product(SCALE5, depth)), depth)
-            assert _longest_head(stage, digits) == \
-                longest_head_by_head_sets(digits, head_sets)
-    # on fresh stages whose tries a few f5 queries grew in part, the head
-    # sets, the special word and the head classes read from the trie
-    # match the heads of the points, at every depth in a seeded order; the
-    # head values of the classes are sums of digits times weights of up
-    # to m^2 bits, so they are compared up to depth 130 (0 to 2^i + 2 on
-    # stages 0-7, and 8-24 on every stage)
-    for i in range(9):
+            got = _longest_head(stage, digits)
+            assert got == trie.longest_head(digits)
+            assert got == longest_head_by_head_sets(digits, heads)
+    # every depth below min(2^i + 5, 140) on stages 0-9; the head values
+    # are the head indices of the classes, sums of digits times weights
+    for i in range(10):
         stage = build_d_stage(i)
-        for _ in range(3):
-            depth = rng.randint(1, 2 ** i + 2)
-            f5_eval(OdometerHead(SCALE5, _near_d_head(rng, stage, depth)), stage)
-        depths = sorted(set(range(2 ** i + 3)) | set(range(8, 25)))
-        deepest = [oracle_head(p, depths[-1] + 1) for p in stage.points]
-        weights = [level_product(SCALE5, k) for k in range(depths[-1])]
-        rng.shuffle(depths)
-        for m in depths:
-            heads = [h[:m] for h in deepest]
-            classes = sorted(set(heads))
+        top = min(2 ** i + 5, 140)
+        trie = PrefixTrie(i, top + 1)
+        deepest = trie.heads
+        weights = [level_product(SCALE5, k) for k in range(top)]
+        for m in range(top):
+            point_heads = [h[:m] for h in deepest]
+            classes = sorted(set(point_heads))
             class_of = {h: c for c, h in enumerate(classes)}
-            assert head_set(stage, m) == frozenset(heads)
-            if m <= 130:
-                assert _head_classes(stage, m) == (
-                    classes,
-                    [sum(map(operator.mul, h, weights)) for h in classes],
-                    [class_of[h] for h in heads])
-            assert outcome(heads_and_special, m, stage) == \
-                oracle_heads_and_special(stage, m, [h[:m + 1] for h in deepest])
+            assert head_set(stage, m) == trie.head_set(m) == \
+                frozenset(point_heads)
+            paths, values, point_class = _head_classes(stage, m)
+            assert (paths, point_class) == trie.head_classes(m) == \
+                (classes, [class_of[h] for h in point_heads])
+            assert values == [sum(map(operator.mul, h, weights))
+                              for h in classes]
+            got = outcome(heads_and_special, m, stage)
+            assert got == outcome(trie.heads_and_special, m)
+            assert got == oracle_heads_and_special(
+                stage, m, [h[:m + 1] for h in deepest])
+
+
+def test_head_bit_fields_match_integer_head():
+    # integer_head is the reference for the bit-field reading of a value
+    # over the 4^n scale, and the packing of digits reads it back
+    rng = random.Random(17)
+    for _ in range(400):
+        depth = rng.choice([0, 1, 2, 3, rng.randint(4, 40), rng.randint(100, 300)])
+        modulus = level_product(SCALE5, depth)
+        value = rng.choice([0, modulus - 1, rng.randrange(modulus),
+                            rng.randrange(modulus, 5 * modulus)])
+        digits = integer_head(value, SCALE5, depth).digits
+        assert _head_digits(value, depth) == digits
+        assert _head_value(digits) == value % modulus
 
 
 def test_stage_memos_and_lazy_factors_match_oracles():
@@ -772,7 +782,7 @@ def test_level_rows_match_recursion_oracle():
 
 
 def test_default_rows_below_a_bound_match_the_pointwise_oracle():
-    lf, oracle = build_level_family(), OracleLevelFamily()
+    lf, oracle = LevelFamily(), OracleLevelFamily()
     for n, bound in itertools.product(range(1, 11),
                                       (-1, 0, 1, 63, 64, 500, 4096, 10000)):
         assert lf.row_to(n, bound) == oracle_row_to(oracle, n, bound)
@@ -782,7 +792,7 @@ def test_default_rows_below_a_bound_match_the_pointwise_oracle():
 def test_level_entries_deeper_than_the_recursion_limit():
     # the default row gives l^n_0 = 2^(n-1) - 1 and l^n_1 = 2^(n-1); the
     # closed form reads two first-row entries at any depth
-    lf = build_level_family()
+    lf = LevelFamily()
     assert lf.l(3000, 1) == 2 ** 2999
     assert lf.l(3000, 0) == 2 ** 2999 - 1
 
@@ -794,8 +804,8 @@ def test_f_family_matches_table_oracle():
     for handle in handles:
         for horizon in (3, 64, 100, 512, 777, 4096, 10000):
             for n_max in range(1, 8):
-                lf, oracle_lf = build_level_family(), OracleLevelFamily()
-                fam = outcome(build_f_family, handle, n_max, horizon, lf)
+                oracle_lf = OracleLevelFamily()
+                fam = outcome(build_f_family, handle, n_max, horizon)
                 oracle = outcome(oracle_build_f_family, handle, n_max, horizon,
                                  oracle_lf)
                 if isinstance(oracle, tuple):
@@ -809,27 +819,26 @@ def test_f_family_matches_table_oracle():
                     assert outcome(fam.value, n, x) == outcome(oracle.value, n, x)
                 for n in range(1, n_max + 1):
                     for i in range(-1, 10 ** 6):
-                        got = outcome(fam.word, n, i, lf)
+                        got = outcome(fam.word, n, i)
                         assert got == outcome(oracle.word, n, i, oracle_lf)
                         if isinstance(got, tuple) and got[0] is HorizonError:
                             break
 
 
 def test_f_family_rejects_levels_it_did_not_build():
-    lf = build_level_family()
-    fam = build_f_family(FullShift(), 3, 512, lf)
+    fam = build_f_family(FullShift(), 3, 512)
     for n in (0, 4, 9):
         with pytest.raises(ValidationError, match=rf"f\^{n} not built \(n_max 3\)"):
-            fam.word(n, 1, lf)
+            fam.word(n, 1)
         with pytest.raises(ValidationError, match=rf"f\^{n} not built"):
             fam.value(n, 5)
     with pytest.raises(ValidationError, match="need n >= 1 and i >= 0"):
-        fam.word(2, -1, lf)
+        fam.word(2, -1)
     for n_max in (0, -1):
         with pytest.raises(ValidationError, match=f"n_max must be >= 1, got {n_max}"):
             build_f_family(FullShift(), n_max, 512)
     with pytest.raises(ValidationError, match="f\\^7 not built"):
-        realize_prefix("abababa", build_f_family(FullShift(), 6, 4096, lf), lf,
+        realize_prefix("abababa", build_f_family(FullShift(), 6, 4096),
                        default_zhat6(64))
 
 
