@@ -85,7 +85,10 @@ def _parse_range(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition(":")
     if not sep:
         raise ArgumentParseError(f"cannot parse range {spec!r} (use lo:hi)")
-    return _parse_int(lo, "range bound"), _parse_int(hi, "range bound")
+    lo, hi = _parse_int(lo, "range bound"), _parse_int(hi, "range bound")
+    if lo > hi:
+        raise ArgumentParseError(f"range {spec!r} has lo > hi")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,8 @@ def _cmd_thickness(args) -> int:
 def _cmd_independence(args) -> int:
     if args.max_power < 1:
         raise ValidationError(f"--max-power must be >= 1, got {args.max_power}")
+    if args.n < 0:
+        raise ValidationError(f"--n must be >= 0, got {args.n}")
     theta = _load_substitution(args.input)
     scheme = synthesize_scheme(theta, max_power=args.max_power)
     if scheme is None:

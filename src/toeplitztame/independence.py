@@ -9,10 +9,14 @@ B = theta^m_{j0}(alphabet) of A, and an index i whose column sends the
 whole alphabet into the part of A that j1 moves outside B.  The times
 then alternate the digits j_{phi_n} and i in base L = l^m.
 
+The search runs on the subset kernel's masks (bit t is the t-th sorted
+letter): the k-sets come from the strata as masks, and each column of
+theta^m is a tuple of image bits, one per sorted letter.
+
 Pattern letters are read from the fibre windows theta^{m(2N+2)}(v) by
-base-L digit descent (``letter_in_power``), one letter at a time; no
-window word is ever built, so verification costs O(depth) per letter
-however long the windows are.
+base-L digit descent: each position is split into its digits once and
+they are walked for every vertex.  No window word is ever built, so
+verification costs O(depth) per letter however long the windows are.
 
 The times produced here are two-sided in general.  All-positive or
 all-negative variants (witnessing forward or backward non-tameness alone)
@@ -28,9 +32,8 @@ from dataclasses import dataclass
 from .errors import DepthError, PreconditionError, ValidationError
 from .extended_bratteli import MAX_POWER_COLUMNS, _tail
 from .gtheta import NON_TAME, tameness_verdict
-from .odometer import OdometerHead, Scale, head_index
 from .substitution import (Substitution, _letter_set, has_naive_order,
-                           letter_in_power, substitution_power)
+                           substitution_power)
 
 
 @dataclass(frozen=True)
@@ -99,50 +102,43 @@ def synthesize_scheme(theta, max_power: int = 6):
     letters = sorted(base.alphabet)
     strata = _tail(base)[1]
     # the extendable k-sets, k >= 2, in the subset order of the strata
-    a_sets = [_letter_set(letters, x) for k in range(2, len(letters) + 1)
-              for x in strata[k][0]]
-    pos = {a: t for t, a in enumerate(base.alphabet)}
+    a_masks = [x for k in range(2, len(letters) + 1) for x in strata[k][0]]
+    bit = {a: 1 << t for t, a in enumerate(letters)}
     for m in range(1, max_power + 1):
         if base.length ** m > MAX_POWER_COLUMNS:
             break  # exhausted the tractable powers; report inconclusive
-        # column c of theta^m as its images over the alphabet, in order
-        maps = list(zip(*substitution_power(base, m).words))
-        L = len(maps)
-        full_images = [frozenset(g) for g in maps]
-        for a_set in a_sets:
-            k = len(a_set)
-            a_sorted = sorted(a_set)
-            restricted = {}
-            for c, g in enumerate(maps):
-                r = tuple(g[pos[a]] for a in a_sorted)
-                if frozenset(r) == a_set and len(set(r)) == k:
-                    restricted[c] = r
-            found = _scan_progressions(restricted, full_images, a_set, L)
+        # column c of theta^m as the image bits of the sorted letters
+        power = substitution_power(base, m)
+        words = [w for _, w in sorted(zip(power.alphabet, power.words))]
+        maps = [tuple(bit[c] for c in col) for col in zip(*words)]
+        full = [sum(set(g)) for g in maps]
+        for a in a_masks:
+            found = _scan_progressions(maps, full, a)
             if found is not None:
-                j0, j1, j2, i, b = found
-                return IndependenceScheme(base, m, L, a_set, b, j0, j1, j2, i)
+                j0, j1, j2, i = found
+                return IndependenceScheme(
+                    base, m, len(maps), _letter_set(letters, a),
+                    _letter_set(letters, full[j0]), j0, j1, j2, i)
     return None
 
 
-def _scan_progressions(restricted, full_images, a_set, L):
-    a_sorted = sorted(a_set)
-    for j0 in range(L):
-        b = full_images[j0]
-        if not b < a_set:
-            continue
-        for j1 in sorted(restricted):
-            if j1 <= j0:
-                continue
-            j2 = 2 * j1 - j0
-            if j2 >= L or j2 not in restricted:
-                continue
-            if restricted[j1] != restricted[j2]:
-                continue
-            bij = dict(zip(a_sorted, restricted[j1]))
-            target = {a for a in a_set if bij[a] not in b}
-            for i in range(L):
-                if full_images[i] <= target:
-                    return j0, j1, j2, i, b
+def _scan_progressions(maps, full, a):
+    """The first (j0, j1, j2, i) of a scheme on the mask ``a``, in search
+    order; full[c] is the image of the alphabet under column c."""
+    # k single bits whose OR (the sum of the distinct ones) is the k-bit
+    # mask a are distinct, so they restrict the column to a bijection
+    ts = [t for t in range(a.bit_length()) if a >> t & 1]
+    rs = [tuple(g[t] for t in ts) for g in maps]
+    restricted = {c: r for c, r in enumerate(rs) if sum(set(r)) == a}
+    for j0, b in enumerate(full):
+        if b == a or b & ~a:
+            continue  # B must be a proper submask of A
+        for j1, r in restricted.items():
+            if j1 > j0 and restricted.get(2 * j1 - j0) == r:
+                target = sum(1 << t for t, y in zip(ts, r) if not y & b)
+                for i, image in enumerate(full):
+                    if not image & ~target:
+                        return j0, j1, 2 * j1 - j0, i
     return None
 
 
@@ -197,14 +193,16 @@ class IndependenceReport:
 
 def verify_patterns(s: IndependenceScheme,
                     n_levels: int = 2) -> IndependenceReport:
-    """For each choice function phi in {0,1}^(N+1) build the head whose
-    digits alternate j_{phi_n} and i in base L, read the fibre-window
-    letter at every time t_n for every level vertex, and check it lies in
+    """For each choice function phi in {0,1}^(N+1) take the head whose
+    base-L digits alternate j_{phi_n} and i, with index
+    z = sum_n (j_{phi_n} + i L) L^(2n), read the fibre-window letter at
+    every position z + t_n for every level vertex, and check it lies in
     B when phi_n = 0 and in A minus B when phi_n = 1.
 
     Each letter theta^{m(2N+2)}(v)[q] is read by digit descent, which
     walks the 2N+2 base-L digits of q through the columns of theta^m
-    without building the window word.
+    without building the window word; q is split into its digits once
+    and walked for every vertex.
     """
     if not scheme_is_valid(s):
         raise PreconditionError("scheme fails its own invariants")
@@ -212,40 +210,35 @@ def verify_patterns(s: IndependenceScheme,
         raise PreconditionError(
             "fibre-window verification needs the naive stationary order "
             "(common first and last letters)")
-    theta_m = substitution_power(s.base, s.power)
+    rule = substitution_power(s.base, s.power).rules()
     L = s.working_length
     depth = 2 * n_levels + 2
     times = independence_times(s, n_levels)
-    scale = Scale.constant(L)
     window_len = L ** depth
+    weights = [L ** e for e in reversed(range(depth))]
+    classes = (s.b_set, s.a_set - s.b_set)  # the letters phi_n = 0, 1 ask for
 
     witnesses = []
     complete = True
     for phi in itertools.product((0, 1), repeat=n_levels + 1):
-        digits = []
-        for n in range(n_levels + 1):
-            digits.append(s.j0 if phi[n] == 0 else s.j1)
-            digits.append(s.i)
-        head = OdometerHead(scale, tuple(digits))
-        z = head_index(head)
-        positions = []
-        for t in times:
-            q = z + t
+        z = sum(((s.j0, s.j1)[b] + s.i * L) * L ** (2 * n)
+                for n, b in enumerate(phi))
+        positions = tuple(z + t for t in times)
+        for t, q in zip(times, positions):
             if not 0 <= q < window_len:
                 raise DepthError(
                     f"time {t} falls outside the depth-{depth} window")
-            positions.append(q)
-        for v in theta_m.alphabet:
+        # each position's base-L digits, most significant first
+        descents = [[q // w % L for w in weights] for q in positions]
+        for v in rule:
             letters = []
-            ok = True
-            for n, q in enumerate(positions):
-                c = letter_in_power(theta_m, v, depth, q)
+            for digits in descents:
+                c = v
+                for d in digits:
+                    c = rule[c][d]
                 letters.append(c)
-                if phi[n] == 0:
-                    ok = ok and c in s.b_set
-                else:
-                    ok = ok and c in s.a_set and c not in s.b_set
+            ok = all(c in classes[b] for b, c in zip(phi, letters))
             complete = complete and ok
             witnesses.append(PatternWitness(phi, v, "".join(letters),
-                                            tuple(positions), ok))
+                                            positions, ok))
     return IndependenceReport(s, tuple(times), tuple(witnesses), complete)

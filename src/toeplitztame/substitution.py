@@ -424,18 +424,3 @@ def substitution_power(theta: Substitution, m: int) -> Substitution:
     return Substitution(theta.alphabet,
                         tuple(expand(theta, a, m) for a in theta.alphabet))
 
-
-def letter_in_power(theta: Substitution, v: str, k: int, index: int) -> str:
-    """theta^k(v)[index] by base-l digit descent, without materializing the
-    word: the most significant digit picks the outer block."""
-    l = theta.length
-    if not 0 <= index < l ** k:
-        raise ValidationError("index outside theta^k(v)")
-    digits = []
-    for _ in range(k):
-        index, d = divmod(index, l)
-        digits.append(d)
-    u = v
-    for d in reversed(digits):
-        u = theta.rule(u)[d]
-    return u

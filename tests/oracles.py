@@ -12,8 +12,12 @@ the one mask closure of ``substitution._closure`` and the trim of
 longest D-head matching a head, the prefix trie of a D-stage's points
 with its walk, head sets, special words and head classes (both in place
 of the closed forms of ``semicocycle._class_points`` and
-``semicocycle._longest_head``), and the D-stage recursion on exponent
-tuples (in place of the closed form of ``semicocycle._exponent``).
+``semicocycle._longest_head``), the D-stage recursion on exponent
+tuples (in place of the closed form of ``semicocycle._exponent``), the
+independence-scheme search on frozensets (in place of the mask search of
+``independence.synthesize_scheme``), and the digit descent that reads
+one letter of a power at a time (in place of the per-position digit walk
+of ``independence.verify_patterns``).
 
 Beside them are references with no counterpart in the library: a
 materialised two-sided fixed-point window (the raw shift that independence
@@ -33,11 +37,12 @@ from dataclasses import dataclass
 from toeplitztame import graphs
 from toeplitztame.errors import (LanguageError, PreconditionError,
                                  ValidationError)
-from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS
-from toeplitztame.gtheta import SubsetGraph
+from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, _tail
+from toeplitztame.gtheta import NON_TAME, SubsetGraph, tameness_verdict
+from toeplitztame.independence import IndependenceScheme
 from toeplitztame.odometer import OdometerHead, head_index
-from toeplitztame.substitution import (Substitution, expand, language,
-                                       letter_in_power)
+from toeplitztame.substitution import (Substitution, _letter_set, expand,
+                                       language, substitution_power)
 
 
 def column_image(theta: Substitution, i: int, letters) -> frozenset:
@@ -293,6 +298,68 @@ def census_extendable(g):
         sorted(on_cycle, key=vertex_key)))
 
 
+def oracle_synthesize_scheme(theta, max_power: int = 6):
+    """The independence-scheme search on frozensets: each extendable k-set
+    as a frozenset, each column of theta^m restricted to it as a tuple of
+    letters, tested for a bijection and scanned for progressions."""
+    if max_power < 1:
+        raise ValidationError(f"max_power must be >= 1, got {max_power}")
+    report = tameness_verdict(theta)
+    if report.verdict != NON_TAME:
+        raise PreconditionError(
+            f"independence schemes require a non-tame verdict, got {report.verdict}")
+    base = report.pure_base
+    letters = sorted(base.alphabet)
+    strata = _tail(base)[1]
+    # the extendable k-sets, k >= 2, in the subset order of the strata
+    a_sets = [_letter_set(letters, x) for k in range(2, len(letters) + 1)
+              for x in strata[k][0]]
+    pos = {a: t for t, a in enumerate(base.alphabet)}
+    for m in range(1, max_power + 1):
+        if base.length ** m > MAX_POWER_COLUMNS:
+            break  # exhausted the tractable powers; report inconclusive
+        # column c of theta^m as its images over the alphabet, in order
+        maps = list(zip(*substitution_power(base, m).words))
+        L = len(maps)
+        full_images = [frozenset(g) for g in maps]
+        for a_set in a_sets:
+            k = len(a_set)
+            a_sorted = sorted(a_set)
+            restricted = {}
+            for c, g in enumerate(maps):
+                r = tuple(g[pos[a]] for a in a_sorted)
+                if frozenset(r) == a_set and len(set(r)) == k:
+                    restricted[c] = r
+            found = _oracle_scan_progressions(restricted, full_images,
+                                              a_set, L)
+            if found is not None:
+                j0, j1, j2, i, b = found
+                return IndependenceScheme(base, m, L, a_set, b, j0, j1, j2, i)
+    return None
+
+
+def _oracle_scan_progressions(restricted, full_images, a_set, L):
+    a_sorted = sorted(a_set)
+    for j0 in range(L):
+        b = full_images[j0]
+        if not b < a_set:
+            continue
+        for j1 in sorted(restricted):
+            if j1 <= j0:
+                continue
+            j2 = 2 * j1 - j0
+            if j2 >= L or j2 not in restricted:
+                continue
+            if restricted[j1] != restricted[j2]:
+                continue
+            bij = dict(zip(a_sorted, restricted[j1]))
+            target = {a for a in a_set if bij[a] not in b}
+            for i in range(L):
+                if full_images[i] <= target:
+                    return j0, j1, j2, i, b
+    return None
+
+
 def oracle_d_stage(i):
     """Stage i of the D-set as (head exponents, tail exponent) per point,
     by the recursion on tuples: each point l of stage s spawns a point
@@ -475,6 +542,22 @@ class UserWordList:
         if longer is None:
             raise LanguageError("word list exhausted")
         return "".join(c for c in "ab" if w + c in longer)
+
+
+def letter_in_power(theta: Substitution, v: str, k: int, index: int) -> str:
+    """theta^k(v)[index] by base-l digit descent, without materializing the
+    word: the most significant digit picks the outer block."""
+    l = theta.length
+    if not 0 <= index < l ** k:
+        raise ValidationError("index outside theta^k(v)")
+    digits = []
+    for _ in range(k):
+        index, d = divmod(index, l)
+        digits.append(d)
+    u = v
+    for d in reversed(digits):
+        u = theta.rule(u)[d]
+    return u
 
 
 def window_letter(h: OdometerHead, theta: Substitution, vertex: str, position: int) -> str:

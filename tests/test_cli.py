@@ -217,6 +217,7 @@ def test_golden_derived_reports(capsys, name, args):
 @pytest.mark.parametrize("argv", [
     ("semicocycle", "window", "--range", "5"),
     ("semicocycle", "window", "--range", "a:3"),
+    ("semicocycle", "window", "--range=5:2"),
     ("semicocycle", "window", "--zhat", "1,,2"),
     ("semicocycle", "realize", "--lang", "full", "--word", "ab",
      "--zhat", "1,,0"),
@@ -322,6 +323,16 @@ def test_bad_max_power_arguments_are_validation_errors(capsys, argv):
     assert code == 1
     assert report["error"]["code"] == "validation"
     assert "--max-power" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("source", [str(FIXTURES / "ex22.sub"),
+                                    str(FIXTURES / "missing.sub")])
+def test_negative_independence_levels_are_validation_errors(capsys, source):
+    # checked beside --max-power, before the input is read
+    code, report = run_json(capsys, "independence", source, "--n", "-1")
+    assert code == 1
+    assert report["error"] == {"code": "validation",
+                               "message": "--n must be >= 0, got -1"}
 
 
 @pytest.mark.parametrize("source, message", [

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from oracles import fixed_point_window
-from toeplitztame.errors import PreconditionError
+from oracles import (fixed_point_window, letter_in_power,
+                     oracle_synthesize_scheme)
+from toeplitztame.errors import PreconditionError, ToeplitzError
 from toeplitztame.independence import (IndependenceScheme, independence_times,
                                        scheme_is_valid, synthesize_scheme,
                                        verify_patterns)
-from toeplitztame.substitution import expand, substitution_power
+from toeplitztame.substitution import (Substitution, expand, has_naive_order,
+                                       is_primitive, substitution_power)
 
 
 def pinned_recurrence_times(n_max):
@@ -156,3 +159,52 @@ def test_window_containment_asserted(ex22):
     for p in report.patterns:
         for q in p.positions:
             assert 0 <= q < s.working_length ** depth
+
+
+def _naive_draw(rng, n, l):
+    """A primitive substitution drawn as the independence corpus draws
+    one: every rule starts with one common letter and ends with another."""
+    alphabet = "abcde"[:n]
+    while True:
+        f, g = rng.choice(alphabet), rng.choice(alphabet)
+        words = tuple(f + "".join(rng.choice(alphabet) for _ in range(l - 2)) + g
+                      for _ in alphabet)
+        theta = Substitution(tuple(alphabet), words)
+        if is_primitive(theta):
+            return theta
+
+
+def _outcome(search, theta):
+    try:
+        return search(theta, max_power=3)
+    except ToeplitzError as exc:
+        return type(exc), str(exc)
+
+
+def test_mask_search_matches_frozenset_oracle():
+    # every scheme field, the None, or the error agrees with the frozenset
+    # search; every pattern letter at N = 1, 2 agrees with the descent
+    # oracle reading one letter at a time
+    rng = random.Random(26)
+    seen = set()
+    outcomes = []
+    while len(seen) < 800:
+        theta = _naive_draw(rng, rng.randint(3, 5), rng.randint(3, 5))
+        if theta in seen:
+            continue
+        seen.add(theta)
+        s = _outcome(synthesize_scheme, theta)
+        assert s == _outcome(oracle_synthesize_scheme, theta), theta
+        outcomes.append(s)
+        if not isinstance(s, IndependenceScheme) or not has_naive_order(s.base):
+            continue
+        theta_m = substitution_power(s.base, s.power)
+        for n_levels in (1, 2):
+            report = verify_patterns(s, n_levels)
+            for p in report.patterns:
+                assert p.letters == "".join(
+                    letter_in_power(theta_m, p.vertex, 2 * n_levels + 2, q)
+                    for q in p.positions), theta
+    n_schemes = sum(isinstance(s, IndependenceScheme) for s in outcomes)
+    assert n_schemes >= 300
+    assert outcomes.count(None) >= 80

@@ -5,15 +5,15 @@ from math import gcd
 
 import pytest
 
-from oracles import column_image, fixed_point_window, two_sided_seed
+from oracles import (column_image, fixed_point_window, letter_in_power,
+                     two_sided_seed)
 from toeplitztame.errors import (NotPrimitive, ParseError, PureBaseError,
                                  StabilizationError, ToeplitzError,
                                  ValidationError)
 from toeplitztame.substitution import (LETTER_POOL, Substitution, expand,
                                        first_letter_seed, height_and_pure_base,
                                        is_aperiodic, is_primitive, language,
-                                       letter_in_power, parse_text,
-                                       shortest_collapsing_word,
+                                       parse_text, shortest_collapsing_word,
                                        substitution_power, validate)
 
 
