@@ -182,6 +182,8 @@ def _cmd_semicocycle(args) -> int:
         handle = FullShift() if args.lang == "full" else SturmianFibonacci()
         fam = build_f_family(handle, args.n_max, args.horizon)
         n = len(args.word)
+        if n < 1:
+            raise ValidationError("need a non-empty word")
         if args.word not in handle.words(n):
             raise LanguageError(f"{args.word!r} is not in the level-{n} language")
         digits = _parse_digits(args.zhat, "zhat") if args.zhat else None

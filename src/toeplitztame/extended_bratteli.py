@@ -107,7 +107,7 @@ def _tail(theta: Substitution):
         for row in graphs.component_census(verts, arcs):
             if row["n_internal_edges"]:
                 k = row["vertices"][0].bit_count()
-                if row["n_internal_edges"] > row["n_vertices"]:
+                if row["shared"] is not None:
                     cls[k] = "uncountable"
                 else:
                     cls.setdefault(k, "at-most-countable")

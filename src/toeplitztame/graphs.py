@@ -1,20 +1,18 @@
-"""Labelled-multigraph helpers: strongly connected components, the
-two-cycles-share-a-vertex criterion, the number of simple cycles, and the
-vertices reached from a cycle.
+"""Labelled-multigraph helpers: strongly connected components with their
+census, the number of simple cycles, and the vertices reached from a
+cycle.
 
 A graph is a list of vertices (hashable, in a fixed canonical order) and a
 list of edges ``(src, dst, label)``; parallel edges with distinct labels
 are allowed and count separately.  In a strongly connected component, the
 internal edge count exceeding the vertex count is equivalent to two
-distinct simple cycles sharing a vertex, so the criterion reads the
-component census, which the caller computes once per graph and passes in.
-Simple cycles are counted, not listed: a layered count over vertex sets
-with a cap, in O(2^V V^2) work on V vertices.
+distinct simple cycles sharing a vertex, so the two-cycles-share-a-vertex
+criterion is read from a row of the component census, which names such a
+vertex.  Simple cycles are counted, not listed: a layered count over
+vertex sets with a cap, in O(2^V V^2) work on V vertices.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 
 def scc_partition(vertices, edges):
@@ -74,37 +72,31 @@ def scc_partition(vertices, edges):
 
 
 def component_census(vertices, edges):
-    """Per-SCC vertex and internal-edge counts (every edge between two
-    members of one SCC is internal)."""
+    """Per-SCC rows of the members, the vertex and internal-edge counts
+    (every edge between two members of one SCC is internal) and the
+    shared vertex.
+
+    A row with more internal edges than vertices holds two distinct
+    cycles through a common vertex; its ``shared`` is the canonically
+    first member of internal out-degree >= 2, which exists by pigeonhole
+    and lies on two of them.  Every other row's ``shared`` is None.
+    """
     comps = scc_partition(vertices, edges)
-    which = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            which[v] = ci
-    internal = [0] * len(comps)
+    which = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    outdeg = dict.fromkeys(vertices, 0)
     for s, d, _ in edges:
         if which[s] == which[d]:
-            internal[which[s]] += 1
-    return [{"vertices": comp, "n_vertices": len(comp), "n_internal_edges": internal[ci]}
-            for ci, comp in enumerate(comps)]
-
-
-def shared_cycle_vertex(vertices, edges, census):
-    """A vertex lying on two distinct cycles, or None, read from the
-    ``component_census`` of the same graph.
-
-    Exists iff some SCC has more internal edges than vertices; within such
-    an SCC any vertex of internal out-degree >= 2 works, and one must exist
-    by pigeonhole.  Returns the canonically first such vertex.
-    """
-    order = {v: i for i, v in enumerate(vertices)}
-    for row in census:
-        if row["n_internal_edges"] > row["n_vertices"]:
-            members = set(row["vertices"])
-            outdeg = Counter(s for s, d, _ in edges
-                             if s in members and d in members)
-            return min((v for v in members if outdeg[v] >= 2), key=order.get)
-    return None
+            outdeg[s] += 1
+    rows = []
+    for comp in comps:
+        n_vertices = len(comp)
+        n_internal_edges = sum(outdeg[v] for v in comp)
+        shared = None
+        if n_internal_edges > n_vertices:
+            shared = next(v for v in comp if outdeg[v] >= 2)
+        rows.append({"vertices": comp, "n_vertices": n_vertices,
+                     "n_internal_edges": n_internal_edges, "shared": shared})
+    return rows
 
 
 def count_simple_cycles(vertices, edges, cap):

@@ -89,12 +89,13 @@ def build_gtheta(theta_prime: Substitution) -> SubsetGraph:
 
 
 def two_cycles_share_vertex(g: SubsetGraph) -> CycleCensus:
-    """SCC decomposition plus the multigraph criterion: some component has
-    more internal edges than vertices iff two distinct cycles share a
-    vertex.  Simple cycles are counted, up to CYCLE_COUNT_CAP, when the
-    graph is small."""
+    """SCC census plus the multigraph criterion: some component has more
+    internal edges than vertices iff two distinct cycles share a vertex,
+    and the first such census row names the shared vertex.  Simple cycles
+    are counted, up to CYCLE_COUNT_CAP, when the graph is small."""
     census = graphs.component_census(g.vertices, g.edges)
-    shared = graphs.shared_cycle_vertex(g.vertices, g.edges, census)
+    shared = next((row["shared"] for row in census
+                   if row["shared"] is not None), None)
     n_cycles = None
     truncated = False
     if len(g.vertices) <= 12:
@@ -131,10 +132,10 @@ class AnalysisReport:
     census: CycleCensus | None
     verdict: str
     reason: str | None
-    shared_vertex: frozenset | None
-    cycle_bound: int | None
 
     def to_json(self):
+        census = None if self.census is None else self.census.to_json()
+        shared = None if census is None else census["shared_vertex"]
         return {
             "schema": 1,
             "substitution": self.substitution.to_json(),
@@ -146,11 +147,13 @@ class AnalysisReport:
             "blocks": None if self.blocks is None else list(self.blocks),
             "coincidence": None if self.coincidence is None else list(self.coincidence),
             "gtheta": None if self.graph is None else self.graph.to_json(),
-            "cycle_census": None if self.census is None else self.census.to_json(),
+            "cycle_census": census,
             "verdict": self.verdict,
             "reason": self.reason,
-            "shared_vertex": sorted(self.shared_vertex) if self.shared_vertex else None,
-            "singular_orbit_upper_bound": self.cycle_bound,
+            "shared_vertex": shared,
+            "singular_orbit_upper_bound":
+                None if census is None or shared is not None
+                else cycle_count_upper_bound(self.census),
         }
 
 
@@ -174,7 +177,7 @@ def tameness_verdict(theta) -> AnalysisReport:
         h, theta_prime, blocks = height_and_pure_base(theta)
     except (StabilizationError, PureBaseError) as exc:
         return AnalysisReport(theta, True, True, bound, None, None, None,
-                              None, None, None, INCONCLUSIVE, str(exc), None, None)
+                              None, None, None, INCONCLUSIVE, str(exc))
     witness = shortest_collapsing_word(theta_prime)
     graph = build_gtheta(theta_prime)
     census = two_cycles_share_vertex(graph)
@@ -186,12 +189,8 @@ def tameness_verdict(theta) -> AnalysisReport:
             sorted(census.shared_vertex))
     else:
         verdict, reason = TAME, None
-    bound_cycles = None
-    if census.shared_vertex is None:
-        bound_cycles = cycle_count_upper_bound(census)
     return AnalysisReport(theta, True, True, bound, h, theta_prime, blocks,
-                          witness, graph, census, verdict, reason,
-                          census.shared_vertex, bound_cycles)
+                          witness, graph, census, verdict, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,11 @@ def validate(raw) -> Substitution:
         rules = raw.get("rules", raw)
         if not isinstance(rules, dict) or not rules:
             raise ParseError("expected a non-empty rules mapping")
-        alphabet = tuple(rules.keys())
-        return Substitution(alphabet, tuple(str(rules[a]) for a in alphabet))
+        for a, w in rules.items():
+            if not isinstance(w, str):
+                raise ParseError(f"rule for {a!r} must be a string, "
+                                 f"got {type(w).__name__}")
+        return Substitution(tuple(rules), tuple(rules.values()))
     raise ParseError(f"cannot interpret {type(raw).__name__} as a substitution")
 
 

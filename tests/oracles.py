@@ -1,7 +1,7 @@
 """Routines the library replaced, kept as independent oracles for seeded
 cross-checks: simple-cycle enumeration (in place of the cycle count), the
-shared vertex read off the enumerated cycles (in place of the SCC
-criterion), the column-by-column dict composition of two substitutions
+vertices on two enumerated cycles (in place of the shared vertex that a
+census row names), the column-by-column dict composition of two substitutions
 and the column maps and words of a power built from it one level at a
 time (in place of the translates of ``substitution_power``), the subset
 graph over all 2^|A| subsets with one census and one reachability pass
@@ -19,7 +19,8 @@ independence-scheme search on frozensets (in place of the mask search of
 one letter of a power at a time (in place of the per-position digit walk
 of ``independence.verify_patterns``).
 
-Beside them are references with no counterpart in the library: a
+Beside them are references with no counterpart in the library: the pair
+graph of a substitution (the second route to its tameness verdict), a
 materialised two-sided fixed-point window (the raw shift that independence
 patterns must occur in), the common head length of two odometer heads (the
 pointwise definition of the first semicocycle), the truncation of a head
@@ -90,10 +91,8 @@ def simple_cycles(vertices, edges, cap=10_000):
     return cycles, truncated
 
 
-def shared_vertex_by_enumeration(vertices, edges, cap=10_000):
-    """First vertex on two enumerated cycles.  Returns
-    (vertex_or_None, truncated)."""
-    order = {v: i for i, v in enumerate(vertices)}
+def vertices_on_two_cycles(vertices, edges, cap=10_000):
+    """Every vertex on two enumerated cycles.  Returns (set, truncated)."""
     cycles, truncated = simple_cycles(vertices, edges, cap)
     seen = set()
     hits = set()
@@ -102,9 +101,7 @@ def shared_vertex_by_enumeration(vertices, edges, cap=10_000):
             if v in seen:
                 hits.add(v)
             seen.add(v)
-    if hits:
-        return min(hits, key=order.get), truncated
-    return None, truncated
+    return hits, truncated
 
 
 def columns(theta):
@@ -259,6 +256,20 @@ def frozenset_gtheta(theta_prime):
                 edges.append((b, a, i))
     edges.sort(key=lambda e: (vertex_key(e[0]), vertex_key(e[1]), e[2]))
     return SubsetGraph(theta_prime.alphabet, ordered, tuple(edges))
+
+
+def pair_graph(theta):
+    """The pair graph: the 2-sets of letters as vertices, in sorted-letter
+    order, with an arc {x, y} -> {theta_i(x), theta_i(y)}, labelled i,
+    whenever the two images differ.  Its census has a shared vertex iff
+    some G_theta vertex lies on two distinct cycles."""
+    letters = sorted(theta.alphabet)
+    verts = [frozenset(p) for p in itertools.combinations(letters, 2)]
+    edges = [(frozenset((x, y)), frozenset((a, b)), i)
+             for x, y in itertools.combinations(letters, 2)
+             for i, (a, b) in enumerate(zip(theta.rule(x), theta.rule(y)))
+             if a != b]
+    return verts, edges
 
 
 def frozenset_collapsing_word(theta):

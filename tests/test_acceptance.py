@@ -8,13 +8,13 @@ import pathlib
 import random
 import time
 
-from oracles import shared_vertex_by_enumeration, truncate
-from toeplitztame import graphs
+from oracles import truncate, vertices_on_two_cycles
 from toeplitztame.cli import main
 from toeplitztame.extended_bratteli import (essential_thickness,
                                             find_double_path, thickness_census)
 from toeplitztame.gtheta import (NON_TAME, NOT_ALMOST_AUTOMORPHIC, TAME,
-                                 tameness_verdict)
+                                 SubsetGraph, tameness_verdict,
+                                 two_cycles_share_vertex)
 from toeplitztame.independence import (independence_times, synthesize_scheme,
                                        verify_patterns)
 from toeplitztame.odometer import (OdometerHead, Scale, add_integer,
@@ -265,12 +265,14 @@ def test_criterion_9_oracle_equivalence():
         verts = list(range(n))
         m = rng.randint(0, n + 6)
         edges = [(rng.randrange(n), rng.randrange(n), k) for k in range(m)]
-        fast = graphs.shared_cycle_vertex(
-            verts, edges, graphs.component_census(verts, edges))
-        slow, truncated = shared_vertex_by_enumeration(verts, edges)
+        fast = two_cycles_share_vertex(
+            SubsetGraph((), tuple(verts), tuple(edges))).shared_vertex
+        on_two, truncated = vertices_on_two_cycles(verts, edges)
         assert not truncated
-        if (fast is None) != (slow is None):
-            disagreements += 1
+        if fast is None:
+            disagreements += bool(on_two)
+        else:
+            disagreements += fast not in on_two
     letters = "abcd"
     for _ in range(200):
         size = rng.randint(2, 4)

@@ -111,7 +111,7 @@ def test_inconclusive_exit_code(capsys, monkeypatch, tmp_path):
 
     theta = validate({"rules": {"a": "ab", "b": "ba"}})
     stub = AnalysisReport(theta, True, True, 16, None, None, None, None,
-                          None, None, INCONCLUSIVE, "bound failure", None, None)
+                          None, None, INCONCLUSIVE, "bound failure")
     monkeypatch.setattr(cli_mod, "tameness_verdict", lambda _: stub)
     path = tmp_path / "x.sub"
     path.write_text("a -> ab\nb -> ba\n")
@@ -236,7 +236,8 @@ def test_malformed_arguments_are_structured_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("source", ['{"rules": {}}', '{"rules": ',
-                                    "a = ab"])
+                                    "a = ab", '{"0":"01","1":10}',
+                                    '{"a":"ab","b":null}'])
 def test_malformed_substitution_keeps_its_layer_code(capsys, tmp_path, source):
     path = tmp_path / "x.sub"
     path.write_text(source)
@@ -263,6 +264,10 @@ def test_negative_disjoint_arguments_are_validation_errors(capsys, argv):
       "--n-max", "0"), "n_max must be >= 1, got 0"),
     (("semicocycle", "realize", "--lang", "sturmian", "--word", "ab",
       "--n-max", "-2"), "n_max must be >= 1, got -2"),
+    (("semicocycle", "realize", "--lang", "full", "--word", ""),
+     "need a non-empty word"),
+    (("semicocycle", "realize", "--lang", "sturmian", "--word", ""),
+     "need a non-empty word"),
 ])
 def test_realize_levels_beyond_the_family_are_validation_errors(capsys, argv,
                                                                  message):

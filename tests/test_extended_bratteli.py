@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (column_image, columns, full_tail, morphism_power,
-                     power_column_maps, reachable_from)
+                     pair_graph, power_column_maps, reachable_from)
 from toeplitztame import extended_bratteli, graphs
-from toeplitztame.errors import ValidationError
+from toeplitztame.errors import (NotPrimitive, PeriodicSubstitution,
+                                 ValidationError)
 from toeplitztame.extended_bratteli import (essential_thickness,
                                             find_double_path, thickness_census)
 from toeplitztame.extended_bratteli import _tail
+from toeplitztame.gtheta import NON_TAME, TAME, tameness_verdict
 from toeplitztame.independence import synthesize_scheme
 from toeplitztame.substitution import (Substitution, _letter_set,
                                        substitution_power, validate)
@@ -278,15 +280,15 @@ def oracle_has_any_cycle(verts, arcs):
     return any(s == d or which[s] == which[d] for s, d, _ in arcs)
 
 
-def oracle_shared_vertex(verts, arcs):
-    return graphs.shared_cycle_vertex(
-        verts, arcs, graphs.component_census(verts, arcs))
+def oracle_two_cycles_share(verts, arcs):
+    return any(row["n_internal_edges"] > row["n_vertices"]
+               for row in graphs.component_census(verts, arcs))
 
 
 def oracle_essential_thickness(theta, ext):
     for k in range(len(theta.alphabet), 1, -1):
         verts, arcs = oracle_stratum_graph(theta, ext, k)
-        if verts and oracle_shared_vertex(verts, arcs) is not None:
+        if verts and oracle_two_cycles_share(verts, arcs):
             return k
     return 1
 
@@ -297,7 +299,7 @@ def oracle_thickness_census(theta, ext, depth=8):
         verts, arcs = oracle_stratum_graph(theta, ext, k)
         if not verts or not oracle_has_any_cycle(verts, arcs):
             cls = "none"
-        elif oracle_shared_vertex(verts, arcs) is not None:
+        elif oracle_two_cycles_share(verts, arcs):
             cls = "uncountable"
         else:
             cls = "at-most-countable"
@@ -354,6 +356,31 @@ def _random_naive(rng):
                  + g for a in alphabet}
         if set("".join(rules.values())) == set(alphabet):
             return validate({"rules": rules})
+
+
+def test_dichotomy_agrees_on_three_routes():
+    # The paper's theorem: a finite-rank Toeplitz shift is tame iff it has
+    # at most countably many orbits of singular fibres.  Wherever analyze
+    # decides tame or non-tame, G_theta's census, the thickness strata and
+    # the pair graph's census must give the same answer.
+    rng = random.Random(14)
+    outcomes = {}
+    for _ in range(2000):
+        theta = _random_naive(rng)
+        try:
+            verdict = tameness_verdict(theta).verdict
+        except (NotPrimitive, PeriodicSubstitution) as exc:
+            verdict = exc.code
+        outcomes[verdict] = outcomes.get(verdict, 0) + 1
+        if verdict not in (TAME, NON_TAME):
+            continue
+        verts, edges = pair_graph(theta)
+        pair_shared = any(row["shared"] is not None
+                          for row in graphs.component_census(verts, edges))
+        routes = (verdict == NON_TAME, essential_thickness(theta) >= 2,
+                  pair_shared)
+        assert len(set(routes)) == 1, (theta, routes)
+    assert outcomes[TAME] >= 100 and outcomes[NON_TAME] >= 100, outcomes
 
 
 def _random_square(rng):

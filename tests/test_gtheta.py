@@ -5,15 +5,16 @@ from hypothesis import given, strategies as st
 
 from oracles import (canonical_semicocycle_eval, census_extendable,
                      column_image, frozenset_collapsing_word,
-                     frozenset_gtheta, shared_vertex_by_enumeration,
-                     simple_cycles, window_letter)
+                     frozenset_gtheta, simple_cycles,
+                     vertices_on_two_cycles, window_letter)
 from toeplitztame import graphs
 from toeplitztame.errors import (NotPrimitive, PeriodicSubstitution,
                                  ToeplitzError, ValidationError)
 from toeplitztame.gtheta import (CYCLE_COUNT_CAP, NON_TAME,
-                                 NOT_ALMOST_AUTOMORPHIC, TAME, build_gtheta,
-                                 cycle_count_upper_bound, tameness_verdict,
-                                 to_dot, two_cycles_share_vertex)
+                                 NOT_ALMOST_AUTOMORPHIC, TAME, SubsetGraph,
+                                 build_gtheta, cycle_count_upper_bound,
+                                 tameness_verdict, to_dot,
+                                 two_cycles_share_vertex)
 from toeplitztame.odometer import OdometerHead, Scale, head_index
 from toeplitztame.substitution import (Substitution, expand,
                                        height_and_pure_base, is_primitive,
@@ -156,8 +157,10 @@ def test_mask_closure_matches_frozenset_oracles():
 
 
 def _shared_vertex(vertices, edges):
-    return graphs.shared_cycle_vertex(
-        vertices, edges, graphs.component_census(vertices, edges))
+    """The shared vertex that ``two_cycles_share_vertex`` reads from the
+    census of any multigraph."""
+    return two_cycles_share_vertex(
+        SubsetGraph((), tuple(vertices), tuple(edges))).shared_vertex
 
 
 def test_census_examples(ex22, ex23):
@@ -172,11 +175,7 @@ def test_census_examples(ex22, ex23):
         cycles, truncated = simple_cycles(g.vertices, g.edges)
         assert (census.n_simple_cycles, census.cycles_truncated) == (
             len(cycles), truncated)
-        on_cycles = {}
-        for cyc in cycles:
-            for v in {e[0] for e in cyc}:
-                on_cycles[v] = on_cycles.get(v, 0) + 1
-        shared_by_enum = {v for v, k in on_cycles.items() if k >= 2}
+        shared_by_enum = vertices_on_two_cycles(g.vertices, g.edges)[0]
         if census.shared_vertex is None:
             assert not shared_by_enum
         else:
@@ -207,6 +206,19 @@ def test_two_self_loops_share():
     assert _shared_vertex(verts, edges) == fs("ab")
 
 
+def test_shared_vertex_zero_in_a_later_row():
+    # canonical order 2, 1, 0: the first row {2, 1} is one cycle, the
+    # second row {0} carries two self-loops, and its shared vertex is the
+    # falsy int 0
+    verts = [2, 1, 0]
+    edges = [(2, 1, 0), (1, 2, 1), (0, 0, 2), (0, 0, 3)]
+    census = graphs.component_census(verts, edges)
+    assert [(row["vertices"], row["shared"]) for row in census] == [
+        ((2, 1), None), ((0,), 0)]
+    assert _shared_vertex(verts, edges) == 0
+    assert 0 in vertices_on_two_cycles(verts, edges)[0]
+
+
 def test_cycle_bound_examples(ex217a):
     g = build_gtheta(ex217a)
     assert cycle_count_upper_bound(two_cycles_share_vertex(g)) == 1
@@ -226,7 +238,7 @@ def test_cycle_bound_requires_finiteness(ex22):
 
 def test_verdicts(ex22, ex23, ex217a, ex217b, thue_morse, pd_coincidence):
     assert tameness_verdict(ex22).verdict == NON_TAME
-    assert tameness_verdict(ex22).shared_vertex == fs("ab")
+    assert tameness_verdict(ex22).census.shared_vertex == fs("ab")
     assert tameness_verdict(ex23).verdict == TAME
     assert tameness_verdict(ex217a).verdict == TAME
     assert tameness_verdict(ex217b).verdict == NON_TAME
@@ -347,9 +359,12 @@ def test_scc_criterion_equals_enumeration_random():
         m = rng.randint(0, n + 5)
         edges = [(rng.randrange(n), rng.randrange(n), k) for k in range(m)]
         fast = _shared_vertex(verts, edges)
-        slow, truncated = shared_vertex_by_enumeration(verts, edges)
+        on_two, truncated = vertices_on_two_cycles(verts, edges)
         assert not truncated
-        assert (fast is None) == (slow is None)
+        if fast is None:
+            assert not on_two
+        else:
+            assert fast in on_two
 
 
 def _random_multigraph(rng, n, m):

@@ -37,6 +37,12 @@ def test_validate_examples(ex22):
         validate({"rules": {"a": "ax"}})
     with pytest.raises(ParseError):
         validate({"rules": {}})
+    # a rule value is never coerced: 10 is not the word "10", and None is
+    # not a word of length 4
+    for rules, letter in (({"0": "01", "1": 10}, "'1'"),
+                          ({"a": "ab", "b": None}, "'b'")):
+        with pytest.raises(ParseError, match=f"^rule for {letter} "):
+            validate(rules)
 
 
 def test_parse_text_formats():
