@@ -1,10 +1,10 @@
 """The subset graph of a constant-length substitution and everything it
 decides: the two-cycle tameness criterion and singular-orbit bounds.
 
-Vertices are the letter sets theta_{w_1}...theta_{w_k}(A) of cardinality
-> 1, plus the full alphabet; there is an edge from B to A labelled i iff
-theta_i(A) = B.  Infinite paths in this graph parameterize the points of
-the maximal equicontinuous factor with a non-singleton fibre.
+Vertices are the letter sets theta_{w_1}...theta_{w_k}(A) of size > 1 and
+the full alphabet, held as masks until a report writes them; an edge runs
+from B to A labelled i iff theta_i(A) = B.  Infinite paths parameterize the
+points of the maximal equicontinuous factor with a non-singleton fibre.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import graphs
 from .errors import NotPrimitive, PeriodicSubstitution, PureBaseError, \
     StabilizationError, ValidationError
-from .substitution import (Substitution, _closure, _letter_set, _mask_key,
+from .substitution import (Substitution, _closure, _mask_key,
                            height_and_pure_base, is_aperiodic, is_primitive,
                            shortest_collapsing_word, validate)
 
@@ -29,12 +29,12 @@ CYCLE_COUNT_CAP = 10_000
 
 @dataclass(frozen=True)
 class SubsetGraph:
-    """Vertices in canonical order (size, then letters); edges are
-    (source, target, label) with source = theta_label(target)."""
+    """Vertices are masks (bit t is the t-th sorted letter) in ``_mask_key``
+    order; edges (source, target, label) have source = theta_label(target)."""
 
     alphabet: tuple[str, ...]
-    vertices: tuple[frozenset, ...]
-    edges: tuple[tuple[frozenset, frozenset, int], ...]
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
 
     def extendable(self) -> frozenset:
         """Vertices traversed by an infinite path, i.e. vertices that can
@@ -45,32 +45,42 @@ class SubsetGraph:
 
     def to_json(self):
         ext = self.extendable()
+        name = _letter_lists(self.alphabet, self.vertices)
         return {
             "alphabet": list(self.alphabet),
-            "vertices": [sorted(v) for v in self.vertices],
-            "edges": [[sorted(s), sorted(d), lab] for s, d, lab in self.edges],
-            "extendable": [sorted(v) for v in self.vertices if v in ext],
+            "vertices": list(name.values()),
+            "edges": [[name[s], name[d], lab] for s, d, lab in self.edges],
+            "extendable": [name[v] for v in self.vertices if v in ext],
         }
 
 
 @dataclass(frozen=True)
 class CycleCensus:
+    alphabet: tuple[str, ...]
     components: tuple
-    shared_vertex: frozenset | None
+    shared_vertex: int | None
     n_simple_cycles: int | None
     cycles_truncated: bool
 
     def to_json(self):
+        name = _letter_lists(self.alphabet, (v for row in self.components
+                                             for v in row["vertices"]))
         return {
             "components": [
-                {"vertices": [sorted(v) for v in row["vertices"]],
+                {"vertices": [name[v] for v in row["vertices"]],
                  "n_vertices": row["n_vertices"],
                  "n_internal_edges": row["n_internal_edges"]}
                 for row in self.components],
-            "shared_vertex": sorted(self.shared_vertex) if self.shared_vertex else None,
+            "shared_vertex": name.get(self.shared_vertex),  # a member, or None
             "n_simple_cycles": self.n_simple_cycles,
             "cycles_truncated": self.cycles_truncated,
         }
+
+
+def _letter_lists(alphabet, xs) -> dict:
+    """Each mask of ``xs`` to its letters, sorted, in the order given."""
+    letters = sorted(alphabet)
+    return {x: [a for t, a in enumerate(letters) if x >> t & 1] for x in xs}
 
 
 def build_gtheta(theta_prime: Substitution) -> SubsetGraph:
@@ -81,11 +91,9 @@ def build_gtheta(theta_prime: Substitution) -> SubsetGraph:
     _, found, arcs = _closure(theta_prime)
     ordered = sorted(found, key=_mask_key)
     rank = {x: r for r, x in enumerate(ordered)}
-    letters = sorted(theta_prime.alphabet)
-    sets = [_letter_set(letters, x) for x in ordered]
     arcs = sorted(arcs, key=lambda a: (rank[a[1]], rank[a[0]], a[2]))
-    edges = tuple((sets[rank[y]], sets[rank[x]], i) for x, y, i in arcs)
-    return SubsetGraph(theta_prime.alphabet, tuple(sets), edges)
+    return SubsetGraph(theta_prime.alphabet, tuple(ordered),
+                       tuple((y, x, i) for x, y, i in arcs))
 
 
 def two_cycles_share_vertex(g: SubsetGraph) -> CycleCensus:
@@ -96,12 +104,11 @@ def two_cycles_share_vertex(g: SubsetGraph) -> CycleCensus:
     census = graphs.component_census(g.vertices, g.edges)
     shared = next((row["shared"] for row in census
                    if row["shared"] is not None), None)
-    n_cycles = None
-    truncated = False
+    n_cycles, truncated = None, False
     if len(g.vertices) <= 12:
         n_cycles, truncated = graphs.count_simple_cycles(
             g.vertices, g.edges, CYCLE_COUNT_CAP)
-    return CycleCensus(tuple(census), shared, n_cycles, truncated)
+    return CycleCensus(g.alphabet, tuple(census), shared, n_cycles, truncated)
 
 
 def cycle_count_upper_bound(census: CycleCensus) -> int:
@@ -121,8 +128,6 @@ def cycle_count_upper_bound(census: CycleCensus) -> int:
 @dataclass(frozen=True)
 class AnalysisReport:
     substitution: Substitution
-    primitive: bool
-    aperiodic: bool
     aperiodicity_bound: int
     height: int | None
     pure_base: Substitution | None
@@ -139,8 +144,8 @@ class AnalysisReport:
         return {
             "schema": 1,
             "substitution": self.substitution.to_json(),
-            "primitive": self.primitive,
-            "aperiodic": self.aperiodic,
+            "primitive": True,
+            "aperiodic": True,
             "aperiodicity_bound": self.aperiodicity_bound,
             "height": self.height,
             "pure_base": None if self.pure_base is None else self.pure_base.to_json(),
@@ -176,21 +181,21 @@ def tameness_verdict(theta) -> AnalysisReport:
     try:
         h, theta_prime, blocks = height_and_pure_base(theta)
     except (StabilizationError, PureBaseError) as exc:
-        return AnalysisReport(theta, True, True, bound, None, None, None,
-                              None, None, None, INCONCLUSIVE, str(exc))
+        return AnalysisReport(theta, bound, None, None, None, None, None,
+                              None, INCONCLUSIVE, str(exc))
     witness = shortest_collapsing_word(theta_prime)
     graph = build_gtheta(theta_prime)
     census = two_cycles_share_vertex(graph)
     if witness is None:
         verdict, reason = NOT_ALMOST_AUTOMORPHIC, "no coincidence"
     elif census.shared_vertex is not None:
-        verdict = NON_TAME
+        verdict, shared = NON_TAME, census.shared_vertex
         reason = "two distinct cycles share the vertex {%s}" % ",".join(
-            sorted(census.shared_vertex))
+            _letter_lists(graph.alphabet, [shared])[shared])
     else:
         verdict, reason = TAME, None
-    return AnalysisReport(theta, True, True, bound, h, theta_prime, blocks,
-                          witness, graph, census, verdict, reason)
+    return AnalysisReport(theta, bound, h, theta_prime, blocks, witness,
+                          graph, census, verdict, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +206,15 @@ def to_dot(g: SubsetGraph) -> str:
     """Edge labels as attributes; vertices with no outgoing edge (hence on
     no infinite path) drawn grey."""
     ext = g.extendable()
-
-    def name(v):
-        return "{%s}" % ",".join(sorted(v))
-
+    name = {v: "{%s}" % ",".join(letters)
+            for v, letters in _letter_lists(g.alphabet, g.vertices).items()}
     lines = ["digraph gtheta {", "  rankdir=LR;"]
     for v in g.vertices:
-        attrs = ['label="%s"' % name(v)]
+        attrs = ['label="%s"' % name[v]]
         if v not in ext:
-            attrs.append("color=grey")
-            attrs.append("fontcolor=grey")
-        lines.append('  "%s" [%s];' % (name(v), ", ".join(attrs)))
+            attrs += ["color=grey", "fontcolor=grey"]
+        lines.append('  "%s" [%s];' % (name[v], ", ".join(attrs)))
     for s, d, lab in g.edges:
-        lines.append('  "%s" -> "%s" [label="%d"];' % (name(s), name(d), lab))
+        lines.append('  "%s" -> "%s" [label="%d"];' % (name[s], name[d], lab))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -50,6 +50,7 @@ class Substitution:
         object.__setattr__(self, "_rule", dict(zip(self.alphabet, self.words)))
         object.__setattr__(self, "_table", str.maketrans(self._rule))
         object.__setattr__(self, "_languages", {})
+        object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_closure_memo", None)
         object.__setattr__(self, "_tail_memo", None)
 
@@ -167,6 +168,9 @@ def validate(raw) -> Substitution:
         if not isinstance(rules, dict) or not rules:
             raise ParseError("expected a non-empty rules mapping")
         for a, w in rules.items():
+            if not isinstance(a, str):
+                raise ParseError(f"rule key {a!r} must be a string, "
+                                 f"got {type(a).__name__}")
             if not isinstance(w, str):
                 raise ParseError(f"rule for {a!r} must be a string, "
                                  f"got {type(w).__name__}")
@@ -422,8 +426,12 @@ def shortest_collapsing_word(theta: Substitution):
 
 
 def substitution_power(theta: Substitution, m: int) -> Substitution:
+    """theta^m, memoised on ``theta`` like its languages."""
     if m < 1:
         raise ValidationError("power must be >= 1")
-    return Substitution(theta.alphabet,
-                        tuple(expand(theta, a, m) for a in theta.alphabet))
+    memo = theta._powers
+    if m not in memo:
+        memo[m] = Substitution(
+            theta.alphabet, tuple(expand(theta, a, m) for a in theta.alphabet))
+    return memo[m]
 

@@ -6,8 +6,10 @@ and the column maps and words of a power built from it one level at a
 time (in place of the translates of ``substitution_power``), the subset
 graph over all 2^|A| subsets with one census and one reachability pass
 (in place of the trimmed graph of ``extended_bratteli.subset_arcs``), the
-frozenset G_theta, coincidence search and extendable vertices (in place of
-the one mask closure of ``substitution._closure`` and the trim of
+frozenset G_theta with its report JSON written from the frozensets,
+coincidence search and extendable vertices (in place of the one mask
+closure of ``substitution._closure``, the mask-to-letters step of
+``gtheta._letter_lists`` and the trim of
 ``graphs.reached_from_cycle``), the per-level head-set loop for the
 longest D-head matching a head, the prefix trie of a D-stage's points
 with its walk, head sets, special words and head classes (both in place
@@ -39,7 +41,7 @@ from toeplitztame import graphs
 from toeplitztame.errors import (LanguageError, PreconditionError,
                                  ValidationError)
 from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, _tail
-from toeplitztame.gtheta import NON_TAME, SubsetGraph, tameness_verdict
+from toeplitztame.gtheta import NON_TAME, tameness_verdict
 from toeplitztame.independence import IndependenceScheme
 from toeplitztame.odometer import OdometerHead, head_index
 from toeplitztame.substitution import (Substitution, _letter_set, expand,
@@ -236,7 +238,11 @@ def vertex_key(s):
 
 def frozenset_gtheta(theta_prime):
     """G_theta by a depth-first closure of {A} over frozensets, then one
-    pass over every (vertex, column) for the edges."""
+    pass over every (vertex, column) for the edges, written as the
+    ``gtheta`` and ``cycle_census`` JSON of the reports: letter lists from
+    the frozensets, vertices in ``vertex_key`` order.  The census rows are
+    those of ``graphs.component_census`` on the frozenset graph, and the
+    simple cycles are enumerated."""
     full = frozenset(theta_prime.alphabet)
     vertices = {full}
     stack = [full]
@@ -255,7 +261,30 @@ def frozenset_gtheta(theta_prime):
             if len(b) > 1:
                 edges.append((b, a, i))
     edges.sort(key=lambda e: (vertex_key(e[0]), vertex_key(e[1]), e[2]))
-    return SubsetGraph(theta_prime.alphabet, ordered, tuple(edges))
+    ext = census_extendable(ordered, edges)
+    census = graphs.component_census(ordered, edges)
+    shared = next((row["shared"] for row in census
+                   if row["shared"] is not None), None)
+    n_cycles, truncated = None, False
+    if len(ordered) <= 12:
+        cycles, truncated = simple_cycles(ordered, edges)
+        n_cycles = len(cycles)
+    graph_json = {
+        "alphabet": list(theta_prime.alphabet),
+        "vertices": [sorted(v) for v in ordered],
+        "edges": [[sorted(s), sorted(d), i] for s, d, i in edges],
+        "extendable": [sorted(v) for v in ordered if v in ext],
+    }
+    census_json = {
+        "components": [{"vertices": [sorted(v) for v in row["vertices"]],
+                        "n_vertices": row["n_vertices"],
+                        "n_internal_edges": row["n_internal_edges"]}
+                       for row in census],
+        "shared_vertex": None if shared is None else sorted(shared),
+        "n_simple_cycles": n_cycles,
+        "cycles_truncated": truncated,
+    }
+    return graph_json, census_json
 
 
 def pair_graph(theta):
@@ -297,16 +326,15 @@ def frozenset_collapsing_word(theta):
     return None
 
 
-def census_extendable(g):
+def census_extendable(vertices, edges):
     """Vertices of a subset graph that can reach a cycle: the cyclic SCCs
     of its census, then a backward reachability pass."""
     on_cycle = set()
-    for row in graphs.component_census(g.vertices, g.edges):
+    for row in graphs.component_census(vertices, edges):
         if row["n_internal_edges"] >= 1:
             on_cycle.update(row["vertices"])
     return frozenset(reachable_from(
-        g.vertices, [(d, s, lab) for s, d, lab in g.edges],
-        sorted(on_cycle, key=vertex_key)))
+        vertices, [(d, s, lab) for s, d, lab in edges], on_cycle))
 
 
 def oracle_synthesize_scheme(theta, max_power: int = 6):

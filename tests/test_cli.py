@@ -110,8 +110,8 @@ def test_inconclusive_exit_code(capsys, monkeypatch, tmp_path):
     from toeplitztame.substitution import validate
 
     theta = validate({"rules": {"a": "ab", "b": "ba"}})
-    stub = AnalysisReport(theta, True, True, 16, None, None, None, None,
-                          None, None, INCONCLUSIVE, "bound failure")
+    stub = AnalysisReport(theta, 16, None, None, None, None, None, None,
+                          INCONCLUSIVE, "bound failure")
     monkeypatch.setattr(cli_mod, "tameness_verdict", lambda _: stub)
     path = tmp_path / "x.sub"
     path.write_text("a -> ab\nb -> ba\n")

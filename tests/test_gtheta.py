@@ -27,23 +27,36 @@ def fs(s):
     return frozenset(s)
 
 
+def mk(letters, alphabet="abc"):
+    """The mask of a letter set: bit t is the t-th sorted letter."""
+    order = sorted(alphabet)
+    return sum(1 << order.index(a) for a in letters)
+
+
+def letters_of(theta, x):
+    """The letter set of the mask x over theta's sorted alphabet."""
+    return frozenset(a for t, a in enumerate(sorted(theta.alphabet))
+                     if x >> t & 1)
+
+
 def test_build_gtheta_example22(ex22):
     g = build_gtheta(ex22)
-    assert set(g.vertices) == {fs("abc"), fs("ab"), fs("bc")}
+    assert g.vertices == (mk("ab"), mk("bc"), mk("abc"))
     assert set(g.edges) == {
-        (fs("ab"), fs("abc"), 1), (fs("bc"), fs("abc"), 2),
-        (fs("ab"), fs("ab"), 1), (fs("bc"), fs("ab"), 2),
-        (fs("ab"), fs("bc"), 1),
+        (mk("ab"), mk("abc"), 1), (mk("bc"), mk("abc"), 2),
+        (mk("ab"), mk("ab"), 1), (mk("bc"), mk("ab"), 2),
+        (mk("ab"), mk("bc"), 1),
     }
-    assert g.extendable() == {fs("ab"), fs("bc")}
+    assert g.extendable() == {mk("ab"), mk("bc")}
+    assert g.to_json()["vertices"] == [["a", "b"], ["b", "c"], ["a", "b", "c"]]
 
 
 def test_build_gtheta_example23(ex23):
     g = build_gtheta(ex23)
-    assert set(g.vertices) == {fs("abc"), fs("bc")}
+    assert set(g.vertices) == {mk("abc"), mk("bc")}
     assert set(g.edges) == {
-        (fs("abc"), fs("abc"), 1), (fs("bc"), fs("bc"), 1),
-        (fs("bc"), fs("abc"), 2),
+        (mk("abc"), mk("abc"), 1), (mk("bc"), mk("bc"), 1),
+        (mk("bc"), mk("abc"), 2),
     }
 
 
@@ -51,17 +64,18 @@ def test_build_gtheta_single_loop(pd_coincidence):
     # oracle: theta_1 = (a -> b, b -> a), so {a,b} maps onto itself
     assert column_image(pd_coincidence, 1, "ab") == fs("ab")
     g = build_gtheta(pd_coincidence)
-    assert set(g.vertices) == {fs("ab")}
-    assert set(g.edges) == {(fs("ab"), fs("ab"), 1)}
+    assert set(g.vertices) == {mk("ab")}
+    assert set(g.edges) == {(mk("ab"), mk("ab"), 1)}
 
 
 def test_closure_soundness(ex22, ex23, ex217a, ex217b):
     for theta in (ex22, ex23, ex217a, ex217b):
         g = build_gtheta(theta)
-        for v in g.vertices:
+        vertex_sets = {letters_of(theta, v) for v in g.vertices}
+        for v in vertex_sets:
             for i in range(theta.length):
                 img = column_image(theta, i, v)
-                assert len(img) == 1 or img in set(g.vertices)
+                assert len(img) == 1 or img in vertex_sets
 
 
 @st.composite
@@ -78,15 +92,16 @@ def substitutions(draw):
 @given(substitutions())
 def test_closure_soundness_random(theta):
     g = build_gtheta(theta)
-    vertex_set = set(g.vertices)
+    vertex_set = {letters_of(theta, v) for v in g.vertices}
     assert frozenset(theta.alphabet) in vertex_set
-    for v in g.vertices:
+    for v in vertex_set:
         for i in range(theta.length):
             img = column_image(theta, i, v)
             assert len(img) == 1 or img in vertex_set
     # every edge satisfies its defining relation
     for src, dst, lab in g.edges:
-        assert column_image(theta, lab, dst) == src
+        assert column_image(theta, lab, letters_of(theta, dst)) == \
+            letters_of(theta, src)
 
 
 # (|A|, l, forced first-letter cycle q or None) of the analyze-corpus strata
@@ -137,6 +152,7 @@ def test_mask_closure_matches_frozenset_oracles():
     rng = random.Random(12)
     seen = set()
     widths = []
+    reasons = 0
     while len(widths) < 1000:
         theta = _corpus_draw(rng, *rng.choice(CORPUS_SHAPES))
         if theta in seen:
@@ -147,13 +163,22 @@ def test_mask_closure_matches_frozenset_oracles():
         except ToeplitzError:
             continue
         g = build_gtheta(base)
-        assert g.to_json() == frozenset_gtheta(base).to_json(), theta
-        assert shortest_collapsing_word(base) == \
-            frozenset_collapsing_word(base), theta
-        assert g.extendable() == census_extendable(g), theta
+        graph_json, census_json = frozenset_gtheta(base)
+        assert g.to_json() == graph_json, theta
+        census = two_cycles_share_vertex(g)
+        assert census.to_json() == census_json, theta
+        witness = shortest_collapsing_word(base)
+        assert witness == frozenset_collapsing_word(base), theta
+        if witness is not None and census_json["shared_vertex"] is not None:
+            assert tameness_verdict(theta).reason == (
+                "two distinct cycles share the vertex {%s}"
+                % ",".join(census_json["shared_vertex"])), theta
+            reasons += 1
+        assert g.extendable() == census_extendable(g.vertices, g.edges), theta
         widths.append(len(base.alphabet))
     # pure bases of height > 1 reach past the 16 bits of two byte tables
     assert max(widths) > 16
+    assert reasons > 500
 
 
 def _shared_vertex(vertices, edges):
@@ -166,7 +191,7 @@ def _shared_vertex(vertices, edges):
 def test_census_examples(ex22, ex23):
     g22, g23 = build_gtheta(ex22), build_gtheta(ex23)
     c22 = two_cycles_share_vertex(g22)
-    assert c22.shared_vertex == fs("ab")
+    assert c22.shared_vertex == mk("ab")
     c23 = two_cycles_share_vertex(g23)
     assert c23.shared_vertex is None
     assert cycle_count_upper_bound(c23) == 2
@@ -227,7 +252,7 @@ def test_cycle_bound_examples(ex217a):
     assert simple_cycles(["x"], [])[0] == []
     assert graphs.count_simple_cycles(["x"], [], CYCLE_COUNT_CAP) == (0, False)
     from toeplitztame.gtheta import SubsetGraph
-    empty = SubsetGraph(("a", "b"), (fs("ab"),), ())
+    empty = SubsetGraph(("a", "b"), (mk("ab"),), ())
     assert cycle_count_upper_bound(two_cycles_share_vertex(empty)) == 0
 
 
@@ -238,7 +263,7 @@ def test_cycle_bound_requires_finiteness(ex22):
 
 def test_verdicts(ex22, ex23, ex217a, ex217b, thue_morse, pd_coincidence):
     assert tameness_verdict(ex22).verdict == NON_TAME
-    assert tameness_verdict(ex22).census.shared_vertex == fs("ab")
+    assert tameness_verdict(ex22).census.shared_vertex == mk("ab")
     assert tameness_verdict(ex23).verdict == TAME
     assert tameness_verdict(ex217a).verdict == TAME
     assert tameness_verdict(ex217b).verdict == NON_TAME

@@ -10,7 +10,8 @@ from toeplitztame.independence import (IndependenceScheme, independence_times,
                                        scheme_is_valid, synthesize_scheme,
                                        verify_patterns)
 from toeplitztame.substitution import (Substitution, expand, has_naive_order,
-                                       is_primitive, substitution_power)
+                                       is_primitive, substitution_power,
+                                       validate)
 
 
 def pinned_recurrence_times(n_max):
@@ -29,6 +30,22 @@ def test_synthesize_scheme_example(ex22):
     assert s.delta == 4
     assert s.working_length == 16
     assert scheme_is_valid(s)
+
+
+def test_each_power_is_built_once_per_op(ex22, monkeypatch):
+    # the search builds theta and theta^2; scheme_is_valid and
+    # verify_patterns read theta^2 again from the memo on the base
+    theta = validate(ex22.rules())
+    built = []
+    post_init = Substitution.__post_init__
+
+    def counted(self):
+        built.append(len(self.words[0]))
+        post_init(self)
+
+    monkeypatch.setattr(Substitution, "__post_init__", counted)
+    verify_patterns(synthesize_scheme(theta), n_levels=2)
+    assert built == [theta.length ** m for m in (1, 2)]
 
 
 def test_scheme_invariants_by_direct_composition(ex22):

@@ -43,6 +43,9 @@ def test_validate_examples(ex22):
                           ({"a": "ab", "b": None}, "'b'")):
         with pytest.raises(ParseError, match=f"^rule for {letter} "):
             validate(rules)
+    # nor is a rule key: a library caller may pass ints where JSON cannot
+    with pytest.raises(ParseError, match="^rule key 1 must be a string, got int$"):
+        validate({1: "ab", 2: "ba"})
 
 
 def test_parse_text_formats():
