@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 from . import graphs
 from .errors import ValidationError
-from .substitution import (Substitution, _image_tables, _letter_set,
-                           _mask_key, has_naive_order, validate)
+from .substitution import (Substitution, _image_tables, _letters, _mask_key,
+                           has_naive_order, validate)
 
 MAX_ALPHABET = 16
 MAX_POWER_COLUMNS = 65536
@@ -99,7 +99,7 @@ def _tail(theta: Substitution):
     their cardinality-preserving arcs in column order, classification)}).
     The extendable masks are the trimmed graph's vertices.  Every subset
     graph is built here, so this is where MAX_ALPHABET is enforced."""
-    if theta._tail_memo is None:
+    if "tail" not in theta._memo:
         if len(theta.alphabet) > MAX_ALPHABET:
             raise ValidationError("alphabet too large for subset analysis")
         verts, arcs = subset_arcs(theta)
@@ -120,8 +120,8 @@ def _tail(theta: Substitution):
             kverts, karcs, _cls = strata[x.bit_count()]
             kverts.append(x)
             karcs += out[x]
-        object.__setattr__(theta, "_tail_memo", (set(verts), strata))
-    return theta._tail_memo
+        theta._memo["tail"] = set(verts), strata
+    return theta._memo["tail"]
 
 
 def essential_thickness(theta) -> int:
@@ -235,7 +235,7 @@ def find_double_path(theta, k: int, max_power: int = 6):
                     if comp[a] == comp[b]), default=None)
         if best is not None:
             i1, i2, _r, a, b = best
-            letters = sorted(theta.alphabet)
-            return ParallelEdgeWitness(power, _letter_set(letters, a),
-                                       _letter_set(letters, b), (i1, i2), k)
+            name = _letters(theta.alphabet, (a, b))
+            return ParallelEdgeWitness(power, frozenset(name[a]),
+                                       frozenset(name[b]), (i1, i2), k)
     return None

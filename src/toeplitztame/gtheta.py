@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import graphs
 from .errors import NotPrimitive, PeriodicSubstitution, PureBaseError, \
     StabilizationError, ValidationError
-from .substitution import (Substitution, _closure, _mask_key,
+from .substitution import (Substitution, _closure, _letters, _mask_key,
                            height_and_pure_base, is_aperiodic, is_primitive,
                            shortest_collapsing_word, validate)
 
@@ -45,7 +45,7 @@ class SubsetGraph:
 
     def to_json(self):
         ext = self.extendable()
-        name = _letter_lists(self.alphabet, self.vertices)
+        name = _letters(self.alphabet, self.vertices)
         return {
             "alphabet": list(self.alphabet),
             "vertices": list(name.values()),
@@ -63,8 +63,8 @@ class CycleCensus:
     cycles_truncated: bool
 
     def to_json(self):
-        name = _letter_lists(self.alphabet, (v for row in self.components
-                                             for v in row["vertices"]))
+        name = _letters(self.alphabet, (v for row in self.components
+                                        for v in row["vertices"]))
         return {
             "components": [
                 {"vertices": [name[v] for v in row["vertices"]],
@@ -75,12 +75,6 @@ class CycleCensus:
             "n_simple_cycles": self.n_simple_cycles,
             "cycles_truncated": self.cycles_truncated,
         }
-
-
-def _letter_lists(alphabet, xs) -> dict:
-    """Each mask of ``xs`` to its letters, sorted, in the order given."""
-    letters = sorted(alphabet)
-    return {x: [a for t, a in enumerate(letters) if x >> t & 1] for x in xs}
 
 
 def build_gtheta(theta_prime: Substitution) -> SubsetGraph:
@@ -191,7 +185,7 @@ def tameness_verdict(theta) -> AnalysisReport:
     elif census.shared_vertex is not None:
         verdict, shared = NON_TAME, census.shared_vertex
         reason = "two distinct cycles share the vertex {%s}" % ",".join(
-            _letter_lists(graph.alphabet, [shared])[shared])
+            _letters(graph.alphabet, [shared])[shared])
     else:
         verdict, reason = TAME, None
     return AnalysisReport(theta, bound, h, theta_prime, blocks, witness,
@@ -206,8 +200,10 @@ def to_dot(g: SubsetGraph) -> str:
     """Edge labels as attributes; vertices with no outgoing edge (hence on
     no infinite path) drawn grey."""
     ext = g.extendable()
-    name = {v: "{%s}" % ",".join(letters)
-            for v, letters in _letter_lists(g.alphabet, g.vertices).items()}
+    # inside quotes DOT reads \" as a quote, and a label reads \ as an escape
+    name = {v: "{%s}" % ",".join(letters).replace("\\", "\\\\")
+            .replace('"', '\\"')
+            for v, letters in _letters(g.alphabet, g.vertices).items()}
     lines = ["digraph gtheta {", "  rankdir=LR;"]
     for v in g.vertices:
         attrs = ['label="%s"' % name[v]]

@@ -11,7 +11,7 @@ then alternate the digits j_{phi_n} and i in base L = l^m.
 
 The search runs on the subset kernel's masks (bit t is the t-th sorted
 letter): the k-sets come from the strata as masks, and each column of
-theta^m is a tuple of image bits, one per sorted letter.
+theta^m is its tuple of image bits from ``substitution._column_bits``.
 
 Pattern letters are read from the fibre windows theta^{m(2N+2)}(v) by
 base-L digit descent: each position is split into its digits once and
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from .errors import DepthError, PreconditionError, ValidationError
 from .extended_bratteli import MAX_POWER_COLUMNS, _tail
 from .gtheta import NON_TAME, tameness_verdict
-from .substitution import (Substitution, _letter_set, has_naive_order,
-                           substitution_power)
+from .substitution import (Substitution, _column_bits, _letters,
+                           has_naive_order, substitution_power)
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,8 @@ def scheme_is_valid(s: IndependenceScheme) -> bool:
     if s.j2 - s.j1 != s.j1 - s.j0:
         return False
     col = lambda c, a: theta_m.rule(a)[c]
-    a_sorted = sorted(s.a_set)
-    m1 = {a: col(s.j1, a) for a in a_sorted}
-    m2 = {a: col(s.j2, a) for a in a_sorted}
+    m1 = {a: col(s.j1, a) for a in s.a_set}
+    m2 = {a: col(s.j2, a) for a in s.a_set}
     if m1 != m2:
         return False
     if frozenset(m1.values()) != s.a_set or len(set(m1.values())) != len(s.a_set):
@@ -99,26 +98,23 @@ def synthesize_scheme(theta, max_power: int = 6):
         raise PreconditionError(
             f"independence schemes require a non-tame verdict, got {report.verdict}")
     base = report.pure_base
-    letters = sorted(base.alphabet)
     strata = _tail(base)[1]
     # the extendable k-sets, k >= 2, in the subset order of the strata
-    a_masks = [x for k in range(2, len(letters) + 1) for x in strata[k][0]]
-    bit = {a: 1 << t for t, a in enumerate(letters)}
+    a_masks = [x for k in range(2, len(base.alphabet) + 1)
+               for x in strata[k][0]]
     for m in range(1, max_power + 1):
         if base.length ** m > MAX_POWER_COLUMNS:
             break  # exhausted the tractable powers; report inconclusive
-        # column c of theta^m as the image bits of the sorted letters
-        power = substitution_power(base, m)
-        words = [w for _, w in sorted(zip(power.alphabet, power.words))]
-        maps = [tuple(bit[c] for c in col) for col in zip(*words)]
+        maps = _column_bits(substitution_power(base, m))
         full = [sum(set(g)) for g in maps]
         for a in a_masks:
             found = _scan_progressions(maps, full, a)
             if found is not None:
                 j0, j1, j2, i = found
+                name = _letters(base.alphabet, (a, full[j0]))
                 return IndependenceScheme(
-                    base, m, len(maps), _letter_set(letters, a),
-                    _letter_set(letters, full[j0]), j0, j1, j2, i)
+                    base, m, len(maps), frozenset(name[a]),
+                    frozenset(name[full[j0]]), j0, j1, j2, i)
     return None
 
 

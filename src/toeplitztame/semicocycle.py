@@ -266,20 +266,22 @@ def _translate(off: int, modulus: int, t_range: int):
     return None
 
 
-def _windows(vals, bases: list, modulus: int, t_range: int) -> list:
-    """For each base, the (t, v) with v one of vals, |t| <= t_range and
-    v = base + t modulo modulus, ascending in t.
+def _wrapped(vals, modulus: int) -> list:
+    """The values (each below modulus) and the same values plus modulus,
+    sorted: the table that ``_windows`` bisects, built once per check."""
+    return sorted([*vals, *(v + modulus for v in vals)])
 
-    Bisects a sorted copy of vals followed by the same values plus
-    modulus, so that a window [base - t_range, base + t_range] crossing
-    0 or modulus is still one slice.  When 2 t_range + 1 >= modulus the
-    window holds every residue, and each value is taken with the
-    ``_translate`` rule."""
-    svals = sorted(vals)
+
+def _windows(wrapped: list, bases: list, modulus: int, t_range: int) -> list:
+    """For each base, the (t, v) with v a value of the ``_wrapped`` table
+    below modulus, |t| <= t_range and v = base + t modulo modulus,
+    ascending in t.  A window [base - t_range, base + t_range] crossing 0
+    or modulus is still one slice of the table.  When 2 t_range + 1 >=
+    modulus the window holds every residue, and each value is taken once,
+    with the ``_translate`` rule."""
     if 2 * t_range + 1 >= modulus:
         return [sorted((_translate((v - base) % modulus, modulus, t_range), v)
-                       for v in svals) for base in bases]
-    wrapped = svals + [v + modulus for v in svals]
+                       for v in wrapped[:len(wrapped) // 2]) for base in bases]
     found = []
     for base in bases:
         if base < t_range:
@@ -291,15 +293,15 @@ def _windows(vals, bases: list, modulus: int, t_range: int) -> list:
     return found
 
 
-def _translate_hits(zval: int, vals: list, modulus: int, t_range: int) -> list:
+def _translate_hits(zval, vals, wrapped, modulus: int, t_range: int) -> list:
     """All (source class, t) with |t| <= t_range such that source + t + z
     agrees with some class value, sorted: for each source class, the class
-    values within t_range of source + z, by bisection.  Head arithmetic at
-    a fixed depth is arithmetic modulo the product of the moduli, so each
-    candidate is one residue comparison."""
+    values within t_range of source + z, by bisection of their ``_wrapped``
+    table.  Head arithmetic at a fixed depth is arithmetic modulo the
+    product of the moduli, so each candidate is one residue comparison."""
     bases = [(sval + zval) % modulus for sval in vals]
     return [(sc, t) for sc, window in
-            enumerate(_windows(vals, bases, modulus, t_range))
+            enumerate(_windows(wrapped, bases, modulus, t_range))
             for t, _ in window]
 
 
@@ -310,7 +312,8 @@ def _structural_violations(values: list, modulus: int, t_range: int) -> list:
     by_value = {}
     for a, v in enumerate(values):
         by_value.setdefault(v, []).append(a)
-    near = _windows(by_value, list(by_value), modulus, t_range)
+    near = _windows(_wrapped(by_value, modulus), list(by_value), modulus,
+                    t_range)
     for (v, group), window in zip(by_value.items(), near):
         for _, w in window:
             if w <= v:
@@ -334,6 +337,7 @@ def _violations(head_value: list, point_class: list, depth: int,
     # the integer t has the head value t mod the level product, so z is a
     # small integer iff zval or zval - modulus is within 4 t_range of 0
     small = 4 * t_range
+    wrapped = _wrapped(head_value, modulus)
     checked = 0
     for _ in range(samples):
         ce = rng.randrange(len(head_value))
@@ -346,7 +350,7 @@ def _violations(head_value: list, point_class: list, depth: int,
             continue  # integer-like sample, excluded (P2 covers those orbits)
         checked += 1
         source_class = point_class[di]
-        planted = _translate_hits(zval, head_value, modulus, t_range)
+        planted = _translate_hits(zval, head_value, wrapped, modulus, t_range)
         extra = [hit for hit in planted if hit != (source_class, t)]
         if extra:
             violations.append({"kind": "double-hit", "source": source_class,
@@ -619,7 +623,7 @@ def f6_eval(z: OdometerHead, fam: FFamily) -> str:
     return fam.value(n, L)
 
 
-def realization_interval(y: str, fam: FFamily, handle=None) -> tuple[int, int]:
+def realization_interval(y: str, fam: FFamily) -> tuple[int, int]:
     """(lo, hi): the first level-n interval [l^n_i, l^n_{i+1}), i >= 1,
     whose word is y, n = len(y), taken from the family table (i = 0 would
     collide with the 1-bit of t_n).  A base point realizing y needs
@@ -629,8 +633,6 @@ def realization_interval(y: str, fam: FFamily, handle=None) -> tuple[int, int]:
         raise ValidationError("need a non-empty word")
     if set(y) - {"a", "b"}:
         raise LanguageError("words are over the letters a, b")
-    if handle is not None and y not in handle.words(n):
-        raise LanguageError(f"{y!r} is not in the level-{n} language")
     fam._check_level(n)
     try:
         i = fam.words[n - 1].index(y, 1)
@@ -641,7 +643,7 @@ def realization_interval(y: str, fam: FFamily, handle=None) -> tuple[int, int]:
     return LEVELS.l(n, i), LEVELS.l(n, i + 1)
 
 
-def realize_prefix(y: str, fam: FFamily, zhat: OdometerHead, handle=None):
+def realize_prefix(y: str, fam: FFamily, zhat: OdometerHead):
     """(t_w, letters): a translation t_w such that the shifted base orbit
     reads y along the times t_1..t_N, checked by direct evaluation.
 
@@ -649,7 +651,7 @@ def realize_prefix(y: str, fam: FFamily, zhat: OdometerHead, handle=None):
     the smallest positive integer making the first lo digits of t_w + zhat
     zero with the next digit nonzero.
     """
-    lo, hi = realization_interval(y, fam, handle)
+    lo, hi = realization_interval(y, fam)
     if zhat.depth < hi + 2:
         raise DepthError(f"zhat must have depth > {hi + 1}")
     deep = zhat.digits[zhat.depth // 2:]

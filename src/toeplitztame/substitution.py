@@ -49,10 +49,8 @@ class Substitution:
                     f"rule for {a!r} uses letters outside the alphabet: {sorted(bad)}")
         object.__setattr__(self, "_rule", dict(zip(self.alphabet, self.words)))
         object.__setattr__(self, "_table", str.maketrans(self._rule))
-        object.__setattr__(self, "_languages", {})
-        object.__setattr__(self, "_powers", {})
-        object.__setattr__(self, "_closure_memo", None)
-        object.__setattr__(self, "_tail_memo", None)
+        # one memo for everything derived from theta, each under its own key
+        object.__setattr__(self, "_memo", {})
 
     @property
     def length(self) -> int:
@@ -92,28 +90,36 @@ def _mask_key(x: int):
                                      "little").translate(_FLIP8)
 
 
+def _column_bits(theta: Substitution) -> list:
+    """Per column of theta, the image of each sorted letter as a one-bit
+    mask: the only place where letters become bits."""
+    bit = {a: 1 << t for t, a in enumerate(sorted(theta.alphabet))}
+    return [tuple(bit[c] for c in col) for col in
+            zip(*(w for _, w in sorted(zip(theta.alphabet, theta.words))))]
+
+
+def _letters(alphabet, xs) -> dict:
+    """Each mask of ``xs`` to its letters, sorted, in the order given: the
+    only place where bits become letters."""
+    letters = sorted(alphabet)
+    return {x: [a for t, a in enumerate(letters) if x >> t & 1] for x in xs}
+
+
 def _image_tables(theta: Substitution):
     """Per column of theta, ceil(|A| / 8) byte tables, at least two, with
     the image of a mask x the OR of tables[b][x >> 8b & 255]: table b
     covers letters 8b .. 8b + 7 of the sorted alphabet and is built by
     doubling."""
-    pos = {a: t for t, a in enumerate(sorted(theta.alphabet))}
     tables = []
-    # col[t] is the column's image of the t-th sorted letter
-    for col in zip(*(w for _, w in sorted(zip(theta.alphabet, theta.words)))):
+    for col in _column_bits(theta):
         parts = []
         for start in range(0, max(len(col), 9), 8):
             img = [0]
-            for c in col[start:start + 8]:
-                bit = 1 << pos[c]
+            for bit in col[start:start + 8]:
                 img += [y | bit for y in img]
             parts.append(img)
         tables.append(parts)
     return tables
-
-
-def _letter_set(letters, x: int) -> frozenset:
-    return frozenset(a for t, a in enumerate(letters) if x >> t & 1)
 
 
 def _closure(theta: Substitution):
@@ -126,7 +132,7 @@ def _closure(theta: Substitution):
     an image of more than one letter, and ``witness`` is the word of the
     first singleton image, or None.  Words are met in order of length, so
     each is a shortest one.  Only reached sets are visited."""
-    if theta._closure_memo is None:
+    if "closure" not in theta._memo:
         n = len(theta.alphabet)
         tables = _image_tables(theta)
         found = {(1 << n) - 1: ()}
@@ -148,8 +154,8 @@ def _closure(theta: Substitution):
                         queue.append(y)
                 elif witness is None:
                     witness = found[x] + (i,)
-        object.__setattr__(theta, "_closure_memo", (witness, found, arcs))
-    return theta._closure_memo
+        theta._memo["closure"] = witness, found, arcs
+    return theta._memo["closure"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +227,12 @@ def first_letter_seed(theta: Substitution) -> tuple[int, str]:
     """Smallest power q and first letter (alphabet order) with theta^q(seed)
     starting with seed; exists for every substitution since the first-letter
     map eventually cycles."""
-    def f(a):
-        return theta.rule(a)[0]
-
+    first = {a: w[0] for a, w in zip(theta.alphabet, theta.words)}
     for q in range(1, len(theta.alphabet) + 1):
         for a in theta.alphabet:
             x = a
             for _ in range(q):
-                x = f(x)
+                x = first[x]
             if x == a:
                 return q, a
     raise ValidationError("no first-letter cycle found")  # unreachable
@@ -263,10 +267,10 @@ def language(theta: Substitution, n: int) -> frozenset:
     sliced inside each l*m block of it, never across two blocks.  Results
     are memoized on ``theta``.
     """
-    memo = theta._languages
-    if n not in memo:
-        memo[n] = _language(theta, n)
-    return memo[n]
+    memo, key = theta._memo, ("language", n)
+    if key not in memo:
+        memo[key] = _language(theta, n)
+    return memo[key]
 
 
 def _language(theta: Substitution, n: int) -> frozenset:
@@ -429,9 +433,9 @@ def substitution_power(theta: Substitution, m: int) -> Substitution:
     """theta^m, memoised on ``theta`` like its languages."""
     if m < 1:
         raise ValidationError("power must be >= 1")
-    memo = theta._powers
-    if m not in memo:
-        memo[m] = Substitution(
+    memo, key = theta._memo, ("power", m)
+    if key not in memo:
+        memo[key] = Substitution(
             theta.alphabet, tuple(expand(theta, a, m) for a in theta.alphabet))
-    return memo[m]
+    return memo[key]
 

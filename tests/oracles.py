@@ -9,7 +9,7 @@ graph over all 2^|A| subsets with one census and one reachability pass
 frozenset G_theta with its report JSON written from the frozensets,
 coincidence search and extendable vertices (in place of the one mask
 closure of ``substitution._closure``, the mask-to-letters step of
-``gtheta._letter_lists`` and the trim of
+``substitution._letters`` and the trim of
 ``graphs.reached_from_cycle``), the per-level head-set loop for the
 longest D-head matching a head, the prefix trie of a D-stage's points
 with its walk, head sets, special words and head classes (both in place
@@ -44,8 +44,15 @@ from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, _tail
 from toeplitztame.gtheta import NON_TAME, tameness_verdict
 from toeplitztame.independence import IndependenceScheme
 from toeplitztame.odometer import OdometerHead, head_index
-from toeplitztame.substitution import (Substitution, _letter_set, expand,
+from toeplitztame.substitution import (Substitution, expand,
                                        language, substitution_power)
+
+
+def letters_of(theta: Substitution, x: int) -> frozenset:
+    """The letter set of the mask x: bit t is the t-th letter of theta's
+    sorted alphabet."""
+    return frozenset(a for t, a in enumerate(sorted(theta.alphabet))
+                     if x >> t & 1)
 
 
 def column_image(theta: Substitution, i: int, letters) -> frozenset:
@@ -190,7 +197,8 @@ def full_tail(theta):
     and censused once, memoised on the substitution like the library's
     ``_tail``: (extendable masks, {k: (extendable k-sets in vertex order,
     their cardinality-preserving arcs, classification)})."""
-    if theta._tail_memo is None:
+    memo = theta._memo
+    if "tail" not in memo:
         verts, arcs = full_subset_arcs(theta)
         census = graphs.component_census(verts, arcs)
         cls = {}
@@ -213,8 +221,8 @@ def full_tail(theta):
             k = t.bit_count()
             if s.bit_count() == k and t in ext:
                 strata[k][1].append((t, s, i))
-        object.__setattr__(theta, "_tail_memo", (ext, strata))
-    return theta._tail_memo
+        memo["tail"] = ext, strata
+    return memo["tail"]
 
 
 def reachable_from(vertices, edges, sources):
@@ -348,10 +356,9 @@ def oracle_synthesize_scheme(theta, max_power: int = 6):
         raise PreconditionError(
             f"independence schemes require a non-tame verdict, got {report.verdict}")
     base = report.pure_base
-    letters = sorted(base.alphabet)
     strata = _tail(base)[1]
     # the extendable k-sets, k >= 2, in the subset order of the strata
-    a_sets = [_letter_set(letters, x) for k in range(2, len(letters) + 1)
+    a_sets = [letters_of(base, x) for k in range(2, len(base.alphabet) + 1)
               for x in strata[k][0]]
     pos = {a: t for t, a in enumerate(base.alphabet)}
     for m in range(1, max_power + 1):

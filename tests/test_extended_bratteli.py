@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (column_image, columns, full_tail, morphism_power,
-                     pair_graph, power_column_maps, reachable_from)
+from oracles import (column_image, columns, full_tail, letters_of,
+                     morphism_power, pair_graph, power_column_maps,
+                     reachable_from)
 from toeplitztame import extended_bratteli, graphs
 from toeplitztame.errors import (NotPrimitive, PeriodicSubstitution,
                                  ValidationError)
@@ -14,7 +15,7 @@ from toeplitztame.extended_bratteli import (essential_thickness,
 from toeplitztame.extended_bratteli import _tail
 from toeplitztame.gtheta import NON_TAME, TAME, tameness_verdict
 from toeplitztame.independence import synthesize_scheme
-from toeplitztame.substitution import (Substitution, _letter_set,
+from toeplitztame.substitution import (LETTER_POOL, Substitution,
                                        substitution_power, validate)
 
 THICKNESS_FUNCTIONS = (essential_thickness, thickness_census,
@@ -113,7 +114,7 @@ def test_extended_image_monotone(i, s1, s2):
 
 
 def extendable_sets(theta):
-    return {_letter_set(sorted(theta.alphabet), x) for x in _tail(theta)[0]}
+    return {letters_of(theta, x) for x in _tail(theta)[0]}
 
 
 def test_extendable_vertices_examples(ex22, ex23):
@@ -145,6 +146,44 @@ def test_find_double_path(ex22, ex23):
         assert image == set(w.lower)
     assert find_double_path(ex23, 2, max_power=4) is None
     assert find_double_path(ex22, 4, max_power=2) is None
+
+
+def _random_mixed_case_naive(rng):
+    """A naive-order substitution on 9..16 letters of both cases, its
+    rules listed in shuffled order, so that neither the rule order nor the
+    case-blind order is sorted(alphabet); redrawn until every letter
+    occurs in some rule."""
+    n, l = rng.randint(9, 16), rng.randint(4, 5)
+    upper = rng.randint(1, n - 1)
+    letters = (rng.sample(LETTER_POOL[:26], n - upper)
+               + rng.sample(LETTER_POOL[26:], upper))
+    while True:
+        rng.shuffle(letters)
+        f, g = rng.choice(letters), rng.choice(letters)
+        rules = {a: f + "".join(rng.choice(letters) for _ in range(l - 2))
+                 + g for a in letters}
+        if set("".join(rules.values())) == set(letters):
+            return validate(rules)
+
+
+def test_double_path_witnesses_hold_letter_by_letter():
+    # every decoded witness is re-checked on letters by column composition:
+    # each label's column of theta^power maps upper onto lower
+    rng = random.Random(35)
+    found = 0
+    for _ in range(60):
+        theta = _random_mixed_case_naive(rng)
+        for k in range(2, len(theta.alphabet) + 1):
+            w = find_double_path(theta, k, max_power=3)
+            if w is None:
+                continue
+            found += 1
+            assert len(w.upper) == len(w.lower) == w.cardinality == k
+            assert w.labels[0] != w.labels[1]
+            power = morphism_power(theta, w.power)
+            for lab in w.labels:
+                assert column_image(power, lab, w.upper) == w.lower
+    assert found >= 80
 
 
 def test_library_bounds_below_one_are_validation_errors(ex22):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, strategies as st
 
 from oracles import (canonical_semicocycle_eval, census_extendable,
                      column_image, frozenset_collapsing_word,
-                     frozenset_gtheta, simple_cycles,
+                     frozenset_gtheta, letters_of, simple_cycles,
                      vertices_on_two_cycles, window_letter)
 from toeplitztame import graphs
+from toeplitztame.cli import main
 from toeplitztame.errors import (NotPrimitive, PeriodicSubstitution,
                                  ToeplitzError, ValidationError)
 from toeplitztame.gtheta import (CYCLE_COUNT_CAP, NON_TAME,
@@ -31,12 +33,6 @@ def mk(letters, alphabet="abc"):
     """The mask of a letter set: bit t is the t-th sorted letter."""
     order = sorted(alphabet)
     return sum(1 << order.index(a) for a in letters)
-
-
-def letters_of(theta, x):
-    """The letter set of the mask x over theta's sorted alphabet."""
-    return frozenset(a for t, a in enumerate(sorted(theta.alphabet))
-                     if x >> t & 1)
 
 
 def test_build_gtheta_example22(ex22):
@@ -434,6 +430,22 @@ def test_dot_export(ex22):
     assert dot.startswith("digraph gtheta {")
     assert '"{a,b,c}" [label="{a,b,c}", color=grey' in dot
     assert '"{a,b}" -> "{a,b}" [label="1"]' in dot
+
+
+@pytest.mark.parametrize("rules,name", [
+    ({"a": 'a"', '"': '"a'}, r'{\",a}'),
+    ({"a": "a\\", "\\": "\\a"}, r"{\\,a}"),
+])
+def test_dot_export_escapes_quote_and_backslash_letters(capsys, rules, name):
+    # a quote or backslash letter stays inside its quoted DOT string
+    assert main(["gtheta", "--dot", json.dumps(rules)]) == 0
+    assert capsys.readouterr().out == (
+        "digraph gtheta {\n"
+        "  rankdir=LR;\n"
+        f'  "{name}" [label="{name}"];\n'
+        f'  "{name}" -> "{name}" [label="0"];\n'
+        f'  "{name}" -> "{name}" [label="1"];\n'
+        "}\n")
 
 
 def test_report_json_shape(ex22):

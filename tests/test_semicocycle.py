@@ -21,15 +21,16 @@ from toeplitztame.semicocycle import (SCALE5, SCALE6, FullShift, LevelFamily,
                                       realize_prefix, toeplitz5_window)
 from toeplitztame.semicocycle import (_head_classes, _head_digits,
                                       _head_value, _longest_head,
-                                      _translate_hits, _violations)
+                                      _translate_hits, _violations, _wrapped)
 
 
 def translate_hits(z, stage, t_range):
     """The (source head class, t) hits of z, as the disjointness check
     finds them: over the distinct stage heads at the depth of z."""
     _, vals, _ = _head_classes(stage, z.depth)
-    return _translate_hits(head_index(z), vals,
-                           level_product(SCALE5, z.depth), t_range)
+    modulus = level_product(SCALE5, z.depth)
+    return _translate_hits(head_index(z), vals, _wrapped(vals, modulus),
+                           modulus, t_range)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +364,7 @@ def test_realize_round_trip_both_handles():
 def test_realize_rejects_non_language_words():
     fam = build_f_family(SturmianFibonacci(), 4, 1024)
     with pytest.raises(LanguageError):
-        realize_prefix("bb", fam, default_zhat6(256),
-                       handle=SturmianFibonacci())
+        realize_prefix("bb", fam, default_zhat6(256))
 
 
 def test_realize_depth_guard():
@@ -865,7 +865,8 @@ def test_translate_hits_bisection_matches_pairwise_oracle():
         zval = rng.choice([0, modulus - 1, rng.randrange(modulus),
                            modulus - vals[0], modulus - vals[0] + 1])
         t_range = rng.choice([0, 1, 2, 3, modulus // 2, modulus, rng.randint(0, 40)])
-        assert _translate_hits(zval, vals, modulus, t_range) == \
+        wrapped = _wrapped(vals, modulus)
+        assert _translate_hits(zval, vals, wrapped, modulus, t_range) == \
             oracle_pairwise_translate_hits(zval, vals, modulus, t_range)
     # over stage head classes, at depths whose level products are small
     for i in (1, 2, 3, 4):

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 from collections import deque
 from math import gcd
@@ -329,6 +330,44 @@ def height_oracle(theta):
     if hp != 1:
         raise PureBaseError(f"constructed pure base has height {hp}, not 1")
     return h, theta_prime, tuple(blocks)
+
+
+def return_gcd_height(theta):
+    """The height from its definition: the part, coprime to l, of the
+    seed's return gcd over the longest fixed-point prefix theta^(qk)(seed)
+    within ORACLE_LETTERS."""
+    q, seed = first_letter_seed(theta)
+    u = seed
+    try:
+        while True:
+            u = expand_oracle(theta, u, q)
+    except OracleBudget:
+        pass
+    h, l = returns_gcd_oracle(u), theta.length
+    d = gcd(h, l)
+    while d > 1:
+        h //= d
+        d = gcd(h, l)
+    return h
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ITEM4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+
+
+@pytest.mark.parametrize("source", [
+    *(pytest.param(path.read_text(), id=path.stem)
+      for path in sorted(FIXTURES.glob("*.sub"))),
+    # the l^4 prefix shares a spurious period: h = 3 and h = 9 reported,
+    # where the return gcd over 2^18 letters gives 1 and 3
+    pytest.param({"a": "eb", "b": "fe", "c": "cf", "d": "ee", "e": "da",
+                  "f": "dc"}, id="item4-h3", marks=ITEM4),
+    pytest.param({"a": "ae", "b": "ef", "c": "ba", "d": "de", "e": "fd",
+                  "f": "cb"}, id="item4-h9", marks=ITEM4),
+])
+def test_height_matches_return_gcd_definition(source):
+    theta = validate(source)
+    assert height_and_pure_base(theta)[0] == return_gcd_height(theta)
 
 
 def _outcome(f, theta):
