@@ -267,10 +267,10 @@ def language(theta: Substitution, n: int) -> frozenset:
     sliced inside each l*m block of it, never across two blocks.  Results
     are memoized on ``theta``.
     """
-    memo, key = theta._memo, ("language", n)
-    if key not in memo:
-        memo[key] = _language(theta, n)
-    return memo[key]
+    key = "language", n
+    if key not in theta._memo:
+        theta._memo[key] = _language(theta, n)
+    return theta._memo[key]
 
 
 def _language(theta: Substitution, n: int) -> frozenset:
@@ -433,9 +433,9 @@ def substitution_power(theta: Substitution, m: int) -> Substitution:
     """theta^m, memoised on ``theta`` like its languages."""
     if m < 1:
         raise ValidationError("power must be >= 1")
-    memo, key = theta._memo, ("power", m)
-    if key not in memo:
-        memo[key] = Substitution(
+    key = "power", m
+    if key not in theta._memo:
+        theta._memo[key] = Substitution(
             theta.alphabet, tuple(expand(theta, a, m) for a in theta.alphabet))
-    return memo[key]
+    return theta._memo[key]
 

@@ -197,8 +197,7 @@ def full_tail(theta):
     and censused once, memoised on the substitution like the library's
     ``_tail``: (extendable masks, {k: (extendable k-sets in vertex order,
     their cardinality-preserving arcs, classification)})."""
-    memo = theta._memo
-    if "tail" not in memo:
+    if "tail" not in theta._memo:
         verts, arcs = full_subset_arcs(theta)
         census = graphs.component_census(verts, arcs)
         cls = {}
@@ -221,8 +220,8 @@ def full_tail(theta):
             k = t.bit_count()
             if s.bit_count() == k and t in ext:
                 strata[k][1].append((t, s, i))
-        memo["tail"] = ext, strata
-    return memo["tail"]
+        theta._memo["tail"] = ext, strata
+    return theta._memo["tail"]
 
 
 def reachable_from(vertices, edges, sources):
