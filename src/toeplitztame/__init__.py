@@ -4,8 +4,7 @@ Toeplitz systems."""
 __version__ = "0.1.0"
 
 from .errors import ToeplitzError
-from .odometer import (OdometerHead, Scale, add_integer, head_index,
-                       integer_head)
+from .odometer import OdometerHead, Scale, add_integer, head_index
 from .substitution import (Substitution, height_and_pure_base, is_aperiodic,
                            is_primitive, language, parse_text,
                            substitution_power, validate)
@@ -19,7 +18,7 @@ from .independence import (IndependenceScheme, independence_times,
 from .semicocycle import (DStage, FullShift, LevelFamily, SturmianFibonacci,
                           build_d_stage, build_f_family,
                           check_translate_disjointness, f5_eval, f6_eval,
-                          heads_and_special, realize_prefix, toeplitz5_window)
+                          realize_prefix, toeplitz5_window)
 
 __all__ = [
     "AnalysisReport", "DStage", "FullShift", "IndependenceScheme",
@@ -28,8 +27,7 @@ __all__ = [
     "build_d_stage", "build_f_family", "build_gtheta",
     "check_translate_disjointness", "cycle_count_upper_bound",
     "essential_thickness", "f5_eval", "f6_eval", "find_double_path",
-    "head_index", "heads_and_special",
-    "height_and_pure_base", "independence_times", "integer_head",
+    "head_index", "height_and_pure_base", "independence_times",
     "is_aperiodic", "is_primitive", "language", "parse_text",
     "realize_prefix", "substitution_power", "synthesize_scheme",
     "tameness_verdict", "thickness_census", "to_dot", "toeplitz5_window",

@@ -197,11 +197,13 @@ def _cmd_semicocycle(args) -> int:
         # the first 8 digits are checked before the word is looked up; the
         # base point then gets the least depth 8 * 2^k past hi + 1
         base_point(8)
-        hi = realization_interval(args.word, fam)[1]
+        interval = realization_interval(args.word, fam)
+        hi = interval[1]
         depth = 8 << ((hi + 1) // 8).bit_length()
         if depth > 1 << 22:
             raise DepthError(f"zhat must have depth > {hi + 1}")
-        t_w, letters = realize_prefix(args.word, fam, base_point(depth))
+        t_w, letters = realize_prefix(args.word, fam, interval,
+                                      base_point(depth))
         _emit({"schema": 1, "word": args.word, "t_w": t_w, "letters": letters,
                "zhat": args.zhat or "alternating-01", "depth": depth,
                "times": [LEVELS.time(k) for k in range(1, n + 1)],

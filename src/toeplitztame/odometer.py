@@ -10,15 +10,11 @@ Every digit loop zips the digits with ``Scale.moduli()``, which yields
 l_1, l_2, ... in O(1) each (a running product for powers scales), instead
 of recomputing ``modulus(n)`` per digit.  ``add_integer`` copies the
 remaining digits unchanged once the carry or borrow is 0, so adding a
-small integer to a deep head touches only its low levels.
+small integer to a deep head divides only at its low levels.
 
-Digits are range-checked where they come from outside: the public
-``OdometerHead`` constructor checks every digit.  The heads that
-``integer_head`` and ``add_integer`` return skip that check, since every
-digit they make is a ``divmod`` remainder by its modulus and every digit
-they copy comes from a checked head.  A scale holds no memo of its moduli
-or level products: scales such as the module constants of ``semicocycle``
-outlive a single command, and a table of level products would keep
+The ``OdometerHead`` constructor range-checks every digit.  A scale holds
+no memo of its moduli or level products: a scale can outlive a command,
+as ``semicocycle.SCALE5`` does, and a table of level products would keep
 O(depth^3) bits alive.
 """
 
@@ -142,27 +138,6 @@ class OdometerHead:
         return len(self.digits)
 
 
-def _arithmetic_head(scale: Scale, digits: tuple) -> OdometerHead:
-    """A head whose digits are in range by construction, built without
-    the digit check of ``OdometerHead.__post_init__``."""
-    h = object.__new__(OdometerHead)
-    object.__setattr__(h, "scale", scale)
-    object.__setattr__(h, "digits", digits)
-    return h
-
-
-def integer_head(t: int, scale: Scale, depth: int) -> OdometerHead:
-    """Head of the canonical odometer representation of the integer t."""
-    if depth < 0:
-        raise ValidationError("depth must be >= 0")
-    digits = []
-    c = t
-    for m in islice(scale.moduli(), depth):
-        c, d = divmod(c, m)
-        digits.append(d)
-    return _arithmetic_head(scale, tuple(digits))
-
-
 def add_integer(h: OdometerHead, t: int) -> OdometerHead:
     """Depth-m head of z + t for any point z extending h.
 
@@ -173,10 +148,10 @@ def add_integer(h: OdometerHead, t: int) -> OdometerHead:
     c = t
     for k, (d, m) in enumerate(zip(h.digits, h.scale.moduli())):
         if not c:
-            return _arithmetic_head(h.scale, tuple(digits) + h.digits[k:])
+            return OdometerHead(h.scale, tuple(digits) + h.digits[k:])
         c, r = divmod(d + c, m)
         digits.append(r)
-    return _arithmetic_head(h.scale, tuple(digits))
+    return OdometerHead(h.scale, digits)
 
 
 def head_index(h: OdometerHead) -> int:

@@ -15,10 +15,14 @@ Head_m are stable once the stage holds at least m points.  The same
 closed form indexes the heads: the first m exponents of point p are those
 of the point ``_exponent(p, m)`` below m, so Head_m holds the heads of
 the points below m, each point's depth-m class is that point, and the
-longest truncated head in its head set is a walk over the classes, one
-comparison per digit.  A head's value puts each digit in its own bit
-field, and translate hits are found by bisecting the sorted values.
+longest truncated head in its head set is a walk over the classes.
 Distinct points have distinct tail exponents, so no two are equal.
+
+Inside this module a head is one int: a public function turns its
+``OdometerHead`` into one at entry.  Over the 4^n scale that is the head
+value, each digit in its own bit field, so z + n has the value + n
+modulo the level product, and the walk steps at the lowest set bit of
+an XOR; over Z_2 it is the binary number of the digits.
 
 Second family (over Z_2): a double sequence l^n_i with first row
 l^1_i = 2^i - 1, closed under l^{n+1}_{2i} = l^n_{i + 2^{n-1}} with
@@ -30,7 +34,8 @@ so the one instance ``LEVELS`` serves every reader, and ``FFamily``
 keeps, per level, the row below the horizon, the letter of each interval
 and each interval's word, built as its parent's word plus that letter.
 Realizing a prescribed word y along the times amounts to placing the
-orbit inside one interval, which the translation t_w below does exactly.
+orbit inside one interval, which the translation t_w below does exactly;
+f^n is then read at the two lowest set bits of each shifted point.
 
 Both constructions pick the concrete choices the output metadata records:
 f^1 alternates strictly, below-domain values are constant a, and the
@@ -44,10 +49,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, product
+from math import isqrt
 
 from .errors import (DepthError, HorizonError, LanguageError,
                      PreconditionError, ValidationError)
-from .odometer import OdometerHead, Scale, add_integer, level_product
+from .odometer import OdometerHead, Scale, level_product
 
 SCALE5 = Scale.powers(4)
 SCALE6 = Scale.constant(2)
@@ -86,11 +92,6 @@ def _runs(p: int, depth: int):
     yield e, depth - done
 
 
-def _digits(p: int, depth: int) -> tuple[int, ...]:
-    """The digits 3^e of point p at levels 1..depth, a tuple repeat per run."""
-    return tuple(chain.from_iterable((3 ** e,) * k for e, k in _runs(p, depth)))
-
-
 @dataclass(frozen=True)
 class DPoint:
     """Point p of the D-set: its digit at level n is 3^e with e its
@@ -107,18 +108,9 @@ class DPoint:
     def tail_exponent(self) -> int:
         return self.p
 
-    def exponent(self, n: int) -> int:
-        return _exponent(self.p, n)
-
     def exponents(self, depth: int) -> tuple[int, ...]:
         """The exponents at levels 1..depth."""
         return tuple(chain.from_iterable((e,) * k for e, k in _runs(self.p, depth)))
-
-    def digit(self, n: int) -> int:
-        return 3 ** self.exponent(n)
-
-    def head_at(self, depth: int) -> OdometerHead:
-        return OdometerHead(SCALE5, _digits(self.p, depth))
 
     def to_json(self):
         return {"head_exponents": list(self.head_exponents),
@@ -159,20 +151,18 @@ def _class_points(stage: DStage, m: int) -> range:
     return range(min(max(m, 1), 1 << stage.index))
 
 
-def head_set(stage: DStage, m: int) -> frozenset:
-    """Head_m as digit tuples; exact once the stage has at least m points
-    (their heads, pairwise distinct)."""
-    return frozenset(_digits(q, m) for q in _class_points(stage, m))
-
-
 def _head_value(digits) -> int:
     """The head_index of a head over the 4^n scale: the digit at level
     k + 1 weighs l_1 ... l_k = 2^(k(k+1)) and is below 4^(k+1), so it
-    fills bits k(k+1) .. k(k+1) + 2k + 1 of the value alone."""
-    value = 0
-    for k, d in enumerate(digits):
-        value |= d << k * (k + 1)
-    return value
+    fills bits k(k+1) .. k(k+1) + 2k + 1 of the value alone.  Blocks of
+    fields (block i from level starts[i] + 1) merge in pairs, so each bit
+    moves O(log depth) times, not once per digit."""
+    values, starts = list(digits), list(range(len(digits)))
+    while len(values) > 1:
+        merged = [a | b << kb * (kb + 1) - ka * (ka + 1) for a, b, ka, kb in
+                  zip(values[::2], values[1::2], starts[::2], starts[1::2])]
+        values, starts = merged + values[2 * len(merged):], starts[::2]
+    return values[0] if values else 0
 
 
 def _head_digits(value: int, depth: int) -> tuple[int, ...]:
@@ -181,31 +171,63 @@ def _head_digits(value: int, depth: int) -> tuple[int, ...]:
     return tuple(value >> k * (k + 1) & ((4 << 2 * k) - 1) for k in range(depth))
 
 
+def _class_value(c: int, depth: int, values: dict) -> int:
+    """The head value at ``depth`` of class c < max(depth, 1), kept in
+    ``values`` under (c, depth) for one call.  Class 0 has every digit 1,
+    and class c >= 1 has the digits of class ``_exponent(c, c)`` below
+    level c + 1 and 3^c from there on."""
+    if (c, depth) not in values:
+        low = (1 << c * (c + 1)) - 1
+        values[c, depth] = (
+            _class_value(_exponent(c, c), depth, values) & low
+            | 3 ** c * (_class_value(0, depth, values) & ~low)
+            if c else _head_value([1] * depth))
+    return values[c, depth]
+
+
 def _head_classes(stage: DStage, depth: int):
-    """(sorted Head_depth, their head values, class of each point): the
-    class of point p is the rank of ``_exponent(p, depth)`` among the
-    heads of the points below depth, sorted by their digit tuples."""
-    heads = sorted((_digits(q, depth), q) for q in _class_points(stage, depth))
-    rank = [0] * len(heads)
-    for r, (_, q) in enumerate(heads):
-        rank[q] = r
+    """(the head values of Head_depth in digit order, class of each
+    point): the class of point p is the rank of ``_exponent(p, depth)``
+    among the points below depth, sorted by their exponents."""
+    order = sorted(_class_points(stage, depth),
+                   key=lambda q: DPoint(q).exponents(depth))
+    rank = {q: r for r, q in enumerate(order)}
     point_class = [rank[_exponent(p, depth)] if depth > 0 else 0
                    for p in range(1 << stage.index)]
-    return ([h for h, _ in heads], [_head_value(h) for h, _ in heads],
-            point_class)
+    values = {}
+    return [_class_value(q, depth, values) for q in order], point_class
 
 
-def heads_and_special(m: int, stage: DStage):
-    """(Head_m, w_m): the m distinct heads and the unique one with two
-    distinct one-digit extensions in Head_{m+1}.  For m >= 1 that is the
-    class ``_exponent(m, m)``, which point m, the one point added to
-    Head_{m+1}, leaves at level m + 1 with exponent m."""
-    if 2 ** stage.index < m + 1:
-        raise PreconditionError(
-            f"stage {stage.index} is too shallow for stable Head_{m + 1}")
-    if m < 1:
-        raise ValidationError(f"|Head_{m}| = 1, expected {m}")
-    return head_set(stage, m), _digits(_exponent(m, m), m)
+def _longest_head(stage: DStage, z: int, depth: int, values: dict) -> int:
+    """The largest m <= depth whose first m digits of the head value z
+    (modulo the level product) form a head in Head_m.  Past class c of
+    those digits (0 at depth 0), Head_{m+1} holds the digit 3^c, and 3^m
+    too where point m >= 1 is in the stage and leaves c there; z leaves
+    c at the level m of the lowest set bit m(m+1) + r of their XOR."""
+    size, c = 1 << stage.index, 0
+    z &= (1 << depth * (depth + 1)) - 1
+    while x := z ^ _class_value(c, depth, values):
+        m = (isqrt(4 * (x & -x).bit_length() - 3) - 1) // 2
+        if not (0 < m < size and _exponent(m, m) == c
+                and z >> m * (m + 1) & ((4 << 2 * m) - 1) == 3 ** m):
+            return m
+        c = m
+    return depth
+
+
+def _evaluations(zhat: OdometerHead, n0: int, n1: int, stage: DStage):
+    """(letter, confident) of ``f5_eval`` at zhat + n, n0 <= n <= n1.  The
+    head value of zhat + n is value + n modulo the level product, read
+    from the low fields first: the first 8 levels, then twice as many,
+    until the head ends below the levels read."""
+    if zhat.scale != SCALE5:
+        raise ValidationError("first-family heads live over the 4^n scale")
+    value, depth, values = _head_value(zhat.digits), zhat.depth, {}
+    for n in range(n0, n1 + 1):
+        d = min(8, depth)
+        while (L := _longest_head(stage, value + n, d, values)) == d < depth:
+            d = min(2 * d, depth)
+        yield ("a" if L % 2 == 1 else "b"), 2 ** stage.index >= depth > L
 
 
 def f5_eval(h: OdometerHead, stage: DStage):
@@ -215,45 +237,18 @@ def f5_eval(h: OdometerHead, stage: DStage):
     when L < depth and the stage certifies every Head_m involved (stage
     points >= depth); a full-depth match could extend, so it is flagged.
     """
-    if h.scale != SCALE5:
-        raise ValidationError("first-family heads live over the 4^n scale")
-    certified = 2 ** stage.index >= h.depth
-    L = _longest_head(stage, h.digits)
-    confident = certified and L < h.depth
-    return ("a" if L % 2 == 1 else "b"), confident
-
-
-def _longest_head(stage: DStage, digits) -> int:
-    """The largest m <= len(digits) with digits[:m] in Head_m.  Past the
-    class c of digits[:m] (0 at depth 0), Head_{m+1} holds the digit 3^c,
-    and 3^m too where point m >= 1 is in the stage and leaves c there
-    (``heads_and_special``)."""
-    size = 1 << stage.index
-    c, dc = 0, 1
-    for m, d in enumerate(digits):
-        if d == dc:
-            continue
-        if 0 < m < size and _exponent(m, m) == c and d == 3 ** m:
-            c, dc = m, d
-        else:
-            return m
-    return len(digits)
+    return next(_evaluations(h, 0, 0, stage))
 
 
 def toeplitz5_window(zhat: OdometerHead, n0: int, n1: int, stage: DStage) -> str:
     """The letters f(zhat + n), n0 <= n <= n1, all confident; positions
     whose evaluation the depth cannot certify are reported."""
-    letters = []
-    failures = []
-    for n in range(n0, n1 + 1):
-        letter, confident = f5_eval(add_integer(zhat, n), stage)
-        letters.append(letter)
-        if not confident:
-            failures.append(n)
+    evaluations = list(_evaluations(zhat, n0, n1, stage))
+    failures = [n0 + k for k, (_, ok) in enumerate(evaluations) if not ok]
     if failures:
         raise DepthError(
             f"evaluation not certified at offsets {failures}; deepen the head/stage")
-    return "".join(letters)
+    return "".join(letter for letter, _ in evaluations)
 
 
 def _translate(off: int, modulus: int, t_range: int):
@@ -374,7 +369,7 @@ def check_translate_disjointness(stage: DStage, t_range: int, depth: int,
         raise ValidationError("t_range and samples must be non-negative")
     if depth < 0:
         raise ValidationError("depth must be >= 0")
-    _, head_value, point_class = _head_classes(stage, depth)
+    head_value, point_class = _head_classes(stage, depth)
     checked, violations = _violations(head_value, point_class, depth,
                                       t_range, samples, seed)
     return {"schema": 1, "stage": stage.index, "depth": depth,
@@ -410,9 +405,6 @@ class LevelFamily:
 
     def time(self, n: int) -> int:
         return 2 ** self.l(n, 0)
-
-    def row(self, n: int, count: int) -> list[int]:
-        return [self.l(n, i) for i in range(count)]
 
     def row_to(self, n: int, bound: int) -> list[int]:
         """The entries l^n_i <= bound: first-row segment j >= n - 1 holds
@@ -495,7 +487,7 @@ class FFamily:
 
     Index n - 1 of each tuple holds level n.  The level-n interval i is
     [l^n_i, l^n_{i+1}); below l^n_0, f^n is the constant a.  ``value``
-    bisects a row, and ``word`` indexes the words."""
+    bisects a row."""
 
     handle_name: str
     n_max: int
@@ -519,14 +511,6 @@ class FFamily:
             raise HorizonError(f"f^{n}({x}) beyond horizon {self.horizon}")
         i = bisect_right(self.rows[n - 1], x) - 1
         return self.letters[n - 1][i] if i >= 0 else "a"
-
-    def word(self, n: int, i: int) -> str:
-        self._check_level(n)
-        words = self.words[n - 1]
-        if 0 <= i < len(words):
-            return words[i]
-        lo, hi = LEVELS.l(n, i), LEVELS.l(n, i + 1)
-        raise HorizonError(f"interval [{lo},{hi}) beyond horizon")
 
     def to_json(self):
         # the choices that pin one shift among the family
@@ -603,24 +587,24 @@ def f6_eval(z: OdometerHead, fam: FFamily) -> str:
     f^n(common head length with t_n); elsewhere it is a.
 
     The lowest set bit of z decides which support, if any, contains z; the
-    head length with t_n is then one less than the second set bit.
+    head length with t_n is then the index of the second set bit.
     """
     if z.scale != SCALE6:
         raise ValidationError("second-family heads live over Z_2")
-    nonzero = [k + 1 for k, d in enumerate(z.digits) if d]
-    if not nonzero:
+    return _f6(int("0" + "".join(map(str, z.digits[::-1])), 2), fam)
+
+
+def _f6(z: int, fam: FFamily) -> str:
+    if not z:
         raise DepthError("all digits zero: membership undecidable at this depth")
-    p = nonzero[0]
-    n = 1
-    while LEVELS.l(n, 0) < p - 1:
-        n += 1
-    if LEVELS.l(n, 0) != p - 1:
+    low = (z & -z).bit_length() - 1
+    n = (low + 1).bit_length()  # l^n_0 = 2^(n-1) - 1 is low here, if anywhere
+    if LEVELS.l(n, 0) != low:
         return "a"
-    if len(nonzero) < 2:
+    if not (rest := z & (z - 1)):
         raise DepthError(
             f"inside the level-{n} support but the head length is unresolved")
-    L = nonzero[1] - 1
-    return fam.value(n, L)
+    return fam.value(n, (rest & -rest).bit_length() - 1)
 
 
 def realization_interval(y: str, fam: FFamily) -> tuple[int, int]:
@@ -643,40 +627,28 @@ def realization_interval(y: str, fam: FFamily) -> tuple[int, int]:
     return LEVELS.l(n, i), LEVELS.l(n, i + 1)
 
 
-def realize_prefix(y: str, fam: FFamily, zhat: OdometerHead):
+def realize_prefix(y: str, fam: FFamily, interval: tuple[int, int],
+                   zhat: OdometerHead):
     """(t_w, letters): a translation t_w such that the shifted base orbit
     reads y along the times t_1..t_N, checked by direct evaluation.
 
-    The interval [lo, hi) is the ``realization_interval`` of y; t_w is
-    the smallest positive integer making the first lo digits of t_w + zhat
-    zero with the next digit nonzero.
+    The interval [lo, hi) is the ``realization_interval`` of y, which the
+    caller looks up once; t_w is the smallest positive integer making the
+    first lo digits of t_w + zhat zero with the next digit nonzero.
     """
-    lo, hi = realization_interval(y, fam)
+    lo, hi = interval
     if zhat.depth < hi + 2:
         raise DepthError(f"zhat must have depth > {hi + 1}")
-    deep = zhat.digits[zhat.depth // 2:]
-    if len(set(deep)) == 1:
+    if len(set(zhat.digits[zhat.depth // 2:])) == 1:
         raise PreconditionError("zhat looks eventually constant at this depth")
-    zval = 0
-    for k in range(lo):
-        zval += zhat.digits[k] << k
-    base = (-zval) % (1 << lo)
-    t_w = None
-    for extra in range(3):
-        cand = base + (extra << lo)
-        if cand <= 0:
-            continue
-        shifted = add_integer(zhat, cand)
-        if shifted.digits[lo]:
-            t_w = cand
-            break
-    if t_w is None:
-        raise ValidationError("no small positive translation found")  # unreachable
-    letters = []
-    for k in range(1, len(y) + 1):
-        z = add_integer(zhat, t_w + LEVELS.time(k))
-        letters.append(f6_eval(z, fam))
-    return t_w, "".join(letters)
+    zval = int("0" + "".join(map(str, zhat.digits[::-1])), 2)
+    t_w = -zval % (1 << lo)
+    if not (zval + t_w) >> lo & 1:
+        t_w += 1 << lo
+    elif not t_w:
+        t_w = 2 << lo  # 2^lo would clear bit lo again
+    return t_w, "".join(_f6((zval + t_w + LEVELS.time(k)) % (1 << zhat.depth),
+                            fam) for k in range(1, len(y) + 1))
 
 
 def default_zhat6(depth: int) -> OdometerHead:

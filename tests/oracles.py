@@ -17,9 +17,13 @@ of the closed forms of ``semicocycle._class_points`` and
 ``semicocycle._longest_head``), the D-stage recursion on exponent
 tuples (in place of the closed form of ``semicocycle._exponent``), the
 independence-scheme search on frozensets (in place of the mask search of
-``independence.synthesize_scheme``), and the digit descent that reads
+``independence.synthesize_scheme``), the digit descent that reads
 one letter of a power at a time (in place of the per-position digit walk
-of ``independence.verify_patterns``).
+of ``independence.verify_patterns``), and the digit-tuple path of the
+semicocycle families: heads as digit tuples, one ``add_integer`` per
+offset, and the one-digit-per-level walk, with the head sets, special
+words, point heads, interval words and level rows it reads (in place of
+the int head values of ``semicocycle``).
 
 Beside them are references with no counterpart in the library: the pair
 graph of a substitution (the second route to its tameness verdict), a
@@ -38,12 +42,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from toeplitztame import graphs
-from toeplitztame.errors import (LanguageError, PreconditionError,
-                                 ValidationError)
+from toeplitztame.errors import (DepthError, HorizonError, LanguageError,
+                                 PreconditionError, ValidationError)
 from toeplitztame.extended_bratteli import MAX_POWER_COLUMNS, _tail
 from toeplitztame.gtheta import NON_TAME, tameness_verdict
 from toeplitztame.independence import IndependenceScheme
-from toeplitztame.odometer import OdometerHead, head_index
+from toeplitztame.odometer import OdometerHead, Scale, add_integer, head_index
+from toeplitztame.semicocycle import (LEVELS, SCALE5, SCALE6, DPoint, DStage,
+                                      _class_points, _exponent,
+                                      realization_interval)
 from toeplitztame.substitution import (Substitution, expand,
                                        language, substitution_power)
 
@@ -499,6 +506,142 @@ def longest_head_by_head_sets(digits, heads):
             break
         L = m
     return L
+
+
+# The digit-tuple path of the semicocycle families, in place of the int
+# head values of ``semicocycle``: heads are ``OdometerHead`` digit tuples,
+# an offset is one ``add_integer`` per evaluation, and the longest-head
+# walk compares one digit per level.
+
+
+def integer_head(t: int, scale: Scale, depth: int) -> OdometerHead:
+    """Head of the canonical odometer representation of the integer t."""
+    if depth < 0:
+        raise ValidationError("depth must be >= 0")
+    digits = []
+    for m in itertools.islice(scale.moduli(), depth):
+        t, d = divmod(t, m)
+        digits.append(d)
+    return OdometerHead(scale, digits)
+
+
+def point_exponent(point: DPoint, n: int) -> int:
+    return _exponent(point.p, n)
+
+
+def point_digit(point: DPoint, n: int) -> int:
+    return 3 ** point_exponent(point, n)
+
+
+def point_head(point: DPoint, depth: int) -> OdometerHead:
+    return OdometerHead(SCALE5, tuple(3 ** e for e in point.exponents(depth)))
+
+
+def head_set(stage: DStage, m: int) -> frozenset:
+    """Head_m as digit tuples; exact once the stage has at least m points
+    (their heads, pairwise distinct)."""
+    return frozenset(point_head(DPoint(q), m).digits
+                     for q in _class_points(stage, m))
+
+
+def heads_and_special(m: int, stage: DStage):
+    """(Head_m, w_m): the m distinct heads and the unique one with two
+    distinct one-digit extensions in Head_{m+1}.  For m >= 1 that is the
+    class ``_exponent(m, m)``, which point m, the one point added to
+    Head_{m+1}, leaves at level m + 1 with exponent m."""
+    if 2 ** stage.index < m + 1:
+        raise PreconditionError(
+            f"stage {stage.index} is too shallow for stable Head_{m + 1}")
+    if m < 1:
+        raise ValidationError(f"|Head_{m}| = 1, expected {m}")
+    return head_set(stage, m), point_head(DPoint(_exponent(m, m)), m).digits
+
+
+def tuple_longest_head(stage: DStage, digits) -> int:
+    """The largest m <= len(digits) with digits[:m] in Head_m.  Past the
+    class c of digits[:m] (0 at depth 0), Head_{m+1} holds the digit 3^c,
+    and 3^m too where point m >= 1 is in the stage and leaves c there
+    (``heads_and_special``)."""
+    size = 1 << stage.index
+    c, dc = 0, 1
+    for m, d in enumerate(digits):
+        if d == dc:
+            continue
+        if 0 < m < size and _exponent(m, m) == c and d == 3 ** m:
+            c, dc = m, d
+        else:
+            return m
+    return len(digits)
+
+
+def tuple_f5_eval(h: OdometerHead, stage: DStage):
+    if h.scale != SCALE5:
+        raise ValidationError("first-family heads live over the 4^n scale")
+    L = tuple_longest_head(stage, h.digits)
+    confident = 2 ** stage.index >= h.depth and L < h.depth
+    return ("a" if L % 2 == 1 else "b"), confident
+
+
+def tuple_window(zhat: OdometerHead, n0: int, n1: int, stage: DStage) -> str:
+    letters, failures = [], []
+    for n in range(n0, n1 + 1):
+        letter, confident = tuple_f5_eval(add_integer(zhat, n), stage)
+        letters.append(letter)
+        if not confident:
+            failures.append(n)
+    if failures:
+        raise DepthError(
+            f"evaluation not certified at offsets {failures}; deepen the head/stage")
+    return "".join(letters)
+
+
+def tuple_f6_eval(z: OdometerHead, fam) -> str:
+    if z.scale != SCALE6:
+        raise ValidationError("second-family heads live over Z_2")
+    nonzero = [k + 1 for k, d in enumerate(z.digits) if d]
+    if not nonzero:
+        raise DepthError("all digits zero: membership undecidable at this depth")
+    p = nonzero[0]
+    n = 1
+    while LEVELS.l(n, 0) < p - 1:
+        n += 1
+    if LEVELS.l(n, 0) != p - 1:
+        return "a"
+    if len(nonzero) < 2:
+        raise DepthError(
+            f"inside the level-{n} support but the head length is unresolved")
+    return fam.value(n, nonzero[1] - 1)
+
+
+def tuple_realize_prefix(y: str, fam, zhat: OdometerHead):
+    """(t_w, letters) with t_w the first of three candidates
+    -zhat mod 2^lo + j 2^lo, j = 0, 1, 2, that is positive and leaves
+    digit lo of t_w + zhat nonzero."""
+    lo, hi = realization_interval(y, fam)
+    if zhat.depth < hi + 2:
+        raise DepthError(f"zhat must have depth > {hi + 1}")
+    if len(set(zhat.digits[zhat.depth // 2:])) == 1:
+        raise PreconditionError("zhat looks eventually constant at this depth")
+    base = -sum(d << k for k, d in enumerate(zhat.digits[:lo])) % (1 << lo)
+    t_w = next(t for t in (base, base + (1 << lo), base + (2 << lo))
+               if t > 0 and add_integer(zhat, t).digits[lo])
+    letters = [tuple_f6_eval(add_integer(zhat, t_w + LEVELS.time(k)), fam)
+               for k in range(1, len(y) + 1)]
+    return t_w, "".join(letters)
+
+
+def family_word(fam, n: int, i: int) -> str:
+    """f^1 ... f^n on the level-n interval i, from the family's words."""
+    fam._check_level(n)
+    words = fam.words[n - 1]
+    if 0 <= i < len(words):
+        return words[i]
+    lo, hi = LEVELS.l(n, i), LEVELS.l(n, i + 1)
+    raise HorizonError(f"interval [{lo},{hi}) beyond horizon")
+
+
+def level_row(levels, n: int, count: int) -> list:
+    return [levels.l(n, i) for i in range(count)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
-from oracles import truncate, vertices_on_two_cycles
+from oracles import (family_word, head_set, heads_and_special, integer_head,
+                     level_row, point_digit, point_head, truncate,
+                     vertices_on_two_cycles)
 from toeplitztame.cli import main
 from toeplitztame.errors import LanguageError
 from toeplitztame.extended_bratteli import (essential_thickness,
@@ -20,14 +22,13 @@ from toeplitztame.gtheta import (NON_TAME, NOT_ALMOST_AUTOMORPHIC, TAME,
                                  two_cycles_share_vertex)
 from toeplitztame.independence import (independence_times, synthesize_scheme,
                                        verify_patterns)
-from toeplitztame.odometer import (OdometerHead, Scale, add_integer,
-                                   integer_head)
+from toeplitztame.odometer import OdometerHead, Scale, add_integer
 from toeplitztame.semicocycle import (SCALE6, FullShift, LevelFamily,
                                       SturmianFibonacci, build_d_stage,
                                       build_f_family,
                                       check_translate_disjointness,
-                                      default_zhat6, head_set,
-                                      heads_and_special, realize_prefix)
+                                      default_zhat6, realization_interval,
+                                      realize_prefix)
 from toeplitztame.substitution import (Substitution, shortest_collapsing_word,
                                        validate)
 
@@ -158,11 +159,11 @@ def test_criterion_6_first_family_structure():
     span = max(len(p.head_exponents) for p in stage5.points) + 4
     for p, q in itertools.combinations(stage5.points, 2):
         for n in range(1, span + 1):
-            if p.digit(n) == q.digit(n):
-                assert p.head_at(n) == q.head_at(n)
+            if point_digit(p, n) == point_digit(q, n):
+                assert point_head(p, n) == point_head(q, n)
     for p in stage5.points:
         for n in range(1, span + 1):
-            assert p.digit(n) not in (0, 4 ** n - 1)
+            assert point_digit(p, n) not in (0, 4 ** n - 1)
     report = check_translate_disjointness(build_d_stage(3), t_range=16,
                                           depth=12, samples=10_000, seed=0)
     elapsed = time.monotonic() - t0
@@ -176,8 +177,8 @@ def test_criterion_6_first_family_structure():
 def test_criterion_7_second_family_structure():
     t0 = time.monotonic()
     lf = LevelFamily()
-    assert lf.row(2, 6) == [1, 2, 3, 5, 7, 11]
-    assert lf.row(3, 7) == [3, 4, 5, 6, 7, 9, 11]
+    assert level_row(lf, 2, 6) == [1, 2, 3, 5, 7, 11]
+    assert level_row(lf, 3, 7) == [3, 4, 5, 6, 7, 9, 11]
     assert [lf.time(n) for n in (1, 2, 3, 4)] == [1, 2, 8, 128]
     # disjoint supports for n != n' <= 8
     for n in range(1, 9):
@@ -190,7 +191,8 @@ def test_criterion_7_second_family_structure():
     zhat = default_zhat6(2048)
     for n in range(1, 7):
         for w in map("".join, itertools.product("ab", repeat=n)):
-            _, letters = realize_prefix(w, fam_full, zhat)
+            _, letters = realize_prefix(
+                w, fam_full, realization_interval(w, fam_full), zhat)
             assert letters == w
     sturmian = SturmianFibonacci()
     fam_st = build_f_family(sturmian, 6, 4096)
@@ -199,21 +201,22 @@ def test_criterion_7_second_family_structure():
         i = 1
         while True:
             try:
-                realizable.add(fam_st.word(n, i))
+                realizable.add(family_word(fam_st, n, i))
             except Exception:
                 break
             i += 1
         assert realizable == sturmian.words(n)
         assert len(realizable) == n + 1
         for w in sorted(realizable):
-            _, letters = realize_prefix(w, fam_st, zhat)
+            _, letters = realize_prefix(
+                w, fam_st, realization_interval(w, fam_st), zhat)
             assert letters == w
         if n >= 2:
             non_factor = next(w for w in map("".join,
                                              itertools.product("ab", repeat=n))
                               if w not in realizable)
             with pytest.raises(LanguageError):
-                realize_prefix(non_factor, fam_st, zhat)
+                realization_interval(non_factor, fam_st)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     _report(7, elapsed,

@@ -436,9 +436,8 @@ def test_package_exports_only_the_reexported_names():
         "build_d_stage", "build_f_family", "build_gtheta",
         "check_translate_disjointness",
         "cycle_count_upper_bound", "essential_thickness", "f5_eval",
-        "f6_eval", "find_double_path", "head_index", "heads_and_special",
-        "height_and_pure_base", "independence_times", "integer_head",
-        "is_aperiodic", "is_primitive", "language", "parse_text",
+        "f6_eval", "find_double_path", "head_index",
+        "height_and_pure_base", "independence_times", "is_aperiodic", "is_primitive", "language", "parse_text",
         "realize_prefix", "substitution_power", "synthesize_scheme",
         "tameness_verdict", "thickness_census", "to_dot", "toeplitz5_window",
         "two_cycles_share_vertex", "validate", "verify_patterns"]

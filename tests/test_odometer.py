@@ -4,10 +4,10 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import common_head_length, truncate
+from oracles import common_head_length, integer_head, truncate
 from toeplitztame.errors import ValidationError
 from toeplitztame.odometer import (OdometerHead, Scale, add_integer,
-                                   head_index, integer_head, level_product)
+                                   head_index, level_product)
 
 Z2 = Scale.constant(2)
 Z4 = Scale.constant(4)
@@ -120,7 +120,8 @@ def test_head_index_roundtrip(scale, t, depth):
 
 @given(heads(), st.integers(-10 ** 9, 10 ** 9), scales, st.integers(0, 12))
 def test_arithmetic_heads_revalidate(a, t, scale, depth):
-    # the heads built without the digit check pass it when rebuilt
+    # the heads of add_integer and integer_head pass the digit check
+    # again when rebuilt
     for h in (add_integer(a, t), integer_head(t, scale, depth)):
         assert type(h.digits) is tuple
         assert OdometerHead(h.scale, h.digits) == h

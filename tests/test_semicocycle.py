@@ -7,17 +7,20 @@ import random
 import pytest
 
 from oracles import (PrefixTrie, UserWordList, common_head_length,
-                     longest_head_by_head_sets, oracle_d_stage)
+                     family_word, head_set, heads_and_special, integer_head,
+                     level_row, longest_head_by_head_sets, oracle_d_stage,
+                     point_digit, point_exponent, point_head, tuple_f5_eval,
+                     tuple_f6_eval, tuple_realize_prefix, tuple_window)
 from toeplitztame.errors import (DepthError, HorizonError, LanguageError,
                                  PreconditionError, ValidationError)
-from toeplitztame.odometer import (OdometerHead, head_index, integer_head,
+from toeplitztame.odometer import (OdometerHead, add_integer, head_index,
                                    level_product)
 from toeplitztame.semicocycle import (SCALE5, SCALE6, FullShift, LevelFamily,
                                       SturmianFibonacci, build_d_stage,
                                       build_f_family,
                                       check_translate_disjointness,
                                       default_zhat5, default_zhat6, f5_eval,
-                                      f6_eval, head_set, heads_and_special,
+                                      f6_eval, realization_interval,
                                       realize_prefix, toeplitz5_window)
 from toeplitztame.semicocycle import (_head_classes, _head_digits,
                                       _head_value, _longest_head,
@@ -27,7 +30,7 @@ from toeplitztame.semicocycle import (_head_classes, _head_digits,
 def translate_hits(z, stage, t_range):
     """The (source head class, t) hits of z, as the disjointness check
     finds them: over the distinct stage heads at the depth of z."""
-    _, vals, _ = _head_classes(stage, z.depth)
+    vals, _ = _head_classes(stage, z.depth)
     modulus = level_product(SCALE5, z.depth)
     return _translate_hits(head_index(z), vals, _wrapped(vals, modulus),
                            modulus, t_range)
@@ -87,8 +90,8 @@ def test_p1_head_determined_by_digit():
         span = max(len(p.head_exponents) for p in stage.points) + 4
         for p, q in itertools.combinations(stage.points, 2):
             for n in range(1, span + 1):
-                if p.digit(n) == q.digit(n):
-                    assert p.head_at(n) == q.head_at(n)
+                if point_digit(p, n) == point_digit(q, n):
+                    assert point_head(p, n) == point_head(q, n)
 
 
 def test_p2_digit_bounds_and_no_small_translates():
@@ -96,11 +99,11 @@ def test_p2_digit_bounds_and_no_small_translates():
     span = max(len(p.head_exponents) for p in stage.points) + 4
     for p in stage.points:
         for n in range(1, span + 1):
-            assert p.digit(n) not in (0, 4 ** n - 1)
+            assert point_digit(p, n) not in (0, 4 ** n - 1)
     # no two distinct points are integer translates with |t| <= 10^3 at depth 12
     depth = 12
     modulus = level_product(SCALE5, depth)
-    values = [head_index(p.head_at(depth)) for p in stage.points]
+    values = [head_index(point_head(p, depth)) for p in stage.points]
     for a, b in itertools.combinations(range(len(values)), 2):
         off = (values[b] - values[a]) % modulus
         t = off if off <= 1000 else off - modulus if modulus - off <= 1000 else None
@@ -124,7 +127,7 @@ def test_f5_eval_examples():
     assert f5_eval(OdometerHead(SCALE5, (1, 3, 3, 5)), stage) == ("a", True)
     assert f5_eval(OdometerHead(SCALE5, (2, 9, 1)), stage) == ("b", True)
     # a full-depth match cannot be certified
-    d_head = stage.points[1].head_at(4)
+    d_head = point_head(stage.points[1], 4)
     letter, confident = f5_eval(d_head, stage)
     assert not confident
 
@@ -138,7 +141,7 @@ def test_f5_matches_pointwise_definition():
         depth = rng.randint(1, 8)
         digits = tuple(rng.randrange(4 ** n) for n in range(1, depth + 1))
         h = OdometerHead(SCALE5, digits)
-        oracle = max(common_head_length(h, p.head_at(depth))[0]
+        oracle = max(common_head_length(h, point_head(p, depth))[0]
                      for p in stage.points)
         letter, confident = f5_eval(h, stage)
         assert letter == ("a" if oracle % 2 == 1 else "b")
@@ -155,7 +158,7 @@ def test_toeplitz5_window_examples():
     # evaluating at a discontinuity never becomes confident
     d = stage.points[1]
     zhat_bad = OdometerHead(SCALE5, tuple(
-        d.digit(n) for n in range(1, 13)))
+        point_digit(d, n) for n in range(1, 13)))
     with pytest.raises(DepthError) as err:
         toeplitz5_window(zhat_bad, -1, 1, stage)
     assert "0" in str(err.value)
@@ -174,10 +177,10 @@ def test_translate_hits_planted():
     # z = e - d - t for head class 2, point 0, t = 5
     modulus = level_product(SCALE5, 12)
     zval = (head_index(OdometerHead(SCALE5, heads[2]))
-            - head_index(stage.points[0].head_at(12)) - 5) % modulus
+            - head_index(point_head(stage.points[0], 12)) - 5) % modulus
     z = integer_head(zval, SCALE5, 12)
     hits = translate_hits(z, stage, 16)
-    source_class = heads.index(stage.points[0].head_at(12).digits)
+    source_class = heads.index(point_head(stage.points[0], 12).digits)
     assert hits == [(source_class, 5)]
 
 
@@ -191,8 +194,8 @@ def test_d_stage_closed_form_matches_tuple_recursion():
     for p, (head, tail) in zip(build_d_stage(12).points, oracle):
         assert (p.head_exponents, p.tail_exponent) == (head, tail)
         exponents = head + (tail, tail)
-        assert list(map(p.exponent, range(1, len(exponents) + 1))) == \
-            list(exponents)
+        assert [point_exponent(p, n) for n in range(1, len(exponents) + 1)] \
+            == list(exponents)
         assert all(map(operator.lt, exponents, itertools.count(1)))
     # distinct eventual exponents: no two points are equal
     assert len({tail for _, tail in oracle}) == len(oracle)
@@ -204,9 +207,9 @@ def test_d_stage_closed_form_matches_tuple_recursion():
 
 def test_level_family_rows():
     lf = LevelFamily()
-    assert lf.row(1, 5) == [0, 1, 3, 7, 15]
-    assert lf.row(2, 6) == [1, 2, 3, 5, 7, 11]
-    assert lf.row(3, 7) == [3, 4, 5, 6, 7, 9, 11]
+    assert level_row(lf, 1, 5) == [0, 1, 3, 7, 15]
+    assert level_row(lf, 2, 6) == [1, 2, 3, 5, 7, 11]
+    assert level_row(lf, 3, 7) == [3, 4, 5, 6, 7, 9, 11]
     assert [lf.time(n) for n in (1, 2, 3, 4)] == [1, 2, 8, 128]
 
 
@@ -217,7 +220,7 @@ def test_level_family_conditions():
     assert all(b > a for a, b in zip(diag, diag[1:]))
     # R2: rows strictly increasing
     for n in range(1, 7):
-        row = lf.row(n, 40)
+        row = level_row(lf, n, 40)
         assert all(b > a for a, b in zip(row, row[1:]))
     # R3: exact shift identity
     for n in range(1, 7):
@@ -241,7 +244,7 @@ def test_disjoint_supports():
 def test_f_family_full_shift_level2():
     lf = LevelFamily()
     fam = build_f_family(FullShift(), 2, 64)
-    words = [fam.word(2, i) for i in range(8)]
+    words = [family_word(fam, 2, i) for i in range(8)]
     assert set(words) == {"aa", "ab", "ba", "bb"}
     # constancy of x -> f^1(x) f^2(x) on the level-2 intervals
     for i in range(8):
@@ -258,7 +261,7 @@ def test_f_family_respects_language():
         i = 0
         while True:
             try:
-                words.add(fam.word(n, i))
+                words.add(family_word(fam, n, i))
             except HorizonError:
                 break
             i += 1
@@ -273,7 +276,7 @@ def test_f_family_full_shift_all_words_recur():
         i = 0
         while True:
             try:
-                w = fam.word(n, i)
+                w = family_word(fam, n, i)
             except HorizonError:
                 break
             seen.setdefault(w, []).append(i)
@@ -340,10 +343,12 @@ def test_f6_eval_support_dispatch():
 def test_realize_prefix_full_shift():
     fam = build_f_family(FullShift(), 6, 4096)
     zhat = default_zhat6(64)
-    t_w, letters = realize_prefix("ab", fam, zhat)
+    t_w, letters = realize_prefix("ab", fam, realization_interval("ab", fam),
+                                  zhat)
     assert letters == "ab"
     assert t_w == 54  # smallest positive choice for the default base point
-    t_w, letters = realize_prefix("a", fam, zhat)
+    t_w, letters = realize_prefix("a", fam, realization_interval("a", fam),
+                                  zhat)
     assert letters == "a"
 
 
@@ -354,23 +359,26 @@ def test_realize_round_trip_both_handles():
     zhat = default_zhat6(2048)
     for n in range(1, 7):
         for w in map("".join, itertools.product("ab", repeat=n)):
-            _, letters = realize_prefix(w, fam_full, zhat)
+            _, letters = realize_prefix(
+                w, fam_full, realization_interval(w, fam_full), zhat)
             assert letters == w
         for w in sorted(sturmian.words(n)):
-            _, letters = realize_prefix(w, fam_st, zhat)
+            _, letters = realize_prefix(
+                w, fam_st, realization_interval(w, fam_st), zhat)
             assert letters == w
 
 
 def test_realize_rejects_non_language_words():
     fam = build_f_family(SturmianFibonacci(), 4, 1024)
     with pytest.raises(LanguageError):
-        realize_prefix("bb", fam, default_zhat6(256))
+        realization_interval("bb", fam)
 
 
 def test_realize_depth_guard():
     fam = build_f_family(FullShift(), 4, 1024)
     with pytest.raises(DepthError):
-        realize_prefix("abab", fam, default_zhat6(4))
+        realize_prefix("abab", fam, realization_interval("abab", fam),
+                       default_zhat6(4))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +387,7 @@ def test_realize_depth_guard():
 
 
 def oracle_head(p, depth):
-    return tuple(p.digit(n) for n in range(1, depth + 1))
+    return tuple(point_digit(p, n) for n in range(1, depth + 1))
 
 
 def oracle_head_set(stage, m):
@@ -543,11 +551,12 @@ def test_closed_form_heads_match_prefix_trie_and_point_oracles():
             else:
                 digits = oracle_integer_head(
                     rng.randrange(level_product(SCALE5, depth)), depth)
-            got = _longest_head(stage, digits)
+            got = _longest_head(stage, _head_value(digits), depth, {})
             assert got == trie.longest_head(digits)
             assert got == longest_head_by_head_sets(digits, heads)
-    # every depth below min(2^i + 5, 140) on stages 0-9; the head values
-    # are the head indices of the classes, sums of digits times weights
+    # every depth below min(2^i + 5, 140) on stages 0-9; the head values,
+    # built by the class recursion, are the head indices of the classes,
+    # sums of digits times weights
     for i in range(10):
         stage = build_d_stage(i)
         top = min(2 ** i + 5, 140)
@@ -560,9 +569,11 @@ def test_closed_form_heads_match_prefix_trie_and_point_oracles():
             class_of = {h: c for c, h in enumerate(classes)}
             assert head_set(stage, m) == trie.head_set(m) == \
                 frozenset(point_heads)
-            paths, values, point_class = _head_classes(stage, m)
-            assert (paths, point_class) == trie.head_classes(m) == \
+            values, point_class = _head_classes(stage, m)
+            paths, trie_class = trie.head_classes(m)
+            assert (paths, trie_class) == \
                 (classes, [class_of[h] for h in point_heads])
+            assert point_class == trie_class
             assert values == [sum(map(operator.mul, h, weights))
                               for h in classes]
             got = outcome(heads_and_special, m, stage)
@@ -585,6 +596,79 @@ def test_head_bit_fields_match_integer_head():
         assert _head_value(digits) == value % modulus
 
 
+def _random_zhat5(rng, stage, depth):
+    """A base point over the 4^n scale: a stage point's head, a head that
+    leaves one, random digits, or the head of a small integer, whose
+    translates wrap around the level product."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return OdometerHead(SCALE5, oracle_head(rng.choice(stage.points), depth))
+    if kind == 1:
+        return OdometerHead(SCALE5, _near_d_head(rng, stage, depth))
+    if kind == 2:
+        return OdometerHead(SCALE5, tuple(rng.randrange(4 ** (k + 1))
+                                          for k in range(depth)))
+    return integer_head(rng.randint(-40, 40), SCALE5, depth)
+
+
+def _random_zhat6(rng, depth, lo):
+    """A binary base point: random digits, with the first lo of them zero
+    and digit lo one in a third of the draws (where t_w = 2^(lo+1))."""
+    digits = [rng.randrange(2) for _ in range(depth)]
+    if rng.randrange(3) == 0 and lo < depth:
+        digits[:lo + 1] = [0] * lo + [1]
+    return OdometerHead(SCALE6, tuple(digits))
+
+
+def test_int_heads_match_the_digit_tuple_oracle():
+    # window, f5, f6 and realize on int head values against the digit
+    # tuples they replaced: add_integer per offset, then the tuple walk
+    rng = random.Random(71)
+    errors = collections.Counter()
+    for i in range(8):
+        stage = build_d_stage(i)
+        for _ in range(40):
+            zhat = _random_zhat5(rng, stage, rng.randint(0, 2 ** i + 3))
+            n0 = rng.randint(-70, 40)
+            n1 = n0 + rng.randint(0, 60)
+            got = outcome(toeplitz5_window, zhat, n0, n1, stage)
+            assert got == outcome(tuple_window, zhat, n0, n1, stage)
+            errors[type(got) is tuple] += 1
+            for n in (n0, n1, -1, 1, rng.randint(-300, 300)):
+                h = add_integer(zhat, n)
+                assert f5_eval(h, stage) == tuple_f5_eval(h, stage)
+    assert errors[True] and errors[False]  # DepthError offsets and words
+    fam = build_f_family(FullShift(), 6, 4096)
+    for _ in range(600):
+        depth = rng.randint(0, 40)
+        kind = rng.randrange(3)
+        if kind == 0:
+            z = OdometerHead(SCALE6, tuple(rng.randrange(2)
+                                           for _ in range(depth)))
+        else:  # t_n alone, or t_n plus one higher bit
+            t = LevelFamily().time(rng.randint(1, 7))
+            z = integer_head(t + kind // 2 * (t << rng.randint(1, 20)),
+                             SCALE6, depth)
+        got = outcome(f6_eval, z, fam)
+        assert got == outcome(tuple_f6_eval, z, fam)
+        errors[got] += 1
+    assert errors[DepthError, "all digits zero: membership undecidable "
+                              "at this depth"]
+    assert any(got[0] is DepthError and "unresolved" in got[1]
+               for got in errors if isinstance(got, tuple))
+    third = 0
+    for handle in (FullShift(), SturmianFibonacci()):
+        fam = build_f_family(handle, 6, 4096)
+        for n in range(1, 7):
+            for w in sorted(handle.words(n)):
+                lo, hi = interval = realization_interval(w, fam)
+                for _ in range(6):
+                    zhat = _random_zhat6(rng, hi + rng.randint(-1, 40), lo)
+                    got = outcome(realize_prefix, w, fam, interval, zhat)
+                    assert got == outcome(tuple_realize_prefix, w, fam, zhat)
+                    third += got[0] == 2 << lo
+    assert third
+
 def test_stage_memos_and_lazy_factors_match_oracles():
     rng = random.Random(7)
     for i in range(2, 8):
@@ -595,7 +679,7 @@ def test_stage_memos_and_lazy_factors_match_oracles():
         span = max(len(p.head_exponents) for p in stage.points) + 2
         for p in stage.points:
             for depth in (0, 1, len(p.head_exponents), span):
-                assert p.head_at(depth).digits == oracle_head(p, depth)
+                assert point_head(p, depth).digits == oracle_head(p, depth)
         for m in range(1, 2 ** i + 3):
             assert head_set(stage, m) == heads(m)
         for _ in range(40):
@@ -773,7 +857,7 @@ def test_level_rows_match_recursion_oracle():
         assert outcome(lf.l, n, i) == outcome(oracle.l, n, i), (n, i)
     fresh = LevelFamily()
     for n in range(1, 8):
-        assert fresh.row(n, 40) == [oracle.l(n, i) for i in range(40)]
+        assert level_row(fresh, n, 40) == [oracle.l(n, i) for i in range(40)]
         assert fresh.time(n) == oracle.time(n)
     # the rows below a bound: the oracle's entries
     for n, bound in itertools.product(range(1, 8), (0, 5, 40, 300, 5000)):
@@ -819,7 +903,7 @@ def test_f_family_matches_table_oracle():
                     assert outcome(fam.value, n, x) == outcome(oracle.value, n, x)
                 for n in range(1, n_max + 1):
                     for i in range(-1, 10 ** 6):
-                        got = outcome(fam.word, n, i)
+                        got = outcome(family_word, fam, n, i)
                         assert got == outcome(oracle.word, n, i, oracle_lf)
                         if isinstance(got, tuple) and got[0] is HorizonError:
                             break
@@ -829,17 +913,16 @@ def test_f_family_rejects_levels_it_did_not_build():
     fam = build_f_family(FullShift(), 3, 512)
     for n in (0, 4, 9):
         with pytest.raises(ValidationError, match=rf"f\^{n} not built \(n_max 3\)"):
-            fam.word(n, 1)
+            family_word(fam, n, 1)
         with pytest.raises(ValidationError, match=rf"f\^{n} not built"):
             fam.value(n, 5)
     with pytest.raises(ValidationError, match="need n >= 1 and i >= 0"):
-        fam.word(2, -1)
+        family_word(fam, 2, -1)
     for n_max in (0, -1):
         with pytest.raises(ValidationError, match=f"n_max must be >= 1, got {n_max}"):
             build_f_family(FullShift(), n_max, 512)
     with pytest.raises(ValidationError, match="f\\^7 not built"):
-        realize_prefix("abababa", build_f_family(FullShift(), 6, 4096),
-                       default_zhat6(64))
+        realization_interval("abababa", build_f_family(FullShift(), 6, 4096))
 
 
 def oracle_pairwise_translate_hits(zval, vals, modulus, t_range):
