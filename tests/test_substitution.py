@@ -356,8 +356,10 @@ ITEM4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 
 
 @pytest.mark.parametrize("source", [
+    # imprimitive100 has no height: analyze refuses it as not primitive
     *(pytest.param(path.read_text(), id=path.stem)
-      for path in sorted(FIXTURES.glob("*.sub"))),
+      for path in sorted(FIXTURES.glob("*.sub"))
+      if path.stem != "imprimitive100"),
     # the l^4 prefix shares a spurious period: h = 3 and h = 9 reported,
     # where the return gcd over 2^18 letters gives 1 and 3
     pytest.param({"a": "eb", "b": "fe", "c": "cf", "d": "ee", "e": "da",
