@@ -1,6 +1,6 @@
 """Labelled-multigraph helpers: strongly connected components with their
-census, the number of simple cycles, and the vertices reached from a
-cycle.
+census, the period of a strongly connected graph, the number of simple
+cycles, and the vertices reached from a cycle.
 
 A graph is a list of vertices (hashable, in a fixed canonical order) and a
 list of edges ``(src, dst, label)``; parallel edges with distinct labels
@@ -8,11 +8,15 @@ are allowed and count separately.  In a strongly connected component, the
 internal edge count exceeding the vertex count is equivalent to two
 distinct simple cycles sharing a vertex, so the two-cycles-share-a-vertex
 criterion is read from a row of the component census, which names such a
-vertex.  Simple cycles are counted, not listed: a layered count over
-vertex sets with a cap, in O(2^V V^2) work on V vertices.
+vertex.  By Perron-Frobenius a nonnegative matrix is primitive iff its
+graph has period 1, the gcd of its cycle lengths.  Simple cycles are
+counted, not listed: a layered count over vertex sets with a cap, in
+O(2^V V^2) work on V vertices.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def scc_partition(vertices, edges):
@@ -69,6 +73,25 @@ def scc_partition(vertices, edges):
                 comps.append(tuple(comp))
     comps.sort(key=lambda c: order[c[0]])
     return comps
+
+
+def period(vertices, edges):
+    """The gcd of the cycle lengths of a strongly connected graph: with
+    levels from one breadth-first search, the gcd of level[s] + 1 -
+    level[d] over the edges.  None when ``scc_partition`` finds more than
+    one component."""
+    if len(scc_partition(vertices, edges)) > 1:
+        return None
+    out = {v: [] for v in vertices}
+    for s, d, _ in edges:
+        out[s].append(d)
+    order, level = [vertices[0]], {vertices[0]: 0}
+    for v in order:
+        for w in out[v]:
+            if w not in level:
+                level[w] = level[v] + 1
+                order.append(w)
+    return gcd(*(level[s] + 1 - level[d] for s, d, _ in edges))
 
 
 def component_census(vertices, edges):

@@ -216,12 +216,17 @@ def _longest_head(stage: DStage, z: int, depth: int, values: dict) -> int:
 
 
 def _evaluations(zhat: OdometerHead, n0: int, n1: int, stage: DStage):
-    """(letter, confident) of ``f5_eval`` at zhat + n, n0 <= n <= n1.  The
-    head value of zhat + n is value + n modulo the level product, read
-    from the low fields first: the first 8 levels, then twice as many,
-    until the head ends below the levels read."""
+    """(letter, confident) of ``f5_eval`` at zhat + n, n0 <= n <= n1: the
+    scale is checked at the call, the head packed at the first offset."""
     if zhat.scale != SCALE5:
         raise ValidationError("first-family heads live over the 4^n scale")
+    return _walk(zhat, n0, n1, stage)
+
+
+def _walk(zhat: OdometerHead, n0: int, n1: int, stage: DStage):
+    """The walk of ``_evaluations``: the head value of zhat + n is value +
+    n modulo the level product, read from the low fields first: the first
+    8 levels, then twice as many, until the head ends below them."""
     value, depth, values = _head_value(zhat.digits), zhat.depth, {}
     for n in range(n0, n1 + 1):
         d = min(8, depth)
@@ -242,8 +247,11 @@ def f5_eval(h: OdometerHead, stage: DStage):
 
 def toeplitz5_window(zhat: OdometerHead, n0: int, n1: int, stage: DStage) -> str:
     """The letters f(zhat + n), n0 <= n <= n1, all confident; positions
-    whose evaluation the depth cannot certify are reported."""
-    evaluations = list(_evaluations(zhat, n0, n1, stage))
+    whose evaluation the depth cannot certify are reported.  No position
+    is confident past depth 2^i, and then the head is not packed."""
+    walk = _evaluations(zhat, n0, n1, stage)
+    evaluations = ([(None, False)] * (n1 - n0 + 1)
+                   if 2 ** stage.index < zhat.depth else list(walk))
     failures = [n0 + k for k, (_, ok) in enumerate(evaluations) if not ok]
     if failures:
         raise DepthError(

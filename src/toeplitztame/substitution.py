@@ -14,6 +14,7 @@ from math import gcd
 
 from .errors import (NotPrimitive, ParseError, PureBaseError,
                      StabilizationError, ValidationError)
+from .graphs import period
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -209,18 +210,11 @@ def parse_text(text: str) -> Substitution:
 
 
 def is_primitive(theta: Substitution) -> bool:
-    """True iff the incidence matrix satisfies M^k > 0 entrywise for some
-    k up to the Wielandt bound (|A| - 1)^2 + 1."""
-    n = len(theta.alphabet)
-    full = frozenset(theta.alphabet)
-    base = {a: frozenset(theta.rule(a)) for a in theta.alphabet}
-    cur = base
-    for _ in range((n - 1) ** 2 + 1):
-        if all(cur[a] == full for a in theta.alphabet):
-            return True
-        cur = {a: frozenset().union(*(base[b] for b in cur[a]))
-               for a in theta.alphabet}
-    return False
+    """True iff the incidence matrix is primitive: the letter graph
+    a -> letters of theta(a), one edge per column, has period 1."""
+    edges = [(a, b, i) for a, w in zip(theta.alphabet, theta.words)
+             for i, b in enumerate(w)]
+    return period(theta.alphabet, edges) == 1
 
 
 def first_letter_seed(theta: Substitution) -> tuple[int, str]:

@@ -1,25 +1,27 @@
 """Routines the library replaced, kept as independent oracles for seeded
-cross-checks: simple-cycle enumeration (in place of the cycle count), the
-vertices on two enumerated cycles (in place of the shared vertex that a
-census row names), the column-by-column dict composition of two substitutions
-and the column maps and words of a power built from it one level at a
-time (in place of the translates of ``substitution_power``), the subset
-graph over all 2^|A| subsets with one census and one reachability pass
-(in place of the trimmed graph of ``extended_bratteli.subset_arcs``), the
-frozenset G_theta with its report JSON written from the frozensets,
-coincidence search and extendable vertices (in place of the one mask
-closure of ``substitution._closure``, the mask-to-letters step of
-``substitution._letters`` and the trim of
+cross-checks: the Wielandt loop, which tries M^k > 0 for every power k up
+to (|A| - 1)^2 + 1 (in place of the period of ``graphs.period`` that
+``substitution.is_primitive`` reads), simple-cycle enumeration (in place
+of the cycle count), the vertices on two enumerated cycles (in place of
+the shared vertex that a census row names), the column-by-column dict
+composition of two substitutions and the column maps and words of a power
+built from it one level at a time (in place of the translates of
+``substitution_power``), the subset graph over all 2^|A| subsets with one
+census and one reachability pass (in place of the trimmed graph of
+``extended_bratteli.subset_arcs``), the frozenset G_theta with its report
+JSON written from the frozensets, coincidence search and extendable
+vertices (in place of the one mask closure of ``substitution._closure``,
+the mask-to-letters step of ``substitution._letters`` and the trim of
 ``graphs.reached_from_cycle``), the per-level head-set loop for the
-longest D-head matching a head, the prefix trie of a D-stage's points
-with its walk, head sets, special words and head classes (both in place
-of the closed forms of ``semicocycle._class_points`` and
-``semicocycle._longest_head``), the D-stage recursion on exponent
-tuples (in place of the closed form of ``semicocycle._exponent``), the
+longest D-head matching a head, the prefix trie of a D-stage's points with
+its walk, head sets, special words and head classes (both in place of the
+closed forms of ``semicocycle._class_points`` and
+``semicocycle._longest_head``), the D-stage recursion on exponent tuples
+(in place of the closed form of ``semicocycle._exponent``), the
 independence-scheme search on frozensets (in place of the mask search of
-``independence.synthesize_scheme``), the digit descent that reads
-one letter of a power at a time (in place of the per-position digit walk
-of ``independence.verify_patterns``), and the digit-tuple path of the
+``independence.synthesize_scheme``), the digit descent that reads one
+letter of a power at a time (in place of the per-position digit walk of
+``independence.verify_patterns``), and the digit-tuple path of the
 semicocycle families: heads as digit tuples, one ``add_integer`` per
 offset, and the one-digit-per-level walk, with the head sets, special
 words, point heads, interval words and level rows it reads (in place of
@@ -64,6 +66,25 @@ def letters_of(theta: Substitution, x: int) -> frozenset:
 
 def column_image(theta: Substitution, i: int, letters) -> frozenset:
     return frozenset(theta.rule(a)[i] for a in letters)
+
+
+def wielandt_primitive(theta: Substitution, rounds=None):
+    """True iff the incidence matrix satisfies M^k > 0 entrywise for some
+    k up to the Wielandt bound (|A| - 1)^2 + 1.  With ``rounds`` below
+    the bound only the first ``rounds`` powers are tried, and None means
+    that none of them was positive."""
+    n = len(theta.alphabet)
+    full = frozenset(theta.alphabet)
+    base = {a: frozenset(theta.rule(a)) for a in theta.alphabet}
+    cur = base
+    bound = (n - 1) ** 2 + 1
+    tried = bound if rounds is None else min(rounds, bound)
+    for _ in range(tried):
+        if all(cur[a] == full for a in theta.alphabet):
+            return True
+        cur = {a: frozenset().union(*(base[b] for b in cur[a]))
+               for a in theta.alphabet}
+    return False if tried == bound else None
 
 
 def simple_cycles(vertices, edges, cap=10_000):

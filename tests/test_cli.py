@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -12,10 +13,13 @@ import types
 
 import pytest
 
+from oracles import tuple_window
 from toeplitztame import __version__, cli
 from toeplitztame.cli import main
-from toeplitztame.errors import ParseError, ToeplitzError
-from toeplitztame.semicocycle import MAX_FAMILY_ENTRIES
+from toeplitztame.errors import DepthError, ParseError, ToeplitzError
+from toeplitztame.odometer import OdometerHead
+from toeplitztame.semicocycle import (MAX_FAMILY_ENTRIES, SCALE5,
+                                      build_d_stage, default_zhat5)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -399,6 +403,34 @@ def test_window_depth_zero_means_two_to_the_stage(capsys):
     assert report["depth"] == 16
     assert report == run_json(capsys, "semicocycle", "window", "--stage", "4",
                               "--range", "0:8")[1]
+
+
+def test_deep_window_error_matches_tuple_oracle(capsys):
+    # past depth 2^stage no evaluation is confident, so the error names
+    # every offset of the range before the head is packed; the digit-tuple
+    # oracle walks each offset and must name the same ones
+    rng = random.Random(37)
+    for i in range(5):
+        stage = build_d_stage(i)
+        for depth in range(2 ** i + 1, 2 ** i + 9):
+            for digits in (None, [rng.randrange(4 ** n) for n in range(1, 4)]):
+                lo = rng.randint(-20, 10)
+                hi = lo + rng.randint(0, 12)
+                argv = ["semicocycle", "window", "--stage", str(i), "--depth",
+                        str(depth), f"--range={lo}:{hi}"]
+                if digits is None:
+                    zhat = default_zhat5(depth)
+                else:
+                    argv.append("--zhat=" + ",".join(map(str, digits)))
+                    zhat = OdometerHead(SCALE5, tuple(
+                        digits + [digits[-1]] * (depth - len(digits))))
+                code, report = run_json(capsys, *argv)
+                assert code == 1
+                with pytest.raises(DepthError) as err:
+                    tuple_window(zhat, lo, hi, stage)
+                assert report["error"] == {"code": "semicocycle/depth",
+                                           "message": str(err.value)}
+                assert str(list(range(lo, hi + 1))) in str(err.value)
 
 
 # sha256 of the stdout of `semicocycle d-set --stage i`, i = 0..10, as

@@ -240,6 +240,24 @@ def test_shared_vertex_zero_in_a_later_row():
     assert 0 in vertices_on_two_cycles(verts, edges)[0]
 
 
+def test_period():
+    for k in range(1, 8):
+        verts = list(range(k))
+        cycle = [(v, (v + 1) % k, v) for v in verts]
+        parallel = [(s, d, k + label) for s, d, label in cycle]
+        assert graphs.period(verts, cycle) == k
+        assert graphs.period(verts, cycle + parallel) == k
+        assert graphs.period(verts, cycle + [(k - 1, k - 1, k)]) == 1
+        if k >= 3:  # a chord closes a cycle of k - 1
+            assert graphs.period(verts, cycle + [(0, 2, k)]) == 1
+    # a chord across a 6-cycle closes a 4-cycle: period gcd(6, 4)
+    hexagon = [(v, (v + 1) % 6, v) for v in range(6)]
+    assert graphs.period(list(range(6)), hexagon + [(0, 3, 6)]) == 2
+    assert graphs.period(["x"], [("x", "x", 0)]) == 1
+    assert graphs.period(["x", "y"], [("x", "y", 0)]) is None
+    assert graphs.period([0, 1, 2], [(0, 1, 0), (1, 0, 1), (2, 2, 2)]) is None
+
+
 def test_cycle_bound_examples(ex217a):
     g = build_gtheta(ex217a)
     assert cycle_count_upper_bound(two_cycles_share_vertex(g)) == 1

@@ -162,6 +162,11 @@ def test_toeplitz5_window_examples():
     with pytest.raises(DepthError) as err:
         toeplitz5_window(zhat_bad, -1, 1, stage)
     assert "0" in str(err.value)
+    # past depth 2^5 an empty range is still empty, and a head over the
+    # wrong scale is refused before its depth is read
+    assert toeplitz5_window(default_zhat5(40), 3, 2, stage) == ""
+    with pytest.raises(ValidationError):
+        toeplitz5_window(OdometerHead(SCALE6, (1,) * 40), 0, 0, stage)
 
 
 def test_translate_disjointness_clean():

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from oracles import (column_image, fixed_point_window, letter_in_power,
-                     two_sided_seed)
+                     two_sided_seed, wielandt_primitive)
 from toeplitztame.errors import (NotPrimitive, ParseError, PureBaseError,
                                  StabilizationError, ToeplitzError,
                                  ValidationError)
@@ -56,12 +56,68 @@ def test_parse_text_formats():
         parse_text("a = ab")
 
 
+# 64 Cyrillic letters: the period routine must not lean on ASCII letters
+NON_ASCII = "".join(map(chr, range(0x410, 0x450)))
+
+
+def _letter_classes(n, p):
+    """x_i -> x_(i+1) x_(i+1+p), indices mod n: period gcd(n, p)."""
+    x = NON_ASCII[:n]
+    return Substitution(tuple(x), tuple(x[(i + 1) % n] + x[(i + 1 + p) % n]
+                                        for i in range(n)))
+
+
+def _within_budget(theta):
+    """The Wielandt oracle on at most ORACLE_LETTERS letter steps, about
+    |A|^2 a power; OracleBudget when no power tried was positive and the
+    Wielandt bound is further away."""
+    found = wielandt_primitive(theta, ORACLE_LETTERS // len(theta.alphabet) ** 2)
+    if found is None:
+        raise OracleBudget
+    return found
+
+
 def test_is_primitive(ex22, thue_morse):
     assert matrix_power_positive_oracle(ex22, 2)
     assert is_primitive(ex22)
     assert matrix_power_positive_oracle(thue_morse, 2)
     assert is_primitive(thue_morse)
     assert not is_primitive(validate({"rules": {"a": "aa", "b": "bb"}}))
+    rng = random.Random(20)
+    primitive = 0
+    for _ in range(20_000):
+        letters = rng.sample(NON_ASCII, rng.randint(1, 7))
+        length = rng.randint(2, 5)
+        theta = Substitution(tuple(letters), tuple(
+            "".join(rng.choices(letters, k=length)) for _ in letters))
+        expected = wielandt_primitive(theta)
+        assert is_primitive(theta) == expected, theta.rules()
+        primitive += expected
+    assert 10_000 < primitive < 20_000
+    for p in (2, 3, 4):
+        for n in range(1, 25):
+            theta, expected = _letter_classes(n, p), gcd(n, p) == 1
+            assert is_primitive(theta) == wielandt_primitive(theta) == expected
+    checked = 0
+    for _ in range(2):
+        letters = rng.sample(NON_ASCII, 60)
+        length = rng.randint(2, 5)
+        theta = Substitution(tuple(letters), tuple(
+            "".join(rng.choices(letters, k=length)) for _ in letters))
+        try:
+            expected = _within_budget(theta)
+        except OracleBudget:
+            continue
+        assert is_primitive(theta) == expected, theta.rules()
+        checked += 1
+    assert checked
+    # cycles of 100 and 99 letters: primitive, with an exponent near the
+    # Wielandt bound, so the oracle would try thousands of powers
+    x = [chr(0x100 + i) for i in range(100)]
+    late = {a: b + b for a, b in zip(x, x[1:])} | {x[-1]: x[0] + x[1]}
+    assert is_primitive(validate(late))
+    assert not is_primitive(parse_text(
+        (FIXTURES / "imprimitive100.sub").read_text(encoding="utf-8")))
 
 
 def test_is_aperiodic(ex22, thue_morse):
@@ -229,7 +285,8 @@ ORACLE_LETTERS = 3 * 10 ** 5
 
 
 class OracleBudget(Exception):
-    """The oracle would build a word longer than ORACLE_LETTERS."""
+    """The oracle would build a word longer than ORACLE_LETTERS, or take
+    more letter steps."""
 
 
 def expand_oracle(theta, word, k):
