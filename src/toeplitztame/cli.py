@@ -5,9 +5,12 @@ Reports are UTF-8 JSON on stdout (sorted keys, so identical inputs give
 byte-identical output); diagnostics go to stderr.  Exit status 0 on
 success, 1 with a structured error, 2 on inconclusive verdicts so CI can
 tell the cases apart.  Sampling commands take an explicit seed; there is
-no hidden randomness.  A call builds only the argparse parsers its argv
-names (see ``build_parser``), since building them all costs more than
-many of the commands themselves.
+no hidden randomness.  A call that names a leaf (a subcommand, or
+semicocycle and an action) is parsed on that leaf's argparse parser
+alone, since building the parser tree costs more than many of the
+commands themselves.  The tree (``build_parser``) is built only for argv
+that names no leaf or that the leaf does not parse whole, so help, usage
+and error messages come from one parser.
 """
 
 from __future__ import annotations
@@ -231,97 +234,90 @@ def _cmd_odometer(args) -> int:
     return 0
 
 
-COMMANDS = ("analyze", "gtheta", "thickness", "independence", "semicocycle",
-            "odometer")
-ACTIONS = ("d-set", "window", "realize", "disjoint")
+COMMANDS = {  # subcommand: (help, handler)
+    "analyze": ("full tameness pipeline, JSON report", _cmd_analyze),
+    "gtheta": ("subset graph and cycle census", _cmd_gtheta),
+    "thickness": ("extended-diagram thickness census", _cmd_thickness),
+    "independence": ("synthesize and verify an independence scheme",
+                     _cmd_independence),
+    "semicocycle": ("the two counterexample families", _cmd_semicocycle),
+    "odometer": ("exact head arithmetic", _cmd_odometer),
+}
+# The arguments of each leaf (a subcommand, or semicocycle and an action),
+# written once for the leaf parser of ``main`` and the tree of ``build_parser``.
+LEAVES = {
+    ("analyze",): [
+        ("input", dict(help="substitution file, inline JSON, or - for stdin"))],
+    ("gtheta",): [
+        ("input", dict()),
+        ("--dot", dict(action="store_true", help="emit Graphviz DOT"))],
+    ("thickness",): [
+        ("input", dict()), ("--max-power", dict(type=int, default=6)),
+        ("--depth", dict(type=int, default=8))],
+    ("independence",): [
+        ("input", dict()),
+        ("--n", dict(type=int, default=2, help="verify t_0..t_N")),
+        ("--max-power", dict(type=int, default=6))],
+    ("semicocycle", "d-set"): [("--stage", dict(type=int, default=3))],
+    ("semicocycle", "window"): [
+        ("--stage", dict(type=int, default=5)),
+        ("--zhat", dict(help="comma digits, last repeated (default all 2)")),
+        ("--depth", dict(type=int, help="head depth (default, or 0: 2^stage)")),
+        ("--range", dict(default="0:16", help="inclusive lo:hi"))],
+    ("semicocycle", "realize"): [
+        ("--lang", dict(choices=["full", "sturmian"], required=True)),
+        ("--word", dict(required=True)),
+        ("--n-max", dict(type=int, default=6)),
+        ("--horizon", dict(type=int, default=4096)),
+        ("--zhat", dict(help="comma binary digits, extended alternately "
+                             "(default alternating 0,1)"))],
+    ("semicocycle", "disjoint"): [
+        ("--stage", dict(type=int, default=3)),
+        ("--t-range", dict(type=int, default=16)),
+        ("--depth", dict(type=int, default=12)),
+        ("--samples", dict(type=int, default=10000)),
+        ("--seed", dict(type=int, default=0))],
+    ("odometer",): [
+        ("--scale", dict(required=True, help="constant:N, powers:N, or JSON")),
+        ("--digits", dict(default="", help="comma separated, level 1 first")),
+        ("--add", dict(type=int))],
+}
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only the subcommand and semicocycle action
-    it names, and every choice of a level where it names none (help, a typo)."""
-    def named(i, names):
-        return (argv[i],) if len(argv) > i and argv[i] in names else names
+def _add_leaf(parser, leaf) -> argparse.ArgumentParser:
+    for name, kwargs in LEAVES[leaf]:
+        parser.add_argument(name, **kwargs)
+    parser.set_defaults(func=COMMANDS[leaf[0]][1])
+    return parser
 
-    commands, actions = named(0, COMMANDS), named(1, ACTIONS)
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand and semicocycle action.  ``main`` builds it only for
+    argv that names no leaf (help, --version, a typo) or that its leaf does
+    not parse whole, so help, usage and errors come from this one tree."""
     p = argparse.ArgumentParser(
         prog="toeplitztame",
         description="Tameness certificates for substitution and Toeplitz shifts.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    if "analyze" in commands:
-        sp = sub.add_parser("analyze", help="full tameness pipeline, JSON report")
-        sp.add_argument("input",
-                        help="substitution file, inline JSON, or - for stdin")
-        sp.set_defaults(func=_cmd_analyze)
-
-    if "gtheta" in commands:
-        sp = sub.add_parser("gtheta", help="subset graph and cycle census")
-        sp.add_argument("input")
-        sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-        sp.set_defaults(func=_cmd_gtheta)
-
-    if "thickness" in commands:
-        sp = sub.add_parser("thickness", help="extended-diagram thickness census")
-        sp.add_argument("input")
-        sp.add_argument("--max-power", type=int, default=6)
-        sp.add_argument("--depth", type=int, default=8)
-        sp.set_defaults(func=_cmd_thickness)
-
-    if "independence" in commands:
-        sp = sub.add_parser("independence",
-                            help="synthesize and verify an independence scheme")
-        sp.add_argument("input")
-        sp.add_argument("--n", type=int, default=2, help="verify t_0..t_N")
-        sp.add_argument("--max-power", type=int, default=6)
-        sp.set_defaults(func=_cmd_independence)
-
-    if "semicocycle" in commands:
-        sp = sub.add_parser("semicocycle", help="the two counterexample families")
-        act = sp.add_subparsers(dest="action", required=True)
-        if "d-set" in actions:
-            a = act.add_parser("d-set")
-            a.add_argument("--stage", type=int, default=3)
-        if "window" in actions:
-            a = act.add_parser("window")
-            a.add_argument("--stage", type=int, default=5)
-            a.add_argument("--zhat",
-                           help="comma digits, last repeated (default all 2)")
-            a.add_argument("--depth", type=int,
-                           help="head depth (default, or 0: 2^stage)")
-            a.add_argument("--range", default="0:16", help="inclusive lo:hi")
-        if "realize" in actions:
-            a = act.add_parser("realize")
-            a.add_argument("--lang", choices=["full", "sturmian"], required=True)
-            a.add_argument("--word", required=True)
-            a.add_argument("--n-max", type=int, default=6)
-            a.add_argument("--horizon", type=int, default=4096)
-            a.add_argument("--zhat", help="comma binary digits, extended "
-                                          "alternately (default alternating 0,1)")
-        if "disjoint" in actions:
-            a = act.add_parser("disjoint")
-            a.add_argument("--stage", type=int, default=3)
-            a.add_argument("--t-range", type=int, default=16)
-            a.add_argument("--depth", type=int, default=12)
-            a.add_argument("--samples", type=int, default=10000)
-            a.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(func=_cmd_semicocycle)
-
-    if "odometer" in commands:
-        sp = sub.add_parser("odometer", help="exact head arithmetic")
-        sp.add_argument("--scale", required=True,
-                        help="constant:N, powers:N, or JSON")
-        sp.add_argument("--digits", default="",
-                        help="comma separated, level 1 first")
-        sp.add_argument("--add", type=int)
-        sp.set_defaults(func=_cmd_odometer)
+    nodes = {name: sub.add_parser(name, help=help_)
+             for name, (help_, _) in COMMANDS.items()}
+    act = nodes["semicocycle"].add_subparsers(dest="action", required=True)
+    for leaf in LEAVES:
+        _add_leaf(act.add_parser(leaf[1]) if leaf[1:] else nodes[leaf[0]], leaf)
     return p
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extras = build_parser(argv).parse_known_args(argv)
-    if extras:  # argparse reports them under the usage that lists every subcommand
+    leaf = tuple(argv[:2] if argv[:1] == ["semicocycle"] else argv[:1])
+    args = extras = None
+    if leaf in LEAVES:  # parse on the leaf's own parser, with the tree's prog
+        parser = argparse.ArgumentParser(prog=" ".join(("toeplitztame",) + leaf))
+        if len(leaf) == 2:
+            parser.set_defaults(action=leaf[1])
+        args, extras = _add_leaf(parser, leaf).parse_known_args(argv[len(leaf):])
+    if args is None or extras:  # argparse reports them under the tree's usage
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

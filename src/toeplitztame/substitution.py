@@ -211,10 +211,13 @@ def parse_text(text: str) -> Substitution:
 
 def is_primitive(theta: Substitution) -> bool:
     """True iff the incidence matrix is primitive: the letter graph
-    a -> letters of theta(a), one edge per column, has period 1."""
-    edges = [(a, b, i) for a, w in zip(theta.alphabet, theta.words)
-             for i, b in enumerate(w)]
-    return period(theta.alphabet, edges) == 1
+    a -> letters of theta(a), one edge per column, has period 1.  The
+    answer is memoised on ``theta`` like its languages."""
+    if "primitive" not in theta._memo:
+        edges = [(a, b, i) for a, w in zip(theta.alphabet, theta.words)
+                 for i, b in enumerate(w)]
+        theta._memo["primitive"] = period(theta.alphabet, edges) == 1
+    return theta._memo["primitive"]
 
 
 def first_letter_seed(theta: Substitution) -> tuple[int, str]:

@@ -575,7 +575,12 @@ def outcome(entry, argv):
 
 
 EX22, EX23 = str(FIXTURES / "ex22.sub"), str(FIXTURES / "ex23.sub")
-ORACLE_CASES = [
+WINDOW, REALIZE = ("semicocycle", "window"), ("semicocycle", "realize")
+DISJOINT = ("semicocycle", "disjoint")
+ODOMETER = ("odometer", "--scale", "powers:4")
+# Argv on which ``cli.main`` could part from the oracle, grouped by the
+# argparse parsers it builds for them.
+LEAF_CASES = [
     # every subcommand and semicocycle action with valid arguments
     ("analyze", EX22),
     ("gtheta", EX23),
@@ -583,38 +588,98 @@ ORACLE_CASES = [
     ("thickness", EX22, "--depth", "4"),
     ("independence", EX22, "--n", "1"),
     ("semicocycle", "d-set", "--stage", "2"),
-    ("semicocycle", "window", "--stage", "3", "--range=-4:4"),
-    ("semicocycle", "realize", "--lang", "full", "--word", "ab"),
-    ("semicocycle", "disjoint", "--samples", "20", "--seed", "1"),
-    ("odometer", "--scale", "powers:4", "--digits", "3,3", "--add", "1"),
-    # help and version at every level, and argv naming no subcommand
+    WINDOW + ("--stage", "3", "--range=-4:4"),
+    REALIZE + ("--lang", "full", "--word", "ab"),
+    DISJOINT + ("--samples", "20", "--seed", "1"),
+    ODOMETER + ("--digits", "3,3", "--add", "1"),
+    # spellings the leaf must read as the tree does
+    ("analyze", "--", EX22),
+    ("gtheta", "--dot", EX22),
+    WINDOW + ("--st", "3"),
+    ("independence", EX22, "--max", "3"),
+    DISJOINT + ("--d", "3", "--samples", "20"),
+    ODOMETER + ("--add", "-3"),
+    ODOMETER + ("--add=-3",),
+    ("thickness", EX22, "--depth", "2", "--depth", "3"),
+    REALIZE + ("--lang=full", "--word=ab"),
+    # help on every leaf
+    ("analyze", "-h"),
+    ("gtheta", "-h"),
+    ("thickness", "-h"),
+    ("independence", "-h"),
+    ("odometer", "-h"),
+    ("semicocycle", "d-set", "-h"),
+    WINDOW + ("-h",),
+    REALIZE + ("-h",),
+    DISJOINT + ("-h",),
+    # usage errors the leaf reports
+    ("analyze",),
+    ("odometer",),
+    REALIZE + ("--word", "ab"),
+    REALIZE + ("--lang", "french", "--word", "ab"),
+    REALIZE + ("--lang", "full", "--word", "-ab"),
+    ("thickness", EX22, "--depth", "x"),
+    ("semicocycle", "d-set", "--stage"),
+    WINDOW + ("--range", "-4:4"),
+    ODOMETER + ("--add", "-x"),
+]
+TREE_CASES = [
+    # help and version at the top, and argv naming no leaf
     (),
     ("-h",),
     ("-h", "analyze"),
     ("--version",),
     ("--version", "analyze", "x"),
     ("--", "analyze", EX22),
-    ("analyze", "-h"),
     ("semicocycle",),
     ("semicocycle", "-h"),
-    ("semicocycle", "window", "-h"),
-    # usage errors at both levels
     ("analyse", EX22),
     ("semicocycle", "d-sets"),
-    ("analyze",),
-    ("odometer",),
-    ("semicocycle", "realize", "--word", "ab"),
-    ("semicocycle", "realize", "--lang", "french", "--word", "ab"),
-    ("thickness", EX22, "--depth", "x"),
+    ("semicocycle", "win"),
+]
+LEAF_THEN_TREE_CASES = [
+    # arguments the leaf leaves unrecognized
     ("analyze", EX22, "--dot"),
+    ("analyze", EX22, "--version"),
     ("semicocycle", "d-set", "--bogus"),
     ("semicocycle", "d-set", "window"),
-    ("odometer", "--scale", "powers:4", "extra"),
+    WINDOW + ("--", "--stage"),
+    ODOMETER + ("extra",),
 ]
+ORACLE_CASES = LEAF_CASES + TREE_CASES + LEAF_THEN_TREE_CASES
 
 
-@pytest.mark.parametrize("argv", ORACLE_CASES, ids=lambda argv: " ".join(
-    pathlib.Path(a).name if a.startswith(str(FIXTURES)) else a for a in argv))
+def case_id(argv):
+    return " ".join(
+        pathlib.Path(a).name if a.startswith(str(FIXTURES)) else a for a in argv)
+
+
+@pytest.mark.parametrize("argv", ORACLE_CASES, ids=case_id)
 def test_pruned_parser_matches_eager_oracle(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert outcome(main, argv) == outcome(eager_main, argv)
+
+
+# the top level, six subcommands and four semicocycle actions
+TREE_PARSERS = 11
+
+
+@pytest.mark.parametrize("argv, parsers", (
+    [(argv, 1) for argv in LEAF_CASES]
+    + [(argv, TREE_PARSERS) for argv in TREE_CASES]
+    + [(argv, 1 + TREE_PARSERS) for argv in LEAF_THEN_TREE_CASES]),
+    ids=lambda case: case_id(case) if isinstance(case, tuple) else None)
+def test_parsers_built_per_call(monkeypatch, argv, parsers):
+    """A call that names a leaf builds that leaf's parser alone; the full
+    tree is built only for argv that names no leaf or that the leaf does
+    not parse whole."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    outcome(main, argv)
+    assert len(built) == parsers, built

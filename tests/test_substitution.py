@@ -120,6 +120,21 @@ def test_is_primitive(ex22, thue_morse):
         (FIXTURES / "imprimitive100.sub").read_text(encoding="utf-8")))
 
 
+@pytest.mark.parametrize("name, periods", [("ex22", 1), ("height2", 2)])
+def test_analysis_reads_primitivity_once_per_substitution(monkeypatch, name,
+                                                          periods):
+    # tameness_verdict and is_aperiodic both ask about theta; height2's
+    # pure base is a second substitution, asked once more
+    from toeplitztame import substitution
+    from toeplitztame.gtheta import tameness_verdict
+    calls, period = [], substitution.period
+    monkeypatch.setattr(substitution, "period",
+                        lambda *args: calls.append(args) or period(*args))
+    tameness_verdict(parse_text(
+        (FIXTURES / f"{name}.sub").read_text(encoding="utf-8")))
+    assert len(calls) == periods
+
+
 def test_is_aperiodic(ex22, thue_morse):
     assert is_aperiodic(ex22)[0] is True
     flag, bound = is_aperiodic(thue_morse)
