@@ -165,10 +165,11 @@ def _head_value(digits) -> int:
     return values[0] if values else 0
 
 
-def _head_digits(value: int, depth: int) -> tuple[int, ...]:
-    """The first ``depth`` digits of the integer ``value`` over the 4^n
-    scale, read from the bit fields of ``_head_value``."""
-    return tuple(value >> k * (k + 1) & ((4 << 2 * k) - 1) for k in range(depth))
+def _head_digits(value: int, depth: int, start: int = 0) -> tuple[int, ...]:
+    """The digits at levels start + 1 .. depth of the integer ``value`` over
+    the 4^n scale, read from the bit fields of ``_head_value``."""
+    return tuple(value >> k * (k + 1) & ((4 << 2 * k) - 1)
+                 for k in range(start, depth))
 
 
 def _class_value(c: int, depth: int, values: dict) -> int:
@@ -347,17 +348,20 @@ def _violations(head_value: list, point_class: list, depth: int,
         di = rng.randrange(len(point_class))
         t = rng.randint(-t_range, t_range)
         zval = (head_value[ce] - values[di] - t) % modulus
-        z = _head_digits(zval, depth)
-        deep = z[depth // 2:]
-        if len(set(deep)) == 1 or zval <= small or modulus - zval <= small:
-            continue  # integer-like sample, excluded (P2 covers those orbits)
+        # integer-like samples are excluded (P2 covers those orbits); only
+        # the deeper half of z is decoded to test it, and all of z only
+        # for a violation
+        if zval <= small or modulus - zval <= small \
+                or len(set(_head_digits(zval, depth, depth // 2))) == 1:
+            continue
         checked += 1
         source_class = point_class[di]
         planted = _translate_hits(zval, head_value, wrapped, modulus, t_range)
         extra = [hit for hit in planted if hit != (source_class, t)]
         if extra:
             violations.append({"kind": "double-hit", "source": source_class,
-                               "t": t, "z": list(z), "others": extra})
+                               "t": t, "z": list(_head_digits(zval, depth)),
+                               "others": extra})
     return checked, violations
 
 

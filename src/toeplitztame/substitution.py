@@ -302,13 +302,15 @@ def is_aperiodic(theta: Substitution) -> tuple[bool, int]:
     periodicity certificate); returns True when p(n) >= n + 1 holds up to
     the bound, which is recorded in the analysis report.
 
-    The scan gallops: after p = p(n) with n < p <= n* it goes straight to
-    length p.  The factor complexity of a minimal shift is non-decreasing,
-    so every skipped length k (n < k < p) has p(k) >= p > k and cannot
+    The scan gallops: after p = p(n) with n < p <= n* it goes to length
+    min(p, 2n), so the next length at most doubles and never passes p.
+    The factor complexity of a minimal shift is non-decreasing, so every
+    skipped length k (n < k < min(p, 2n)) has p(k) >= p > k and cannot
     certify periodicity, and a skipped p(k) >= n* + 1 forces
-    p(p) >= n* + 1 as well.  So the flag is that of the scan over every
-    length, and the other languages built are the shorter ones that the
-    recursion of ``language`` reads.
+    p(min(p, 2n)) >= n* + 1 as well.  So the flag is that of the scan over
+    every length, and the other languages built are the shorter ones that
+    the recursion of ``language`` reads.  The cap keeps one step from
+    building L_p for a p near n* when a length near 2n already decides.
     """
     if not is_primitive(theta):
         raise NotPrimitive("aperiodicity test requires a primitive substitution")
@@ -321,7 +323,7 @@ def is_aperiodic(theta: Substitution) -> tuple[bool, int]:
         if p >= bound + 1:
             # p is non-decreasing, so p(m) >= m + 1 for every m <= bound.
             return True, bound
-        n = p
+        n = min(p, 2 * n)
     return True, bound
 
 

@@ -35,7 +35,9 @@ pointwise definition of the first semicocycle), the truncation of a head
 to a shallower depth, an explicit word list as a right-extendable test
 language, and two readings of a substitution at an odometer head that no
 command reports: the letter of a fibre-window word and the canonical
-semicocycle, with the column images they rest on.
+semicocycle, with the column images they rest on.  Last comes one input
+family that stresses the pipeline as |A| grows: a rotation column and a
+merging column.
 """
 
 import itertools
@@ -53,8 +55,8 @@ from toeplitztame.odometer import OdometerHead, Scale, add_integer, head_index
 from toeplitztame.semicocycle import (LEVELS, SCALE5, SCALE6, DPoint, DStage,
                                       _class_points, _exponent,
                                       realization_interval)
-from toeplitztame.substitution import (Substitution, expand,
-                                       language, substitution_power)
+from toeplitztame.substitution import (LETTER_POOL, Substitution, expand,
+                                       language, substitution_power, validate)
 
 
 def letters_of(theta: Substitution, x: int) -> frozenset:
@@ -804,3 +806,14 @@ def _check_scale(h: OdometerHead, theta: Substitution):
         if h.scale.modulus(n) != theta.length:
             raise ValidationError(
                 "head scale does not match the substitution length")
+
+
+def rotation_merge(size: int) -> Substitution:
+    """x_t -> x_0 x_(t+1) x_t, and the last letter -> x_0 x_0 x_0, over the
+    first ``size`` letters of ``LETTER_POOL``: primitive and aperiodic, with
+    one rotation column and one merging column, so its G_theta has
+    2^|A| - |A| - 1 vertices and its complexity bound is 6 |A|^2."""
+    xs = LETTER_POOL[:size]
+    rules = {x: xs[0] + xs[t + 1] + x for t, x in enumerate(xs[:-1])}
+    rules[xs[-1]] = xs[0] * 3
+    return validate({"rules": rules})

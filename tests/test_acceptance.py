@@ -11,8 +11,8 @@ import time
 import pytest
 
 from oracles import (family_word, head_set, heads_and_special, integer_head,
-                     level_row, point_digit, point_head, truncate,
-                     vertices_on_two_cycles)
+                     level_row, point_digit, point_head, rotation_merge,
+                     truncate, vertices_on_two_cycles)
 from toeplitztame.cli import main
 from toeplitztame.errors import LanguageError
 from toeplitztame.extended_bratteli import (essential_thickness,
@@ -29,8 +29,8 @@ from toeplitztame.semicocycle import (SCALE6, FullShift, LevelFamily,
                                       check_translate_disjointness,
                                       default_zhat6, realization_interval,
                                       realize_prefix)
-from toeplitztame.substitution import (Substitution, shortest_collapsing_word,
-                                       validate)
+from toeplitztame.substitution import (Substitution, is_aperiodic,
+                                       shortest_collapsing_word, validate)
 
 
 def fs(s):
@@ -442,3 +442,17 @@ def test_criterion_17_thickness_frontier(capsys):
         assert times[-1] < 0.25
     _report(17, sum(times), "thickness of three 16-letter, length-4 naive-order "
                             "inputs within 0.25 s each")
+
+
+def test_criterion_18_aperiodicity_frontier():
+    # The complexity scan at most doubles the length per step, so it never
+    # builds a language far longer than the one that decides: on the
+    # rotation and merge family at |A| = 52 its last length is 256, where
+    # p(256) passes the bound 6 |A|^2 = 16,224.
+    t0 = time.monotonic()
+    for size in (30, 52):
+        assert is_aperiodic(rotation_merge(size)) == (True, 6 * size ** 2)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0
+    _report(18, elapsed, "aperiodicity scan of the rotation and merge family "
+                         "at |A| = 30 and 52 within 1 s")

@@ -10,8 +10,10 @@ import subprocess
 import sys
 import time
 import types
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import tuple_window
 from toeplitztame import __version__, cli
@@ -254,6 +256,46 @@ def test_golden_text_reports(capsys, name, argv):
     code, out = run(capsys, *argv)
     assert code == GOLDEN_EXIT.get(name, 0)
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# json.dumps is the oracle for the one report writer: its indented layout
+# on every value that a report holds, and on every golden report.
+def assert_written_as_json_dumps(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(obj)
+    got, want = out.getvalue(), json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # compare around the first difference: a diff of whole reports is slow
+    at = max(len(os.path.commonprefix([got, want])) - 40, 0)
+    assert got[at:at + 80] == want[at:at + 80]
+
+
+REPORT_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t ab\u00e9\u2028\U0001d11e')
+    | st.characters())
+# floats and OrderedDicts are no report's types: they take the json fallback
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64)
+    | REPORT_TEXT | st.floats(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(REPORT_TEXT, inner, max_size=4)
+    | st.dictionaries(REPORT_TEXT, inner, max_size=4).map(OrderedDict),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_report_writer_matches_json_dumps(obj):
+    assert_written_as_json_dumps(obj)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in GOLDEN.iterdir() if p.suffix != ".dot"))
+def test_golden_reports_are_written_as_json_dumps(path):
+    text = (GOLDEN / path).read_text(encoding="utf-8")
+    assert_written_as_json_dumps(json.loads(text))
 
 
 @pytest.mark.parametrize("argv", [

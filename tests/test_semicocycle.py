@@ -598,6 +598,8 @@ def test_head_bit_fields_match_integer_head():
                             rng.randrange(modulus, 5 * modulus)])
         digits = integer_head(value, SCALE5, depth).digits
         assert _head_digits(value, depth) == digits
+        start = rng.randint(0, depth)
+        assert _head_digits(value, depth, start) == digits[start:]
         assert _head_value(digits) == value % modulus
 
 

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from oracles import (column_image, fixed_point_window, letter_in_power,
-                     two_sided_seed, wielandt_primitive)
+                     rotation_merge, two_sided_seed, wielandt_primitive)
 from toeplitztame.errors import (NotPrimitive, ParseError, PureBaseError,
                                  StabilizationError, ToeplitzError,
                                  ValidationError)
@@ -612,6 +612,14 @@ def test_galloping_scan_and_languages_match_linear_oracles():
     assert len(inputs) >= 1000
     inputs += [validate({"rules": {"a": "aa", "b": "bb"}}),
                validate({"rules": {"a": "ab", "b": "bb"}})]
+    # the gallop's cap: p(n) far above 2n on three 6-letter, length-2
+    # inputs (p(6) = 144, the bound, on the first) and on the rotation
+    # and merge family
+    inputs += [validate({"rules": rules}) for rules in [
+        {"a": "ed", "b": "aa", "c": "df", "d": "cc", "e": "bd", "f": "fb"},
+        {"a": "ed", "b": "af", "c": "dd", "d": "bb", "e": "ce", "f": "fa"},
+        {"a": "fd", "b": "bf", "c": "ab", "d": "ee", "e": "ac", "f": "ea"}]]
+    inputs += [rotation_merge(size) for size in range(8, 15)]
     periodic = _periodic_inputs(rng)
     assert all(linear_aperiodic_oracle(theta, {})[0] is False
                for theta in periodic)
